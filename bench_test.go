@@ -7,6 +7,7 @@ package regsat
 
 import (
 	"context"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"regsat/internal/ddg"
 	"regsat/internal/experiments"
+	"regsat/internal/gen"
 	"regsat/internal/kernels"
 	"regsat/internal/reduce"
 	"regsat/internal/rs"
@@ -286,6 +288,54 @@ func BenchmarkRSExactILPSmall(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// genMixGraphs is the size of BenchmarkExactILPGenMix's sample.
+const genMixGraphs = 48
+
+// BenchmarkExactILPGenMix is the solver layer's benchmark on the input mix
+// of the daemon benchmark's cold-ilp workload: a fixed-seed sample of the
+// five generator families at their default parameters on the superscalar
+// machine, int and float values, every register type solved with the
+// Section 3 model capped at 10,000 branch-and-bound nodes. Graph generation
+// and the analyses are built outside the timer. Metrics: simplex
+// iterations and branch-and-bound nodes per op (one op = the whole sample).
+func BenchmarkExactILPGenMix(b *testing.B) {
+	rng := rand.New(rand.NewSource(2004))
+	fams := gen.Families()
+	var ans []*rs.Analysis
+	for k := 0; k < genMixGraphs; k++ {
+		f := fams[k%len(fams)]
+		d := f.Defaults
+		g, err := f.Generate(gen.Params{Seed: rng.Int63(), Machine: ddg.Superscalar,
+			Size: d.Size, Width: d.Width, Density: d.Density, Types: []ddg.RegType{ddg.Int, ddg.Float}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, t := range g.Types() {
+			an, err := rs.NewAnalysis(g, t)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ans = append(ans, an)
+		}
+	}
+	opt := solver.Options{MaxNodes: 10000}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var iters, nodes int64
+	for i := 0; i < b.N; i++ {
+		for _, an := range ans {
+			res, err := rs.ExactILP(context.Background(), an, true, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			iters += res.Stats.SimplexIters
+			nodes += res.Stats.Nodes
+		}
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "simplex-iters/op")
+	b.ReportMetric(float64(nodes)/float64(b.N), "bb-nodes/op")
 }
 
 func BenchmarkReduceHeuristicSwim(b *testing.B) {

@@ -110,27 +110,47 @@ func remapCliques(h *Hints, ps *presolved) (cliques []*cutClique, infeasible boo
 	return cliques, false
 }
 
+// separation is the outcome of root cut separation.
+type separation struct {
+	added int64 // cuts appended to the model
+	// root is the solved root LP of the final model when separation
+	// converged (its last round added no cut): the search adopts it for the
+	// root node instead of solving the same LP again from a cold start. Nil
+	// when no round ran to optimality or the last round added cuts.
+	root *spx
+	// iters and blandIters total the simplex iterations of every round's
+	// solve; root's own counters are zeroed, so nothing is counted twice.
+	iters, blandIters int64
+}
+
 // separateRoot solves the root LP relaxation of rm repeatedly, appending the
 // hinted cliques the fractional point violates, until no violation remains
 // or a round/cut cap is hit. rm is solver-owned (presolve always re-emits),
-// so appending rows is safe. Returns the number of cuts added.
-func separateRoot(rm *lp.Model, cliques []*cutClique, cancelled func() bool) (added int64) {
+// so appending rows is safe. p must be the sparse form of rm as passed; the
+// first round solves it, later rounds rebuild it after the appended cuts.
+func separateRoot(rm *lp.Model, p *prob, cliques []*cutClique, cancelled func() bool) (sep separation) {
 	if len(cliques) == 0 {
-		return 0
+		return sep
 	}
 	for round := 0; round < cutMaxRounds; round++ {
 		if cancelled != nil && cancelled() {
-			return added
+			return sep
 		}
-		p, err := buildProb(rm)
-		if err != nil {
-			return added
+		if round > 0 {
+			var err error
+			if p, err = buildProb(rm); err != nil {
+				return sep
+			}
 		}
 		w := newSpx(p)
 		w.cancel = cancelled
 		w.reset(p.rootLo, p.rootHi)
-		if st := w.dual(math.Inf(1)); st != spxOptimal {
-			return added
+		st := w.dual(math.Inf(1))
+		sep.iters += w.iters
+		sep.blandIters += w.blandIters
+		w.iters, w.blandIters = 0, 0
+		if st != spxOptimal {
+			return sep
 		}
 		x := w.solution()
 		any := false
@@ -148,18 +168,19 @@ func separateRoot(rm *lp.Model, cliques []*cutClique, cancelled func() bool) (ad
 					terms[i] = lp.Term{Var: lp.Var(j), Coef: 1}
 				}
 				c.row = rm.AddConstr(terms, lp.LE, c.rhs, c.name)
-				added++
+				sep.added++
 				any = true
-				if added >= cutMaxAdded {
-					return added
+				if sep.added >= cutMaxAdded {
+					return sep
 				}
 			}
 		}
 		if !any {
-			return added
+			sep.root = w
+			return sep
 		}
 	}
-	return added
+	return sep
 }
 
 // activeCuts counts the added cuts tight at x (a reduced-space incumbent).

@@ -220,3 +220,224 @@ func TestCutsDisabled(t *testing.T) {
 		t.Fatalf("cuts added with DisableCuts: %+v", sol.Stats)
 	}
 }
+
+// hintedConflict draws a weighted maximum-independent-set model over a
+// random conflict graph (pairwise rows x_i + x_j ≤ 1) with every triangle
+// hinted as a clique, so root separation has violated cliques to add.
+func hintedConflict(rng *rand.Rand) (*lp.Model, *Hints) {
+	nv := 12 + rng.Intn(9)
+	obj := make([]float64, nv)
+	for i := range obj {
+		obj[i] = float64(1 + rng.Intn(9))
+	}
+	adj := make([]bool, nv*nv)
+	var edges [][2]int
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			if rng.Intn(2) == 0 {
+				adj[i*nv+j] = true
+				edges = append(edges, [2]int{i, j})
+			}
+		}
+	}
+	h := &Hints{}
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			for k := j + 1; k < nv; k++ {
+				if adj[i*nv+j] && adj[i*nv+k] && adj[j*nv+k] {
+					h.Cliques = append(h.Cliques, Clique{Name: "tri", Vars: []lp.Var{lp.Var(i), lp.Var(j), lp.Var(k)}, RHS: 1})
+				}
+			}
+		}
+	}
+	return conflictModel(obj, edges), h
+}
+
+// separateAsSolve replays the sparse backend's steps up to and including
+// root separation on a private presolved copy of m.
+func separateAsSolve(t *testing.T, m *lp.Model, h *Hints) separation {
+	t.Helper()
+	ps := presolve(m, 1e-6, true)
+	if ps.infeasible {
+		t.Fatal("presolve proved the model infeasible")
+	}
+	cliques, bad := remapCliques(h, ps)
+	if bad {
+		t.Fatal("hinted cliques proved the model infeasible")
+	}
+	p, err := buildProb(ps.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return separateRoot(ps.m, p, cliques, nil)
+}
+
+// TestSeparateRootHandsOffSolvedRoot: when separation converges, the
+// tableau it returns is, bit for bit, what a fresh cold solve of the final
+// model's root LP reaches — so the search may adopt it for the root node.
+func TestSeparateRootHandsOffSolvedRoot(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	handed := 0
+	for trial := 0; trial < 20; trial++ {
+		m, h := hintedConflict(rng)
+		sep := separateAsSolve(t, m, h)
+		if sep.root == nil {
+			continue
+		}
+		handed++
+		p := sep.root.p
+		if p.m != p.model.NumConstrs() {
+			t.Fatalf("trial %d: handed-off root has %d rows, the final model %d", trial, p.m, p.model.NumConstrs())
+		}
+		if sep.root.iters != 0 || sep.root.blandIters != 0 {
+			t.Fatalf("trial %d: handed-off root still holds %d iterations: they would be counted twice", trial, sep.root.iters)
+		}
+		fresh := newSpx(p)
+		fresh.reset(p.rootLo, p.rootHi)
+		if st := fresh.dual(math.Inf(1)); st != spxOptimal {
+			t.Fatalf("trial %d: fresh root solve %v", trial, st)
+		}
+		fresh.iters, fresh.blandIters = 0, 0
+		if d := spxDiff(sep.root, fresh); d != "" {
+			t.Fatalf("trial %d: handed-off root differs from a fresh solve in %s", trial, d)
+		}
+	}
+	if handed == 0 {
+		t.Fatal("separation never converged: nothing was compared")
+	}
+}
+
+// TestSeparateRootNoHandoff: separation hands off nothing when it did not
+// end on a converged round — the cut cap fired with violations left, the
+// solve was cancelled, or there was nothing to separate.
+func TestSeparateRootNoHandoff(t *testing.T) {
+	// On the complete conflict graph K12 the LP relaxation is x = 1/2
+	// everywhere, which violates every hinted 3- and 4-member clique: more
+	// than the cut cap in the first round.
+	const k = 12
+	var edges [][2]int
+	obj := make([]float64, k)
+	for i := 0; i < k; i++ {
+		obj[i] = 1
+		for j := i + 1; j < k; j++ {
+			edges = append(edges, [2]int{i, j})
+		}
+	}
+	h := &Hints{}
+	for a := 0; a < k; a++ {
+		for b := a + 1; b < k; b++ {
+			for c := b + 1; c < k; c++ {
+				h.Cliques = append(h.Cliques, Clique{Name: "k3", Vars: []lp.Var{lp.Var(a), lp.Var(b), lp.Var(c)}, RHS: 1})
+				for d := c + 1; d < k; d++ {
+					h.Cliques = append(h.Cliques, Clique{Name: "k4", Vars: []lp.Var{lp.Var(a), lp.Var(b), lp.Var(c), lp.Var(d)}, RHS: 1})
+				}
+			}
+		}
+	}
+	if len(h.Cliques) <= cutMaxAdded {
+		t.Fatalf("%d cliques cannot reach the cut cap %d", len(h.Cliques), cutMaxAdded)
+	}
+	sep := separateAsSolve(t, conflictModel(obj, edges), h)
+	if sep.added != cutMaxAdded || sep.root != nil {
+		t.Fatalf("cut cap: added %d, root handed off %v; want %d added and no root", sep.added, sep.root != nil, cutMaxAdded)
+	}
+	if sep.iters == 0 {
+		t.Fatal("cut cap: the separation LP's iterations were not reported")
+	}
+
+	m, hc := hintedConflict(rand.New(rand.NewSource(7)))
+	ps := presolve(m, 1e-6, true)
+	cliques, _ := remapCliques(hc, ps)
+	p, err := buildProb(ps.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sep := separateRoot(ps.m, p, cliques, func() bool { return true }); sep.root != nil || sep.added != 0 {
+		t.Fatalf("cancelled: added %d, root handed off %v", sep.added, sep.root != nil)
+	}
+	if sep := separateRoot(ps.m, p, nil, nil); sep.root != nil || sep.iters != 0 {
+		t.Fatalf("no cliques: root handed off %v after %d iterations", sep.root != nil, sep.iters)
+	}
+}
+
+// TestRootHandoffSameSearch pins hinted solves to the results the engine
+// produced before the root handoff existed: the same status, objective,
+// assignment and node count, with one cold start fewer whenever separation
+// converged (the root LP is no longer solved a second time).
+func TestRootHandoffSameSearch(t *testing.T) {
+	golden := []struct {
+		status lp.Status
+		obj    float64
+		x      string
+		nodes  int64
+		cold   int64 // ColdStarts without the handoff
+	}{
+		{lp.StatusOptimal, 31, "01000001000001010100", 7, 4},
+		{lp.StatusOptimal, 29, "0111000000000100010", 1, 1},
+		{lp.StatusOptimal, 23, "00000101000100", 5, 3},
+		{lp.StatusOptimal, 40, "00010010001000001100", 1, 1},
+		{lp.StatusOptimal, 28, "01100001100000", 1, 1},
+		{lp.StatusOptimal, 31, "0110000000000010010", 9, 5},
+		{lp.StatusOptimal, 29, "10010000000000101000", 5, 3},
+		{lp.StatusOptimal, 40, "00001100011010100", 1, 1},
+		{lp.StatusOptimal, 33, "00100000100001000101", 6, 3},
+		{lp.StatusOptimal, 26, "0000001100010010", 2, 1},
+		{lp.StatusOptimal, 29, "10001000010100", 1, 1},
+		{lp.StatusOptimal, 23, "000110011000", 1, 1},
+	}
+	rng := rand.New(rand.NewSource(14))
+	for trial, want := range golden {
+		m, h := hintedConflict(rng)
+		converged := separateAsSolve(t, m, h).root != nil
+		sol := solveWith(t, "sparse", m, Options{Hints: h})
+		x := make([]byte, len(sol.X))
+		for i, v := range sol.X {
+			x[i] = '0' + byte(math.Round(v))
+		}
+		wantCold := want.cold
+		if converged {
+			wantCold--
+		}
+		if sol.Status != want.status || sol.Obj != want.obj || string(x) != want.x || sol.Stats.Nodes != want.nodes {
+			t.Fatalf("trial %d: %v obj %g x %s nodes %d; want %v obj %g x %s nodes %d",
+				trial, sol.Status, sol.Obj, x, sol.Stats.Nodes, want.status, want.obj, want.x, want.nodes)
+		}
+		if sol.Stats.ColdStarts != wantCold {
+			t.Fatalf("trial %d: %d cold starts, want %d (separation converged: %v)",
+				trial, sol.Stats.ColdStarts, wantCold, converged)
+		}
+	}
+}
+
+// TestSeparationItersCounted: the simplex iterations of root separation are
+// part of Stats.SimplexIters, counted once even though the search adopts
+// the final round's tableau. On K6 with distinct weights the clique cut
+// makes the root LP integral, so the search adds exactly one iteration: the
+// root node's check of the adopted optimal basis.
+func TestSeparationItersCounted(t *testing.T) {
+	const k = 6
+	obj := make([]float64, k)
+	var edges [][2]int
+	var all []lp.Var
+	for i := 0; i < k; i++ {
+		obj[i] = float64(k - i)
+		all = append(all, lp.Var(i))
+		for j := i + 1; j < k; j++ {
+			edges = append(edges, [2]int{i, j})
+		}
+	}
+	h := &Hints{Cliques: []Clique{{Name: "all", Vars: all, RHS: 1}}}
+	sep := separateAsSolve(t, conflictModel(obj, edges), h)
+	if sep.added == 0 || sep.root == nil || sep.iters == 0 {
+		t.Fatalf("separation: added %d, converged %v, %d iterations", sep.added, sep.root != nil, sep.iters)
+	}
+	sol := solveWith(t, "sparse", conflictModel(obj, edges), Options{Hints: h})
+	st := sol.Stats
+	if sol.Status != lp.StatusOptimal || sol.Obj != float64(k) || st.CutsAdded == 0 || st.Nodes != 1 {
+		t.Fatalf("solve: %v obj %g, %+v", sol.Status, sol.Obj, st)
+	}
+	if st.SimplexIters != sep.iters+1 || st.BlandIters != sep.blandIters || st.ColdStarts != 0 {
+		t.Fatalf("SimplexIters %d BlandIters %d ColdStarts %d; want %d, %d and 0 (separation %d + the root check)",
+			st.SimplexIters, st.BlandIters, st.ColdStarts, sep.iters+1, sep.blandIters, sep.iters)
+	}
+}

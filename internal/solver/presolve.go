@@ -27,7 +27,7 @@ package solver
 // unsatisfiable empty rows, contradictory duplicate equations).
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
 	"sort"
 
@@ -417,13 +417,14 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 			// Duplicate rows: identical live term vectors and relation keep
 			// only the tightest right-hand side.
 			seen := make(map[string]int)
+			var key []byte
 			for i := range rows {
 				r := &rows[i]
 				if r.dead || len(r.terms) == 0 {
 					continue
 				}
-				key := rowKey(r)
-				if prev, ok := seen[key]; ok {
+				key = rowKey(key, r)
+				if prev, ok := seen[string(key)]; ok {
 					p := &rows[prev]
 					switch r.rel {
 					case lp.LE:
@@ -440,7 +441,7 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 					changed = true
 					continue
 				}
-				seen[key] = i
+				seen[string(key)] = i
 			}
 
 			if !changed {
@@ -493,10 +494,12 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 }
 
 // rowKey canonicalizes a row's live terms and relation for duplicate
-// detection. Terms are already in ascending variable order (lp.AddConstr
-// compacts them that way) but presolve's in-place filtering preserves any
-// order, so sort defensively.
-func rowKey(r *prow) string {
+// detection into buf (reused across rows). Terms are already in ascending
+// variable order (lp.AddConstr compacts them that way) but presolve's
+// in-place filtering preserves any order, so sort defensively. The key is
+// fixed-width binary — the relation byte, then 8 bytes of variable and 8 of
+// coefficient bits per term — so two rows share a key only when equal.
+func rowKey(buf []byte, r *prow) []byte {
 	terms := r.terms
 	if !sort.SliceIsSorted(terms, func(a, b int) bool { return terms[a].Var < terms[b].Var }) {
 		cp := make([]lp.Term, len(terms))
@@ -504,10 +507,10 @@ func rowKey(r *prow) string {
 		sort.Slice(cp, func(a, b int) bool { return cp[a].Var < cp[b].Var })
 		terms = cp
 	}
-	key := make([]byte, 0, len(terms)*12+4)
-	key = append(key, byte(r.rel), ':')
+	buf = append(buf[:0], byte(r.rel))
 	for _, t := range terms {
-		key = fmt.Appendf(key, "%d:%x,", t.Var, math.Float64bits(t.Coef))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Var))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.Coef))
 	}
-	return string(key)
+	return buf
 }

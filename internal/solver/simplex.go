@@ -174,6 +174,12 @@ type spx struct {
 	// framework is reset to all-ones on every tableau rebuild (reset), so a
 	// refactorization doubles as the periodic devex reference reset.
 	dweight []float64
+	// nz lists the nonzero columns (rhs included) of the scaled pivot row of
+	// the current pivot: the elimination touches only those.
+	nz []int32
+	// probe hosts the iteration-capped strong-branching probes, which must
+	// not disturb this tableau's basis mid-dive. Allocated on first use.
+	probe *spx
 
 	iters      int64 // simplex iterations since the last flush
 	blandIters int64 // iterations under the anti-cycling Bland override
@@ -194,6 +200,7 @@ func newSpx(p *prob) *spx {
 	s.xB = make([]float64, p.m)
 	s.d = make([]float64, p.N)
 	s.dweight = make([]float64, p.m)
+	s.nz = make([]int32, 0, s.stride)
 	return s
 }
 
@@ -472,12 +479,21 @@ func (s *spx) dual(pruneTarget float64) spxStatus {
 		// propagating the devex reference weights: with pivot α_rq and
 		// entering multipliers α_iq, γ_i ← max(γ_i, (α_iq/α_rq)²·γ_r) and
 		// γ_r ← max(γ_r/α_rq², 1).
+		// Only the pivot row's nonzero columns change in the other rows, so
+		// they are collected once and every row update runs over that list:
+		// the same floating-point operations as a full-row sweep that skips
+		// zeros, at a cost proportional to the row's nonzeros.
 		inv := 1.0 / arq
 		gr := s.dweight[r]
 		wmax := 0.0
+		nz := s.nz[:0]
 		for j := 0; j <= p.N; j++ {
 			row[j] *= inv
+			if row[j] != 0 {
+				nz = append(nz, int32(j))
+			}
 		}
+		s.nz = nz
 		for i := 0; i < p.m; i++ {
 			if i == r {
 				continue
@@ -487,10 +503,8 @@ func (s *spx) dual(pruneTarget float64) spxStatus {
 			if f == 0 {
 				continue
 			}
-			for j := 0; j <= p.N; j++ {
-				if row[j] != 0 {
-					ri[j] -= f * row[j]
-				}
+			for _, j := range nz {
+				ri[j] -= f * row[j]
 			}
 			ri[q] = 0
 			m := f * inv
@@ -510,8 +524,8 @@ func (s *spx) dual(pruneTarget float64) spxStatus {
 			}
 		}
 		if f := s.d[q]; f != 0 {
-			for j := 0; j < p.N; j++ {
-				if row[j] != 0 {
+			for _, j := range nz {
+				if int(j) < p.N {
 					s.d[j] -= f * row[j]
 				}
 			}

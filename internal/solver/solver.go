@@ -126,11 +126,13 @@ type Stats struct {
 	// Nodes is the number of branch-and-bound nodes whose relaxation was
 	// solved (or dense-fallback subtree solves, counted by their own nodes).
 	Nodes int64 `json:"nodes"`
-	// SimplexIters is the total simplex iterations across all nodes.
+	// SimplexIters is the total simplex iterations across all nodes and the
+	// root cut-separation LPs.
 	SimplexIters int64 `json:"simplexIters"`
 	// WarmStarts counts node solves reoptimized in place from the parent
 	// basis (dives); ColdStarts counts nodes rebuilt from scratch (best-bound
-	// queue pops and periodic refactorizations).
+	// queue pops and periodic refactorizations). A root LP already solved by
+	// converged cut separation is adopted, not rebuilt, and not counted.
 	WarmStarts int64 `json:"warmStarts"`
 	ColdStarts int64 `json:"coldStarts"`
 	// Fallbacks counts subtrees handed to the dense reference engine after

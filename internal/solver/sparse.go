@@ -24,7 +24,8 @@ import (
 // incumbent.
 //
 // Node processing is organized as dives: a worker pops the best-bound open
-// node, solves it from a cold (all-slack, dual-feasible) start, then keeps
+// node, solves it from a cold (all-slack, dual-feasible) start — or, for the
+// root, adopts the tableau converged cut separation already solved — then keeps
 // descending into one child per branching — reusing the tableau and basis it
 // already holds, which makes the child solve a handful of dual pivots — while
 // the sibling goes onto the shared best-bound queue as a {variable, bound}
@@ -108,11 +109,16 @@ func (b sparseBackend) Solve(ctx context.Context, m *lp.Model, opt Options) (*So
 		return ctx.Err() != nil || (!deadline.IsZero() && time.Now().After(deadline))
 	}
 
-	var cutsAdded int64
+	var sep separation
 	if len(cliques) > 0 {
-		cutsAdded = separateRoot(rm, cliques, cancelled)
-		span.Event("cuts.separated", obs.Int("added", cutsAdded), obs.Int("cliques", int64(len(cliques))))
-		if cutsAdded > 0 {
+		sep = separateRoot(rm, p, cliques, cancelled)
+		span.Event("cuts.separated", obs.Int("added", sep.added), obs.Int("cliques", int64(len(cliques))))
+		switch {
+		case sep.root != nil:
+			// Separation converged: its last round solved the root LP of
+			// exactly the model being searched, on that model's sparse form.
+			p = sep.root.p
+		case sep.added > 0:
 			// The matrix grew; rebuild the shared sparse form. Cut rows add
 			// no variables, so sparse eligibility cannot change.
 			if p, err = buildProb(rm); err != nil {
@@ -138,11 +144,14 @@ func (b sparseBackend) Solve(ctx context.Context, m *lp.Model, opt Options) (*So
 		span:      span,
 		deadline:  deadline,
 		cliqueIx:  buildCliqueIndex(cliques),
+		root:      sep.root,
 		openBound: math.Inf(1),
 		cutoff:    math.Inf(1),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.incObj.Store(math.Float64bits(math.Inf(1)))
+	s.iters.Store(sep.iters)
+	s.bland.Store(sep.blandIters)
 	s.pcDownSum = make([]float64, p.n)
 	s.pcUpSum = make([]float64, p.n)
 	s.pcDownN = make([]int32, p.n)
@@ -168,7 +177,7 @@ func (b sparseBackend) Solve(ctx context.Context, m *lp.Model, opt Options) (*So
 	sol.Stats.PresolveRows = ps.rows
 	sol.Stats.PresolveCols = ps.cols
 	sol.Stats.PresolveTightenings = ps.tightenings
-	sol.Stats.CutsAdded = cutsAdded
+	sol.Stats.CutsAdded = sep.added
 	if sol.Feasible() && !sol.AtCutoff {
 		xr := sol.X
 		if xr == nil {
@@ -236,6 +245,9 @@ type searcher struct {
 	cutoff          float64 // internal sense; +inf when unseeded
 	exclusiveCutoff bool
 	cliqueIx        *cliqueIndex
+	// root is the root LP already solved by cut separation, or nil. Only
+	// the one worker that pops the root node reads it, and it takes it.
+	root *spx
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -466,13 +478,7 @@ func (s *searcher) boundsOf(nd *qnode, lo, hi []float64, path []*qnode) []*qnode
 
 func (s *searcher) worker() {
 	p := s.p
-	w := newSpx(p)
-	w.cancel = s.cancelled
-	// scratch hosts iteration-capped strong-branching probes; they must not
-	// disturb the live basis mid-dive.
-	scratch := newSpx(p)
-	scratch.cancel = s.cancelled
-	scratch.iterLimit = pcProbeIters
+	var w *spx // the worker's tableau, allocated on its first cold start
 	lo := make([]float64, p.n)
 	hi := make([]float64, p.n)
 	var path []*qnode
@@ -485,9 +491,20 @@ func (s *searcher) worker() {
 		s.span.Event("dive",
 			obs.Int("depth", int64(len(path))),
 			obs.Str("bound", strconv.FormatFloat(nd.bound, 'g', 6, 64)))
-		w.reset(lo, hi)
-		s.cold.Add(1)
-		s.dive(w, scratch, nd, false)
+		if nd.vr < 0 && s.root != nil {
+			// The root LP is already solved: adopt that tableau, whose
+			// optimal basis is exactly what a cold solve would reach.
+			w, s.root = s.root, nil
+			w.cancel = s.cancelled
+		} else {
+			if w == nil {
+				w = newSpx(p)
+				w.cancel = s.cancelled
+			}
+			w.reset(lo, hi)
+			s.cold.Add(1)
+		}
+		s.dive(w, nd, false)
 		s.done()
 	}
 }
@@ -502,7 +519,7 @@ type brCand struct {
 // dive processes nd with the state already loaded in w, then keeps
 // descending into one child per branching (warm-starting from the basis the
 // tableau already holds) until the chain is pruned, infeasible, or integer.
-func (s *searcher) dive(w, scratch *spx, nd *qnode, warm bool) {
+func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 	p := s.p
 	x := make([]float64, p.n)
 	cands := make([]brCand, 0, 16)
@@ -586,7 +603,7 @@ func (s *searcher) dive(w, scratch *spx, nd *qnode, warm bool) {
 		// Reliability initialization: strong-branching probes on candidates
 		// whose pseudo-costs have too few observations. A probe can prove a
 		// direction dead, forcing the other child (or killing the node).
-		forced, dead := s.reliabilityProbes(w, scratch, cands, nd, obj, bound)
+		forced, dead := s.reliabilityProbes(w, cands, nd, obj, bound)
 		if dead {
 			return
 		}
@@ -640,7 +657,7 @@ func (s *searcher) dive(w, scratch *spx, nd *qnode, warm bool) {
 // one direction cannot contain an improving solution, the returned forced
 // child replaces branching; when both directions are dead the node is
 // resolved (dead = true).
-func (s *searcher) reliabilityProbes(w, scratch *spx, cands []brCand, nd *qnode, obj, bound float64) (forced *qnode, dead bool) {
+func (s *searcher) reliabilityProbes(w *spx, cands []brCand, nd *qnode, obj, bound float64) (forced *qnode, dead bool) {
 	if len(cands) < 2 {
 		return nil, false
 	}
@@ -667,7 +684,7 @@ func (s *searcher) reliabilityProbes(w, scratch *spx, cands []brCand, nd *qnode,
 		probed++
 		var downDead, upDead bool
 		if dN < pcReliable {
-			res := s.probeDir(w, scratch, c.j, w.lo[c.j], c.floor, prune)
+			res := s.probeDir(w, c.j, w.lo[c.j], c.floor, prune)
 			if res.dead {
 				downDead = true
 			} else if res.known {
@@ -675,7 +692,7 @@ func (s *searcher) reliabilityProbes(w, scratch *spx, cands []brCand, nd *qnode,
 			}
 		}
 		if uN < pcReliable {
-			res := s.probeDir(w, scratch, c.j, c.floor+1, w.hi[c.j], prune)
+			res := s.probeDir(w, c.j, c.floor+1, w.hi[c.j], prune)
 			if res.dead {
 				upDead = true
 			} else if res.known {
@@ -702,12 +719,18 @@ type probeOutcome struct {
 	obj   float64
 }
 
-// probeDir solves the child [lo, hi] of variable j on the scratch tableau
+// probeDir solves the child [lo, hi] of variable j on w's probe tableau
 // with a tight iteration cap. The dual objective is a monotone lower bound
 // on the child LP, so even an iteration-capped probe yields a valid
 // pseudo-cost estimate, and exceeding the prune target proves the child
 // dead regardless of how the solve would have ended.
-func (s *searcher) probeDir(w, scratch *spx, j int, lo, hi, prune float64) probeOutcome {
+func (s *searcher) probeDir(w *spx, j int, lo, hi, prune float64) probeOutcome {
+	if w.probe == nil {
+		w.probe = newSpx(w.p)
+		w.probe.cancel = s.cancelled
+		w.probe.iterLimit = pcProbeIters
+	}
+	scratch := w.probe
 	scratch.copyFrom(w)
 	scratch.applyBound(j, lo, hi)
 	st := scratch.dual(prune)
