@@ -7,6 +7,7 @@ package regsat
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -229,37 +230,56 @@ func BenchmarkRSExactBBKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkMILPSolveBackends contrasts the MILP backends on a corpus graph
-// with ≥ 10 nodes: the dense reference engine, the sparse warm-started
-// best-bound engine sequentially, and the same engine with a parallel tree
-// search. Metrics: branch-and-bound nodes and warm-start rate per solve.
-func BenchmarkMILPSolveBackends(b *testing.B) {
-	g, err := loadBenchGraph("testdata/random-epic-10n-s2006.ddg")
-	if err != nil {
-		b.Fatal(err)
+// largeTreeInstances are the three (graph, type) instances of the
+// BenchmarkExactILPGenMix generator stream (seed 2004, first 1,500 graphs)
+// whose Section 3 solves explore the most branch-and-bound nodes at the
+// gen-mix node cap (every other instance explores at most 39); k is the
+// graph's position in the stream.
+var largeTreeInstances = []struct {
+	k   int
+	typ ddg.RegType
+}{{969, ddg.Int}, {194, ddg.Int}, {1384, ddg.Float}} // 101, 98 and 89 nodes
+
+// BenchmarkMILPLargeTree measures the tree search where it has work to do:
+// the three largest-tree instances of the gen-mix stream, solved with a
+// sequential and a 2-worker search. One op solves all three. Metrics:
+// branch-and-bound nodes and simplex iterations per op.
+func BenchmarkMILPLargeTree(b *testing.B) {
+	last := 0
+	for _, in := range largeTreeInstances {
+		last = max(last, in.k)
 	}
-	an, err := rs.NewAnalysis(g, ddg.Float)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, opt solver.Options) {
-		for i := 0; i < b.N; i++ {
-			res, err := rs.ExactILP(context.Background(), an, true, opt)
+	var ans []*rs.Analysis
+	genMixStream(b, last+1, func(k int, g *ddg.Graph) {
+		for _, in := range largeTreeInstances {
+			if in.k != k {
+				continue
+			}
+			an, err := rs.NewAnalysis(g, in.typ)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !res.Exact {
-				b.Fatalf("backend %q did not prove optimality", opt.Backend)
-			}
-			b.ReportMetric(float64(res.Stats.Nodes), "bb-nodes")
-			b.ReportMetric(100*res.Stats.WarmRate(), "warm%")
+			ans = append(ans, an)
 		}
-	}
-	b.Run("dense", func(b *testing.B) { run(b, solver.Options{Backend: "dense"}) })
-	b.Run("sparse", func(b *testing.B) { run(b, solver.Options{Backend: "sparse"}) })
-	b.Run("parallel", func(b *testing.B) {
-		run(b, solver.Options{Backend: "parallel", Parallel: runtime.NumCPU()})
 	})
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("parallel=%d", workers), func(b *testing.B) {
+			opt := solver.Options{MaxNodes: 10000, Parallel: workers}
+			var iters, nodes int64
+			for i := 0; i < b.N; i++ {
+				for _, an := range ans {
+					res, err := rs.ExactILP(context.Background(), an, true, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					iters += res.Stats.SimplexIters
+					nodes += res.Stats.Nodes
+				}
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "bb-nodes/op")
+			b.ReportMetric(float64(iters)/float64(b.N), "simplex-iters/op")
+		})
+	}
 }
 
 func loadBenchGraph(path string) (*ddg.Graph, error) {
@@ -293,6 +313,24 @@ func BenchmarkRSExactILPSmall(b *testing.B) {
 // genMixGraphs is the size of BenchmarkExactILPGenMix's sample.
 const genMixGraphs = 48
 
+// genMixStream generates the first n graphs of the gen-mix stream: the five
+// generator families in turn at their default parameters on the
+// superscalar machine, int and float values, seeds drawn from seed 2004.
+func genMixStream(b *testing.B, n int, fn func(k int, g *ddg.Graph)) {
+	rng := rand.New(rand.NewSource(2004))
+	fams := gen.Families()
+	for k := 0; k < n; k++ {
+		f := fams[k%len(fams)]
+		d := f.Defaults
+		g, err := f.Generate(gen.Params{Seed: rng.Int63(), Machine: ddg.Superscalar,
+			Size: d.Size, Width: d.Width, Density: d.Density, Types: []ddg.RegType{ddg.Int, ddg.Float}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fn(k, g)
+	}
+}
+
 // BenchmarkExactILPGenMix is the solver layer's benchmark on the input mix
 // of the daemon benchmark's cold-ilp workload: a fixed-seed sample of the
 // five generator families at their default parameters on the superscalar
@@ -301,17 +339,8 @@ const genMixGraphs = 48
 // and the analyses are built outside the timer. Metrics: simplex
 // iterations and branch-and-bound nodes per op (one op = the whole sample).
 func BenchmarkExactILPGenMix(b *testing.B) {
-	rng := rand.New(rand.NewSource(2004))
-	fams := gen.Families()
 	var ans []*rs.Analysis
-	for k := 0; k < genMixGraphs; k++ {
-		f := fams[k%len(fams)]
-		d := f.Defaults
-		g, err := f.Generate(gen.Params{Seed: rng.Int63(), Machine: ddg.Superscalar,
-			Size: d.Size, Width: d.Width, Density: d.Density, Types: []ddg.RegType{ddg.Int, ddg.Float}})
-		if err != nil {
-			b.Fatal(err)
-		}
+	genMixStream(b, genMixGraphs, func(_ int, g *ddg.Graph) {
 		for _, t := range g.Types() {
 			an, err := rs.NewAnalysis(g, t)
 			if err != nil {
@@ -319,7 +348,7 @@ func BenchmarkExactILPGenMix(b *testing.B) {
 			}
 			ans = append(ans, an)
 		}
-	}
+	})
 	opt := solver.Options{MaxNodes: 10000}
 	b.ReportAllocs()
 	b.ResetTimer()

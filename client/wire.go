@@ -56,7 +56,7 @@ type AnalyzeOptions struct {
 	Witness bool `json:"witness,omitempty"`
 	// MaxLeaves caps the exact-BB search (0 = default).
 	MaxLeaves int64 `json:"maxLeaves,omitempty"`
-	// Solver selects and bounds the MILP backend for "ilp".
+	// Solver bounds the MILP solves of "ilp".
 	Solver SolverOptions `json:"solver"`
 	// Reduce, when non-nil with a positive budget, runs RS reduction on
 	// every graph whose saturation exceeds the budget.
@@ -81,13 +81,15 @@ type CyclicSpec struct {
 
 // SolverOptions mirrors regsat.SolverOptions on the wire.
 type SolverOptions struct {
-	// Backend names the MILP engine: "dense", "sparse" (default), "parallel".
+	// Backend names the MILP engine. "sparse" is the only one; the field is
+	// kept for compatibility and accepts "" or "sparse" (anything else is a
+	// 400).
 	Backend string `json:"backend,omitempty"`
 	// MaxNodes caps explored branch-and-bound nodes (0 = default).
 	MaxNodes int `json:"maxNodes,omitempty"`
 	// TimeLimitMs caps solve wall time (0 = none).
 	TimeLimitMs int64 `json:"timeLimitMs,omitempty"`
-	// Parallel is the tree-search worker count (0 = backend default).
+	// Parallel is the tree-search worker count (0 = 1, sequential).
 	Parallel int `json:"parallel,omitempty"`
 }
 
@@ -188,7 +190,7 @@ type RSOutcome struct {
 	ILP *ILPModelInfo `json:"ilp,omitempty"`
 	// BB carries the combinatorial search accounting for the "bb" method.
 	BB *BBInfo `json:"bb,omitempty"`
-	// SolverStats is the MILP backend's work accounting ("ilp" method).
+	// SolverStats is the MILP solve's work accounting ("ilp" method).
 	SolverStats *SolverStats `json:"solverStats,omitempty"`
 }
 
@@ -244,8 +246,8 @@ type SolverStats struct {
 	Incumbents   int64 `json:"incumbents"`
 	Workers      int   `json:"workers"`
 	DurationNs   int64 `json:"durationNs"`
-	// Presolve/cut/branching accounting of the sparse engine (zero for
-	// backends without those layers).
+	// Presolve/cut/branching accounting of the engine (presolve counters
+	// are zero when presolve is disabled).
 	PresolveRows        int64 `json:"presolveRows,omitempty"`
 	PresolveCols        int64 `json:"presolveCols,omitempty"`
 	PresolveTightenings int64 `json:"presolveTightenings,omitempty"`

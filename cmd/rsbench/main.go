@@ -114,8 +114,7 @@ type tracingJSON struct {
 	PerFile []corpusFileJSON `json:"perFile"`
 }
 
-// solverJSON is the -exp solver section: per-(instance, backend) solve
-// timings plus the engine's work accounting, feeding both the BENCH.json
+// solverJSON is the -exp solver section: per-instance solve timings plus the engine's work accounting, feeding both the BENCH.json
 // artifact and the benchcmp regression gate (entries appear under the
 // "solver/" namespace there).
 type solverJSON struct {
@@ -126,15 +125,18 @@ type solverJSON struct {
 	PerFile  []solverCaseJSON `json:"perFile"`
 }
 
-// solverCaseJSON is one backend's solve of one corpus instance. Name and
-// NsOp match the benchcmp per-file schema; the rest is the per-solve
-// instrumentation (branch-and-bound size, simplex work, presolve and cut
-// effect, probing, dense fallbacks).
+// solverCaseJSON is the solve of one corpus instance. Name and NsOp match
+// the benchcmp per-file schema; the rest is the per-solve instrumentation
+// (branch-and-bound size, simplex work, presolve and cut effect, probing,
+// numerical-trouble recoveries).
 type solverCaseJSON struct {
-	Name                string `json:"name"` // "graph/type [backend]"
+	// Name is "graph/type [sparse]": the engine suffix keeps entries
+	// comparable with baselines recorded when several engines were swept.
+	Name                string `json:"name"`
 	Values              int    `json:"values,omitempty"`
 	NsOp                int64  `json:"nsOp"`
 	RS                  int    `json:"rs"`
+	UpperBound          int    `json:"upperBound,omitempty"`
 	Exact               bool   `json:"exact"`
 	Nodes               int64  `json:"nodes,omitempty"`
 	SimplexIters        int64  `json:"simplexIters,omitempty"`
@@ -202,7 +204,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxVals  = fs.Int("maxvalues", 12, "skip cases with more values than this (exactness budget)")
 		dir      = fs.String("dir", "testdata", "DDG corpus directory for -exp corpus/solver")
 		parallel = fs.Int("parallel", 0, "worker count for -exp corpus (0 = GOMAXPROCS)")
-		backend  = fs.String("solver", "", "MILP backend for intLP solves: dense|sparse|parallel (default sparse)")
 		profile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		jsonOut  = fs.String("json", "", "write a machine-readable benchmark summary to this file")
 		baseline = fs.String("baseline", "", "previous BENCH.json to compare against; exits non-zero on regression")
@@ -314,7 +315,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	})
 	runExp("time", func() (string, error) {
 		r, err := experiments.Timing(ctx, pop, 6, solver.Options{
-			Backend: *backend, MaxNodes: 200000, TimeLimit: 30 * time.Second})
+			MaxNodes: 200000, TimeLimit: 30 * time.Second})
 		if err != nil {
 			return "", err
 		}
@@ -595,12 +596,12 @@ func cyclicReport(mk ddg.MachineKind, perFamily int, seedBase int64, parallel in
 	return string(b), yj, nil
 }
 
-// solverReport compares every registered MILP backend on the corpus: per
-// instance, nodes explored, simplex iterations, warm-start hit rate, and
-// wall clock, each backend verified against the combinatorial exact search.
-// The JSON section carries one entry per (instance, backend) with the full
-// per-solve instrumentation for the BENCH.json artifact and the regression
-// gate.
+// solverReport runs the MILP solver over the corpus: per instance, nodes
+// explored, simplex iterations, warm-start hit rate, and wall clock, each
+// solve verified against the combinatorial exact search (a capped solve
+// disagrees only when its interval excludes the exact RS). The JSON section
+// carries one entry per instance with the full per-solve instrumentation
+// for the BENCH.json artifact and the regression gate.
 func solverReport(dir string, maxValues int) (string, *solverJSON, error) {
 	src, err := batch.Dir(dir)
 	if err != nil {
@@ -627,38 +628,40 @@ func solverReport(dir string, maxValues int) (string, *solverJSON, error) {
 		graphs = append(graphs, it.Graph)
 		names = append(names, it.Name)
 	}
-	sum, err := experiments.SolverBench(context.Background(), graphs, names, nil, maxValues,
+	sum, err := experiments.SolverBench(context.Background(), graphs, names, maxValues,
 		solver.Options{MaxNodes: 400000, TimeLimit: 60 * time.Second})
 	if err != nil {
 		return "", nil, err
 	}
 	sj := &solverJSON{Dir: dir, Cases: len(sum.Cases), Skipped: sum.Skipped, Disagree: sum.Disagree}
 	for _, c := range sum.Cases {
-		for _, r := range c.Rows {
-			entry := solverCaseJSON{
-				Name:   fmt.Sprintf("%s [%s]", c.Name, r.Backend),
-				Values: c.Values,
-				NsOp:   int64(r.Elapsed),
-			}
-			if r.Err != nil {
-				entry.Error = r.Err.Error()
-			} else {
-				entry.RS = r.RS
-				entry.Exact = r.Exact
-				entry.Nodes = r.Stats.Nodes
-				entry.SimplexIters = r.Stats.SimplexIters
-				entry.PresolveRows = r.Stats.PresolveRows
-				entry.PresolveCols = r.Stats.PresolveCols
-				entry.PresolveTightenings = r.Stats.PresolveTightenings
-				entry.CutsAdded = r.Stats.CutsAdded
-				entry.CutsActive = r.Stats.CutsActive
-				entry.BranchProbes = r.Stats.BranchProbes
-				entry.ReliableVars = r.Stats.ReliableVars
-				entry.BlandIters = r.Stats.BlandIters
-				entry.Fallbacks = r.Stats.Fallbacks
-			}
-			sj.PerFile = append(sj.PerFile, entry)
+		r := c.Row
+		entry := solverCaseJSON{
+			Name:   c.Name + " [sparse]",
+			Values: c.Values,
+			NsOp:   int64(r.Elapsed),
 		}
+		if r.Err != nil {
+			entry.Error = r.Err.Error()
+		} else {
+			entry.RS = r.RS
+			entry.Exact = r.Exact
+			if !r.Exact {
+				entry.UpperBound = r.UpperBound
+			}
+			entry.Nodes = r.Stats.Nodes
+			entry.SimplexIters = r.Stats.SimplexIters
+			entry.PresolveRows = r.Stats.PresolveRows
+			entry.PresolveCols = r.Stats.PresolveCols
+			entry.PresolveTightenings = r.Stats.PresolveTightenings
+			entry.CutsAdded = r.Stats.CutsAdded
+			entry.CutsActive = r.Stats.CutsActive
+			entry.BranchProbes = r.Stats.BranchProbes
+			entry.ReliableVars = r.Stats.ReliableVars
+			entry.BlandIters = r.Stats.BlandIters
+			entry.Fallbacks = r.Stats.Fallbacks
+		}
+		sj.PerFile = append(sj.PerFile, entry)
 	}
 	return sum.Report(), sj, nil
 }

@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		witness  = fs.Bool("witness", false, "print a saturating schedule")
 		parallel = fs.Int("parallel", 0, "worker count for multi-file analysis (0 = GOMAXPROCS)")
 		certify  = fs.Bool("cyclic", false, "certify loop kernels with the exact periodic MILP (small kernels only)")
-		backend  = fs.String("solver", "", "MILP backend for -method ilp: dense|sparse|parallel (default sparse)")
 		stats    = fs.Bool("solver-stats", false, "print per-solve search statistics (MILP nodes/iterations or exact-BB leaves/prunes)")
 		irStats  = fs.Bool("ir-stats", false, "print the analysis-snapshot interner statistics after the run")
 	)
@@ -59,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	opts := regsat.RSOptions{SkipWitness: !*witness}
-	opts.Solver.Backend = *backend
 	switch *method {
 	case "greedy":
 		opts.Method = regsat.GreedyK
@@ -117,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "  RS_%s %s %d   values=%d saturating=%v\n",
 				t, exact, r.RS, len(g.Values(t)), names(g, r.Antichain))
 			// Capped exact searches report their proven interval the same
-			// way, whether the MILP backend or the combinatorial search hit
+			// way, whether the MILP solver or the combinatorial search hit
 			// its budget.
 			if !r.Exact && r.BBStats != nil && r.BBStats.Capped && r.BBStats.UpperBound > r.RS {
 				fmt.Fprintf(stdout, "    capped search: RS ∈ [%d, %d]\n", r.RS, r.BBStats.UpperBound)

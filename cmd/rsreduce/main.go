@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		emit     = fs.Bool("emit", false, "emit the extended DDG in textual format (single input)")
 		dot      = fs.Bool("dot", false, "emit the extended DDG in Graphviz format (single input)")
 		parallel = fs.Int("parallel", 0, "worker count for multi-file reduction (0 = GOMAXPROCS)")
-		backend  = fs.String("solver", "", "MILP backend for -method ilp: dense|sparse|parallel (default sparse)")
 		stats    = fs.Bool("solver-stats", false, "print per-solve MILP statistics")
 		irStats  = fs.Bool("ir-stats", false, "print the analysis-snapshot interner statistics after the run")
 	)
@@ -78,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case "ilp":
 		opts.Method = regsat.ReduceExactILP
 		opts.ILP = reduce.ILPOptions{ApplyReductions: true, GuaranteeDAG: true}
-		opts.ILP.Solver.Backend = *backend
 	default:
 		return fmt.Errorf("unknown method %q", *method)
 	}

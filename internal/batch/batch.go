@@ -43,8 +43,8 @@ type Options struct {
 	// sub-options are the zero value they inherit the engine's RS options,
 	// so one method/solver selection governs both item kinds.
 	Cyclic cyclic.Options
-	// Solver, when non-zero, overrides RS.Solver: one place to select the
-	// MILP backend and its limits for the whole batch.
+	// Solver, when non-zero, overrides RS.Solver: one place to set the
+	// MILP solver limits for the whole batch.
 	Solver solver.Options
 	// Types restricts analysis to these register types; nil analyzes every
 	// type each graph writes. Types a graph does not write are skipped.

@@ -44,7 +44,7 @@ type PeriodicOptions struct {
 	II int64
 	// MaxAliveBinaries bounds model size (0 = DefaultMaxAliveBinaries).
 	MaxAliveBinaries int
-	// Solver selects and bounds the MILP backend.
+	// Solver bounds the MILP solve.
 	Solver solver.Options
 }
 

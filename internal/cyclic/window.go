@@ -115,7 +115,7 @@ type Periodic struct {
 	// Jmax is the steady-state copy bound: no value overlaps more than Jmax
 	// of its own iteration copies, so PRS ≤ RS(k) for every window k ≥ Jmax.
 	Jmax int `json:"jmax"`
-	// Stats is the MILP backend's work accounting.
+	// Stats is the MILP solve's work accounting.
 	Stats *solver.Stats `json:"stats,omitempty"`
 }
 

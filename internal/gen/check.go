@@ -34,11 +34,11 @@ import (
 //	                          non-decreased critical path
 //	exact-reduction-certifies an exact reduction's extension truly has
 //	                          exact RS ≤ R (re-proved with ExactBB)
-//	solver-backends-agree     all MILP backends solve the same intLP model,
-//	                          so every pair of proven answers must be equal
-//	                          and every capped interval must contain every
-//	                          proven answer; against the combinatorial exact
-//	                          RS the relation is machine-dependent — equal on
+//	solver-backends-agree     the MILP engine solves the intLP without a
+//	                          numerical-trouble recovery, and a capped
+//	                          interval must contain the answer; against the
+//	                          combinatorial exact RS the relation is
+//	                          machine-dependent — equal on
 //	                          superscalar, ≥ on VLIW/EPIC, where the intLP
 //	                          maximizes over *all* schedules while the
 //	                          killing-function framework excludes killings
@@ -75,8 +75,8 @@ type CheckOptions struct {
 	// MaxExactLeaves caps each exact search (0 = 200k). Graphs whose search
 	// exceeds the cap skip the invariants that need a proven exact RS.
 	MaxExactLeaves int64
-	// MaxILPValues gates the solver-backend cross-check: types with more
-	// values skip it (0 = 6). Negative disables the gate.
+	// MaxILPValues gates the MILP cross-checks: types with more values skip
+	// them (0 = 6). Negative disables the gate.
 	MaxILPValues int
 	// MaxReduceValues gates the exact-reduction certificate (0 = 5).
 	// Negative disables the gate.
@@ -84,12 +84,9 @@ type CheckOptions struct {
 	// MaxRemovals bounds how many serial arcs the removal-monotonicity
 	// invariant tries (0 = 2; each one costs an extra exact solve).
 	MaxRemovals int
-	// Cheap drops the expensive invariants (arc removal, reductions, solver
-	// backends) — the profile fuzz targets run under their per-exec budget.
+	// Cheap drops the expensive invariants (arc removal, reductions, MILP
+	// solves) — the profile fuzz targets run under their per-exec budget.
 	Cheap bool
-	// Backends overrides the MILP backends to cross-check (nil = all
-	// registered).
-	Backends []string
 }
 
 func (o CheckOptions) withDefaults() CheckOptions {
@@ -104,9 +101,6 @@ func (o CheckOptions) withDefaults() CheckOptions {
 	}
 	if o.MaxRemovals == 0 {
 		o.MaxRemovals = 2
-	}
-	if o.Backends == nil {
-		o.Backends = solver.Names()
 	}
 	return o
 }
@@ -233,7 +227,7 @@ func checkType(ctx context.Context, g *ddg.Graph, t ddg.RegType, opt CheckOption
 		}
 	}
 	if opt.MaxILPValues < 0 || nv <= opt.MaxILPValues {
-		if err := checkSolverBackends(ctx, g, an, exact.RS, opt); err != nil {
+		if err := checkSolver(ctx, g, an, exact.RS); err != nil {
 			return err
 		}
 		if err := checkPresolveAgreement(ctx, g, an); err != nil {
@@ -250,7 +244,7 @@ func checkType(ctx context.Context, g *ddg.Graph, t ddg.RegType, opt CheckOption
 // layers are pure speed — with both on and both off, a proven saturation
 // must be identical.
 func checkPresolveAgreement(ctx context.Context, g *ddg.Graph, an *rs.Analysis) error {
-	base := solver.Options{Backend: "sparse", MaxNodes: 100_000, TimeLimit: 5 * time.Second}
+	base := solver.Options{MaxNodes: 100_000, TimeLimit: 5 * time.Second}
 	on, err := rs.ExactILP(ctx, an, true, base)
 	if err != nil {
 		return fmt.Errorf("gen: %s/%s: presolved solve failed: %w", g.Name, an.Type, err)
@@ -282,7 +276,7 @@ func checkCliqueCuts(ctx context.Context, g *ddg.Graph, an *rs.Analysis) error {
 		return nil
 	}
 	sol, err := solver.Solve(ctx, m, solver.Options{
-		Backend: "sparse", MaxNodes: 100_000, TimeLimit: 5 * time.Second, DisableCuts: true})
+		MaxNodes: 100_000, TimeLimit: 5 * time.Second, DisableCuts: true})
 	if err != nil {
 		return fmt.Errorf("gen: %s/%s: cut-free solve failed: %w", g.Name, an.Type, err)
 	}
@@ -413,72 +407,48 @@ func checkExactReduction(ctx context.Context, g *ddg.Graph, t ddg.RegType, exact
 	return nil
 }
 
-// checkSolverBackends: all registered MILP backends solve the same intLP
-// model, so (a) every pair of proven answers must be equal and every capped
-// interval must contain every proven answer, and (b) against the
-// combinatorial exact search the machine-dependent relation must hold:
+// checkSolver ("solver-backends-agree", the catalog name of the MILP
+// cross-check): the engine solves the intLP without numerical trouble
+// (Stats.Fallbacks == 0), never reports an achieved RS above its own proven
+// upper bound, and relates to the combinatorial exact search by machine:
 // equality on superscalar; on offset machines the intLP (which maximizes
 // over all schedules) may strictly exceed ExactBB (which excludes killings
 // whose enforcement arcs form non-positive circuits), so only
-// ILP ≥ combinatorial is required.
-func checkSolverBackends(ctx context.Context, g *ddg.Graph, an *rs.Analysis, exactRS int, opt CheckOptions) error {
-	type answer struct {
-		backend string
-		res     *rs.Result
+// ILP ≥ combinatorial is required. A capped solve's interval must contain
+// the combinatorial answer on that same relation.
+func checkSolver(ctx context.Context, g *ddg.Graph, an *rs.Analysis, exactRS int) error {
+	res, err := rs.ComputeWithAnalysis(ctx, an, rs.Options{
+		Method:          rs.MethodExactILP,
+		ApplyReductions: true,
+		SkipWitness:     true,
+		Solver:          solver.Options{MaxNodes: 100_000, TimeLimit: 5 * time.Second},
+	})
+	if err != nil {
+		return fmt.Errorf("gen: %s/%s: intLP solve failed: %w", g.Name, an.Type, err)
 	}
-	var proven []answer
-	var capped []answer
-	for _, backend := range opt.Backends {
-		res, err := rs.ComputeWithAnalysis(ctx, an, rs.Options{
-			Method:          rs.MethodExactILP,
-			ApplyReductions: true,
-			SkipWitness:     true,
-			Solver:          solver.Options{Backend: backend, MaxNodes: 100_000, TimeLimit: 5 * time.Second},
-		})
-		if err != nil {
-			return fmt.Errorf("gen: %s/%s: backend %s failed: %w", g.Name, an.Type, backend, err)
-		}
-		fail := func(format string, args ...any) error {
-			return &Violation{Invariant: "solver-backends-agree", Graph: g.Name, Type: an.Type,
-				Detail: fmt.Sprintf("backend %s: %s", backend, fmt.Sprintf(format, args...))}
-		}
-		if res.RS > res.ILPUpperBound {
-			return fail("achieved %d above own proven upper bound %d", res.RS, res.ILPUpperBound)
-		}
-		if res.Exact {
-			if g.Machine.HasOffsets() {
-				if res.RS < exactRS {
-					return fail("proved RS=%d below the combinatorial lower bound %d", res.RS, exactRS)
-				}
-			} else if res.RS != exactRS {
-				return fail("proved RS=%d, combinatorial exact is %d", res.RS, exactRS)
-			}
-			proven = append(proven, answer{backend, res})
-		} else {
-			if res.ILPUpperBound < exactRS {
-				return fail("proven upper bound %d below the combinatorial exact %d", res.ILPUpperBound, exactRS)
-			}
-			capped = append(capped, answer{backend, res})
-		}
+	fail := func(format string, args ...any) error {
+		return &Violation{Invariant: "solver-backends-agree", Graph: g.Name, Type: an.Type,
+			Detail: fmt.Sprintf(format, args...)}
 	}
-	if len(proven) == 0 {
-		return nil
+	if st := res.SolverStats; st != nil && st.Fallbacks != 0 {
+		return fail("%d numerical-trouble recoveries (want none on the paper's models)", st.Fallbacks)
 	}
-	for _, a := range proven[1:] {
-		if a.res.RS != proven[0].res.RS {
-			return &Violation{Invariant: "solver-backends-agree", Graph: g.Name, Type: an.Type,
-				Detail: fmt.Sprintf("backends %s and %s prove different optima: %d vs %d",
-					proven[0].backend, a.backend, proven[0].res.RS, a.res.RS)}
-		}
+	if res.RS > res.ILPUpperBound {
+		return fail("achieved %d above own proven upper bound %d", res.RS, res.ILPUpperBound)
 	}
-	for _, c := range capped {
-		for _, p := range proven {
-			if p.res.RS < c.res.RS || p.res.RS > c.res.ILPUpperBound {
-				return &Violation{Invariant: "solver-backends-agree", Graph: g.Name, Type: an.Type,
-					Detail: fmt.Sprintf("backend %s's interval [%d, %d] misses backend %s's proven %d",
-						c.backend, c.res.RS, c.res.ILPUpperBound, p.backend, p.res.RS)}
-			}
+	switch {
+	case res.ILPUpperBound < exactRS:
+		return fail("proven upper bound %d below the combinatorial exact %d", res.ILPUpperBound, exactRS)
+	case !res.Exact:
+		if !g.Machine.HasOffsets() && res.RS > exactRS {
+			return fail("capped interval [%d, %d] misses the combinatorial exact %d", res.RS, res.ILPUpperBound, exactRS)
 		}
+	case g.Machine.HasOffsets():
+		if res.RS < exactRS {
+			return fail("proved RS=%d below the combinatorial lower bound %d", res.RS, exactRS)
+		}
+	case res.RS != exactRS:
+		return fail("proved RS=%d, combinatorial exact is %d", res.RS, exactRS)
 	}
 	return nil
 }

@@ -8,31 +8,36 @@ import (
 
 	"regsat/internal/lp"
 	"regsat/internal/solver"
+	"regsat/internal/solver/solvertest"
 )
 
-// solve runs the model through EVERY registered MILP backend, requires each
-// to prove optimality, cross-checks their objectives, and returns the dense
-// reference solution — so each linearization test doubles as a differential
-// test of the solving layer.
-func solve(t *testing.T, m *lp.Model) *lp.Solution {
+// solve runs the model through the MILP engine, sequential and with a
+// 2-worker tree search, requires each to prove the brute-force optimum, and
+// returns the sequential solution — so each linearization test doubles as
+// a differential test of the solving layer.
+func solve(t *testing.T, m *lp.Model) *solver.Solution {
 	t.Helper()
-	ref := m.Solve(lp.Params{})
-	if ref.Status != lp.StatusOptimal {
-		t.Fatalf("status=%v, want optimal", ref.Status)
+	ref := solvertest.BruteForce(m)
+	if !ref.Found {
+		t.Fatalf("brute force finds no feasible point")
 	}
-	for _, b := range solver.Names() {
-		sol, err := solver.Solve(context.Background(), m, solver.Options{Backend: b, Parallel: 2})
+	var first *solver.Solution
+	for _, workers := range []int{1, 2} {
+		sol, err := solver.Solve(context.Background(), m, solver.Options{Parallel: workers})
 		if err != nil {
-			t.Fatalf("%s: %v", b, err)
+			t.Fatalf("parallel=%d: %v", workers, err)
 		}
 		if sol.Status != lp.StatusOptimal {
-			t.Fatalf("%s: status=%v, want optimal", b, sol.Status)
+			t.Fatalf("parallel=%d: status=%v, want optimal", workers, sol.Status)
 		}
 		if math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-			t.Fatalf("%s: obj=%g, dense=%g", b, sol.Obj, ref.Obj)
+			t.Fatalf("parallel=%d: obj=%g, brute force=%g", workers, sol.Obj, ref.Obj)
+		}
+		if first == nil {
+			first = sol
 		}
 	}
-	return ref
+	return first
 }
 
 func TestExprAlgebra(t *testing.T) {

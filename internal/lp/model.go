@@ -1,12 +1,9 @@
-// Package lp implements a small, dependency-free linear and mixed-integer
-// linear programming solver: a bounded-variable two-phase primal simplex and
-// a branch-and-bound layer over it.
-//
-// It plays the role CPLEX plays in the paper: an exact solver for the intLP
-// systems of Sections 3 and 4. All models produced by this project have
-// finite variable bounds (the schedule horizon T bounds every quantity), so
-// the solver does not need to be clever about unbounded rays, although it
-// detects them.
+// Package lp is the modeling layer of the exact intLPs of Sections 3 and 4:
+// variables with bounds and integrality, linear constraints, an objective,
+// the Status vocabulary solves report, and a CPLEX LP-format writer. It
+// plays the role of the CPLEX model in the paper; internal/solver solves the
+// models. Every model built by this project has finite variable bounds (the
+// schedule horizon T bounds every quantity).
 package lp
 
 import (

@@ -1,25 +1,27 @@
-package lp
+package lp_test
 
 import (
 	"math"
 	"testing"
+
+	"regsat/internal/lp"
+	"regsat/internal/solver"
 )
 
-// These tests target the bounded-variable simplex's edge paths: bound flips,
-// fixed variables, degenerate pivots, negative lower bounds, and larger
-// dense systems.
+// LP edge cases: bound flips, fixed variables, degenerate pivots, negative
+// lower bounds, and a larger dense system.
 
 func TestBoundFlipPath(t *testing.T) {
 	// max x + 10y s.t. x + y ≤ 12, x ∈ [0,10], y ∈ [0,5].
 	// Optimal pushes y to its own upper bound (a bound flip) and x to 7.
-	m := NewModel("flip", Maximize)
+	m := lp.NewModel("flip", lp.Maximize)
 	x := m.NewVar(0, 10, false, "x")
 	y := m.NewVar(0, 5, false, "y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 10)
-	m.AddConstr([]Term{{x, 1}, {y, 1}}, LE, 12, "c")
-	sol := m.SolveLP()
-	if sol.Status != StatusOptimal || !almostEq(sol.Obj, 57) {
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 12, "c")
+	sol := solve(t, m, solver.Options{})
+	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 57) {
 		t.Fatalf("status=%v obj=%g, want 57", sol.Status, sol.Obj)
 	}
 	if !almostEq(sol.X[y], 5) || !almostEq(sol.X[x], 7) {
@@ -29,27 +31,27 @@ func TestBoundFlipPath(t *testing.T) {
 
 func TestFixedVariable(t *testing.T) {
 	// A variable with lo == hi must behave like a constant.
-	m := NewModel("fixed", Maximize)
+	m := lp.NewModel("fixed", lp.Maximize)
 	x := m.NewVar(3, 3, false, "x")
 	y := m.NewVar(0, 10, false, "y")
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]Term{{x, 2}, {y, 1}}, LE, 10, "c") // y ≤ 4
-	sol := m.SolveLP()
-	if sol.Status != StatusOptimal || !almostEq(sol.X[y], 4) {
+	m.AddConstr([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 1}}, lp.LE, 10, "c") // y ≤ 4
+	sol := solve(t, m, solver.Options{})
+	if sol.Status != lp.StatusOptimal || !almostEq(sol.X[y], 4) {
 		t.Fatalf("status=%v y=%g, want 4", sol.Status, sol.X[y])
 	}
 }
 
 func TestNegativeLowerBounds(t *testing.T) {
 	// min x + y with x ∈ [−5, 5], y ∈ [−3, 3], x + y ≥ −6. Optimum −6.
-	m := NewModel("neg", Minimize)
+	m := lp.NewModel("neg", lp.Minimize)
 	x := m.NewVar(-5, 5, false, "x")
 	y := m.NewVar(-3, 3, false, "y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]Term{{x, 1}, {y, 1}}, GE, -6, "c")
-	sol := m.SolveLP()
-	if sol.Status != StatusOptimal || !almostEq(sol.Obj, -6) {
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, -6, "c")
+	sol := solve(t, m, solver.Options{})
+	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, -6) {
 		t.Fatalf("status=%v obj=%g, want -6", sol.Status, sol.Obj)
 	}
 }
@@ -57,17 +59,17 @@ func TestNegativeLowerBounds(t *testing.T) {
 func TestDegenerateSystem(t *testing.T) {
 	// Multiple constraints active at the optimum (degeneracy): the solver
 	// must not cycle.
-	m := NewModel("degen", Maximize)
+	m := lp.NewModel("degen", lp.Maximize)
 	x := m.NewVar(0, 10, false, "x")
 	y := m.NewVar(0, 10, false, "y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]Term{{x, 1}}, LE, 4, "c1")
-	m.AddConstr([]Term{{x, 1}, {y, 0}}, LE, 4, "c2") // duplicate face
-	m.AddConstr([]Term{{x, 1}, {y, 1}}, LE, 7, "c3")
-	m.AddConstr([]Term{{x, 2}, {y, 2}}, LE, 14, "c4") // scaled duplicate
-	sol := m.SolveLP()
-	if sol.Status != StatusOptimal || !almostEq(sol.Obj, 7) {
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 4, "c1")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 0}}, lp.LE, 4, "c2") // duplicate face
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 7, "c3")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 2}}, lp.LE, 14, "c4") // scaled duplicate
+	sol := solve(t, m, solver.Options{})
+	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 7) {
 		t.Fatalf("status=%v obj=%g, want 7", sol.Status, sol.Obj)
 	}
 }
@@ -75,9 +77,9 @@ func TestDegenerateSystem(t *testing.T) {
 func TestLargerDenseSystem(t *testing.T) {
 	// Transportation-like LP with a known optimum: min Σ c_ij x_ij with
 	// 3 supplies (10, 20, 30) and 3 demands (15, 25, 20).
-	m := NewModel("transport", Minimize)
+	m := lp.NewModel("transport", lp.Minimize)
 	cost := [3][3]float64{{8, 6, 10}, {9, 12, 13}, {14, 9, 16}}
-	var x [3][3]Var
+	var x [3][3]lp.Var
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			x[i][j] = m.NewVar(0, 60, false, "x")
@@ -87,13 +89,13 @@ func TestLargerDenseSystem(t *testing.T) {
 	supply := []float64{10, 20, 30}
 	demand := []float64{15, 25, 20}
 	for i := 0; i < 3; i++ {
-		m.AddConstr([]Term{{x[i][0], 1}, {x[i][1], 1}, {x[i][2], 1}}, EQ, supply[i], "s")
+		m.AddConstr([]lp.Term{{Var: x[i][0], Coef: 1}, {Var: x[i][1], Coef: 1}, {Var: x[i][2], Coef: 1}}, lp.EQ, supply[i], "s")
 	}
 	for j := 0; j < 3; j++ {
-		m.AddConstr([]Term{{x[0][j], 1}, {x[1][j], 1}, {x[2][j], 1}}, EQ, demand[j], "d")
+		m.AddConstr([]lp.Term{{Var: x[0][j], Coef: 1}, {Var: x[1][j], Coef: 1}, {Var: x[2][j], Coef: 1}}, lp.EQ, demand[j], "d")
 	}
-	sol := m.SolveLP()
-	if sol.Status != StatusOptimal {
+	sol := solve(t, m, solver.Options{})
+	if sol.Status != lp.StatusOptimal {
 		t.Fatalf("status=%v", sol.Status)
 	}
 	// Verify against the known optimum of this classic instance.
@@ -122,7 +124,7 @@ func TestIntegerVariableNeedsFiniteBounds(t *testing.T) {
 			t.Fatal("expected panic for infinite integer bounds")
 		}
 	}()
-	m := NewModel("bad", Minimize)
+	m := lp.NewModel("bad", lp.Minimize)
 	m.NewVar(0, math.Inf(1), true, "x")
 }
 
@@ -132,7 +134,7 @@ func TestBadBoundsPanic(t *testing.T) {
 			t.Fatal("expected panic for lo > hi")
 		}
 	}()
-	m := NewModel("bad", Minimize)
+	m := lp.NewModel("bad", lp.Minimize)
 	m.NewVar(3, 1, false, "x")
 }
 
@@ -142,17 +144,17 @@ func TestUnknownVarInConstraintPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m := NewModel("bad", Minimize)
-	m.AddConstr([]Term{{Var(7), 1}}, LE, 1, "c")
+	m := lp.NewModel("bad", lp.Minimize)
+	m.AddConstr([]lp.Term{{Var: lp.Var(7), Coef: 1}}, lp.LE, 1, "c")
 }
 
 func TestSolveLPZeroConstraints(t *testing.T) {
 	// No rows at all: the optimum sits at the variable bounds.
-	m := NewModel("free", Maximize)
+	m := lp.NewModel("free", lp.Maximize)
 	x := m.NewVar(-2, 9, false, "x")
 	m.SetObjCoef(x, 3)
-	sol := m.SolveLP()
-	if sol.Status != StatusOptimal || !almostEq(sol.Obj, 27) {
+	sol := solve(t, m, solver.Options{})
+	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 27) {
 		t.Fatalf("status=%v obj=%g, want 27", sol.Status, sol.Obj)
 	}
 }
@@ -160,14 +162,14 @@ func TestSolveLPZeroConstraints(t *testing.T) {
 func TestMILPBranchingOnGeneralIntegers(t *testing.T) {
 	// Non-binary integer variables: max 7x + 2y, 3x + y ≤ 10, x,y ∈ [0,4].
 	// LP gives x=10/3; integer optimum x=3, y=1 → 23.
-	m := NewModel("geninteger", Maximize)
+	m := lp.NewModel("geninteger", lp.Maximize)
 	x := m.NewVar(0, 4, true, "x")
 	y := m.NewVar(0, 4, true, "y")
 	m.SetObjCoef(x, 7)
 	m.SetObjCoef(y, 2)
-	m.AddConstr([]Term{{x, 3}, {y, 1}}, LE, 10, "c")
-	sol := m.Solve(Params{})
-	if sol.Status != StatusOptimal || !almostEq(sol.Obj, 23) {
+	m.AddConstr([]lp.Term{{Var: x, Coef: 3}, {Var: y, Coef: 1}}, lp.LE, 10, "c")
+	sol := solve(t, m, solver.Options{})
+	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 23) {
 		t.Fatalf("status=%v obj=%g, want 23", sol.Status, sol.Obj)
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 // ILPOptions configures the Section 4 exact intLP reduction.
 type ILPOptions struct {
-	// Solver selects and bounds the MILP backend.
+	// Solver bounds the MILP solve.
 	Solver solver.Options
 	// ApplyReductions enables the Section 3 model optimizations.
 	ApplyReductions bool

@@ -31,7 +31,7 @@ type Result struct {
 	Spill bool
 	// Iterations counts heuristic rounds or exact search restarts.
 	Iterations int
-	// SolverStats is the MILP backend's work accounting (ExactILP only).
+	// SolverStats is the MILP solve's work accounting (ExactILP only).
 	SolverStats *solver.Stats
 }
 

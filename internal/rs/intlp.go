@@ -280,15 +280,15 @@ type ILPResult struct {
 	UpperBound int
 	Info       *ILPInfo
 	Nodes      int // branch-and-bound nodes explored
-	// Stats is the selected backend's work accounting.
+	// Stats is the MILP solve's work accounting.
 	Stats solver.Stats
 }
 
 // ExactILP computes RS_t(G) with the paper's intLP formulation, solved by
-// the backend selected in opt. The search is seeded with Greedy-k's valid
-// killing-function bound — an objective value some schedule provably
-// achieves — so subtrees that cannot reach it are pruned before the first
-// incumbent. Cancelling ctx interrupts an in-flight solve.
+// the MILP engine under the limits in opt. The search is seeded with
+// Greedy-k's valid killing-function bound — an objective value some
+// schedule provably achieves — so subtrees that cannot reach it are pruned
+// before the first incumbent. Cancelling ctx interrupts an in-flight solve.
 func ExactILP(ctx context.Context, an *Analysis, reduceModel bool, opt solver.Options) (*ILPResult, error) {
 	m, vars, info, err := BuildSaturationModel(an, reduceModel)
 	if err != nil {

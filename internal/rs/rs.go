@@ -43,8 +43,8 @@ type Options struct {
 	// ApplyReductions enables the Section 3 model optimizations for the
 	// intLP method.
 	ApplyReductions bool
-	// Solver selects and bounds the MILP backend for the intLP method
-	// (zero value: the default backend with default limits).
+	// Solver bounds the MILP solve of the intLP method (zero value:
+	// default limits).
 	Solver solver.Options
 	// SkipWitness suppresses the construction of a saturating schedule.
 	SkipWitness bool
@@ -72,7 +72,7 @@ type Result struct {
 	// was capped: the true RS lies in [RS, ILPUpperBound]. Equal to RS when
 	// Exact.
 	ILPUpperBound int
-	// SolverStats is the MILP backend's work accounting (intLP method only).
+	// SolverStats is the MILP solve's work accounting (intLP method only).
 	SolverStats *solver.Stats
 	// BBStats is the combinatorial search's work accounting (MethodExactBB
 	// only). On a capped search the true RS lies in

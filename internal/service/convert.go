@@ -35,10 +35,10 @@ func (s *Server) batchOptions(o client.AnalyzeOptions) (batch.Options, error) {
 	rsOpts.MaxLeaves = o.MaxLeaves
 	rsOpts.SkipWitness = !o.Witness
 	rsOpts.Solver = wireSolver(o.Solver)
-	if o.Solver.Backend != "" {
-		if _, err := solver.Get(o.Solver.Backend); err != nil {
-			return batch.Options{}, err
-		}
+	switch o.Solver.Backend {
+	case "", "sparse":
+	default:
+		return batch.Options{}, fmt.Errorf("unknown solver backend %q (want \"sparse\" or empty)", o.Solver.Backend)
 	}
 
 	var types []ddg.RegType
@@ -78,7 +78,6 @@ func (s *Server) batchOptions(o client.AnalyzeOptions) (batch.Options, error) {
 
 func wireSolver(o client.SolverOptions) solver.Options {
 	return solver.Options{
-		Backend:   o.Backend,
 		MaxNodes:  o.MaxNodes,
 		TimeLimit: time.Duration(o.TimeLimitMs) * time.Millisecond,
 		Parallel:  o.Parallel,

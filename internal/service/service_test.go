@@ -427,6 +427,40 @@ func TestServiceRequestValidation(t *testing.T) {
 	}
 }
 
+// TestServiceSolverBackendNames: the wire "backend" field survives only for
+// compatibility. "" and "sparse" (the one engine) are accepted; the names
+// of engines that no longer exist, like any unknown name, are a 400 that
+// names the valid value.
+func TestServiceSolverBackendNames(t *testing.T) {
+	_, c, done := newTestServer(t, Config{})
+	defer done()
+	req := func(backend string) *client.AnalyzeRequest {
+		return &client.AnalyzeRequest{
+			Graphs: []client.GraphInput{{DDG: "ddg \"body\"\nnode a op=load lat=2 writes=float\nnode b op=use lat=1\nedge a b flow float\n"}},
+			Options: client.AnalyzeOptions{Method: "ilp",
+				Solver: client.SolverOptions{Backend: backend}},
+		}
+	}
+	for _, backend := range []string{"", "sparse"} {
+		resp, err := c.Analyze(context.Background(), req(backend))
+		if err != nil {
+			t.Fatalf("backend %q rejected: %v", backend, err)
+		}
+		if len(resp.Items) != 1 || resp.Items[0].Error != "" || resp.Items[0].RS["float"] == nil {
+			t.Fatalf("backend %q: items %+v, want one analyzed float result", backend, resp.Items)
+		}
+	}
+	for _, backend := range []string{"dense", "parallel", "nope"} {
+		_, err := c.Analyze(context.Background(), req(backend))
+		if err == nil {
+			t.Fatalf("backend %q accepted", backend)
+		}
+		if !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), `"sparse"`) {
+			t.Fatalf("backend %q: want a 400 naming \"sparse\", got: %v", backend, err)
+		}
+	}
+}
+
 func TestServiceCorpusEscapeBlocked(t *testing.T) {
 	_, c, done := newTestServer(t, Config{CorpusRoot: corpusRoot + "/.."})
 	defer done()

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,12 +40,9 @@ func TestCliqueCutsSeparatedAtRoot(t *testing.T) {
 		}
 	}
 	m := conflictModel(obj, edges)
-	ref := solveWith(t, "dense", conflictModel(obj, edges), Options{})
 	hints := &Hints{Cliques: []Clique{{Name: "all", Vars: cliqueVars, RHS: 1}}}
-	sol := solveWith(t, "sparse", m, Options{Hints: hints})
-	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-		t.Fatalf("with cuts: %v/%g, dense %v/%g", sol.Status, sol.Obj, ref.Status, ref.Obj)
-	}
+	sol := solveWith(t, m, Options{Hints: hints})
+	checkOracle(t, "with cuts", conflictModel(obj, edges), sol)
 	if sol.Stats.CutsAdded == 0 {
 		t.Fatalf("violated clique not separated at the root: %+v", sol.Stats)
 	}
@@ -93,14 +91,11 @@ func TestCliqueHintsAgreeRandom(t *testing.T) {
 				}
 			}
 		}
-		ref := solveWith(t, "dense", conflictModel(obj, edges), Options{})
 		hints := &Hints{Cliques: cliques}
-		for _, b := range []string{"sparse", "parallel"} {
-			sol := solveWith(t, b, conflictModel(obj, edges), Options{Hints: hints, Parallel: 3})
-			if sol.Status != ref.Status || math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-				t.Fatalf("trial %d: %s with %d hinted triangles: %v/%g, dense %v/%g",
-					trial, b, len(cliques), sol.Status, sol.Obj, ref.Status, ref.Obj)
-			}
+		for _, workers := range []int{1, 3} {
+			sol := solveWith(t, conflictModel(obj, edges), Options{Hints: hints, Parallel: workers})
+			checkOracle(t, fmt.Sprintf("trial %d parallel=%d with %d hinted triangles", trial, workers, len(cliques)),
+				conflictModel(obj, edges), sol)
 			// The incumbent must satisfy every hinted clique (they are valid
 			// inequalities of the model).
 			if sol.Feasible() && !sol.AtCutoff {
@@ -110,8 +105,8 @@ func TestCliqueHintsAgreeRandom(t *testing.T) {
 						sum += sol.X[v]
 					}
 					if sum > float64(c.RHS)+1e-6 {
-						t.Fatalf("trial %d: %s incumbent violates hinted clique %v: Σ=%g > %d",
-							trial, b, c.Vars, sum, c.RHS)
+						t.Fatalf("trial %d parallel=%d: incumbent violates hinted clique %v: Σ=%g > %d",
+							trial, workers, c.Vars, sum, c.RHS)
 					}
 				}
 			}
@@ -212,7 +207,7 @@ func TestCutsDisabled(t *testing.T) {
 		}
 	}
 	hints := &Hints{Cliques: []Clique{{Name: "all", Vars: vars, RHS: 1}}}
-	sol := solveWith(t, "sparse", conflictModel(obj, edges), Options{Hints: hints, DisableCuts: true})
+	sol := solveWith(t, conflictModel(obj, edges), Options{Hints: hints, DisableCuts: true})
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-1) > 1e-6 {
 		t.Fatalf("optimum %v/%g, want optimal 1", sol.Status, sol.Obj)
 	}
@@ -389,7 +384,7 @@ func TestRootHandoffSameSearch(t *testing.T) {
 	for trial, want := range golden {
 		m, h := hintedConflict(rng)
 		converged := separateAsSolve(t, m, h).root != nil
-		sol := solveWith(t, "sparse", m, Options{Hints: h})
+		sol := solveWith(t, m, Options{Hints: h})
 		x := make([]byte, len(sol.X))
 		for i, v := range sol.X {
 			x[i] = '0' + byte(math.Round(v))
@@ -431,7 +426,7 @@ func TestSeparationItersCounted(t *testing.T) {
 	if sep.added == 0 || sep.root == nil || sep.iters == 0 {
 		t.Fatalf("separation: added %d, converged %v, %d iterations", sep.added, sep.root != nil, sep.iters)
 	}
-	sol := solveWith(t, "sparse", conflictModel(obj, edges), Options{Hints: h})
+	sol := solveWith(t, conflictModel(obj, edges), Options{Hints: h})
 	st := sol.Stats
 	if sol.Status != lp.StatusOptimal || sol.Obj != float64(k) || st.CutsAdded == 0 || st.Nodes != 1 {
 		t.Fatalf("solve: %v obj %g, %+v", sol.Status, sol.Obj, st)

@@ -1,11 +1,13 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"regsat/internal/lp"
+	"regsat/internal/solver/solvertest"
 )
 
 // checkSatisfies asserts that x is a feasible integer assignment of m.
@@ -48,8 +50,8 @@ func checkSatisfies(t *testing.T, m *lp.Model, x []float64, tag string) {
 }
 
 // TestPresolveRoundTripRandom: on random integer programs the sparse engine
-// with presolve+cuts enabled and disabled must agree with the dense
-// reference, and every returned incumbent — which passed through
+// with presolve+cuts enabled and disabled must agree with brute-force
+// enumeration, and every returned incumbent — which passed through
 // postsolve — must satisfy the *original* model with the original
 // objective value.
 func TestPresolveRoundTripRandom(t *testing.T) {
@@ -60,7 +62,6 @@ func TestPresolveRoundTripRandom(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		m := randomMILP(rng)
-		ref := solveWith(t, "dense", m, Options{})
 		for _, cfg := range []struct {
 			tag string
 			opt Options
@@ -68,15 +69,8 @@ func TestPresolveRoundTripRandom(t *testing.T) {
 			{"presolve+cuts", Options{}},
 			{"raw", Options{DisablePresolve: true, DisableCuts: true}},
 		} {
-			sol := solveWith(t, "sparse", m, cfg.opt)
-			if sol.Status != ref.Status {
-				t.Fatalf("trial %d (%s): status %v, dense %v\n%s",
-					trial, cfg.tag, sol.Status, ref.Status, m.String())
-			}
-			if ref.Status == lp.StatusOptimal && math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-				t.Fatalf("trial %d (%s): obj %g, dense %g\n%s",
-					trial, cfg.tag, sol.Obj, ref.Obj, m.String())
-			}
+			sol := solveWith(t, m, cfg.opt)
+			checkOracle(t, fmt.Sprintf("trial %d (%s)", trial, cfg.tag), m, sol)
 			if sol.Feasible() && !sol.AtCutoff {
 				checkSatisfies(t, m, sol.X, cfg.tag)
 				obj := m.ObjOffset()
@@ -160,9 +154,9 @@ func TestPresolveDuplicateRows(t *testing.T) {
 	if ps.rows < 1 {
 		t.Fatalf("duplicate row not merged (rows removed: %d)", ps.rows)
 	}
-	sol := solveWith(t, "dense", ps.m, Options{})
-	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-3) > 1e-6 {
-		t.Fatalf("reduced model optimum %v/%g, want optimal 3", sol.Status, sol.Obj)
+	sol := solvertest.BruteForce(ps.m)
+	if !sol.Found || math.Abs(sol.Obj-3) > 1e-6 {
+		t.Fatalf("reduced model optimum found=%v obj=%g, want 3", sol.Found, sol.Obj)
 	}
 }
 
@@ -190,7 +184,7 @@ func TestPresolveCoefficientTightening(t *testing.T) {
 	if ps.tightenings < 2 {
 		t.Fatalf("tightenings=%d, want ≥ 2 (both coefficients)", ps.tightenings)
 	}
-	sol := solveWith(t, "sparse", m, Options{})
+	sol := solveWith(t, m, Options{})
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-1) > 1e-6 {
 		t.Fatalf("optimum %v/%g, want optimal 1", sol.Status, sol.Obj)
 	}
@@ -230,7 +224,7 @@ func TestPresolveStatsSurface(t *testing.T) {
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 2)
 	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 8, "c")
-	sol := solveWith(t, "sparse", m, Options{})
+	sol := solveWith(t, m, Options{})
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-13) > 1e-6 {
 		t.Fatalf("optimum %v/%g, want optimal 13", sol.Status, sol.Obj)
 	}

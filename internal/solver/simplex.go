@@ -1,13 +1,13 @@
 package solver
 
 import (
-	"errors"
+	"fmt"
 	"math"
 
 	"regsat/internal/lp"
 )
 
-// The sparse backend's LP core is a bounded-variable dual simplex over a
+// The engine's LP core is a bounded-variable dual simplex over a
 // maintained tableau. The key property it exploits: branching only changes
 // variable BOUNDS, never the matrix, so a basis that is optimal for a parent
 // node stays dual feasible for its children — reoptimizing a child is a few
@@ -42,11 +42,6 @@ const (
 	spAtUpper
 	spBasic
 )
-
-// errDense marks models the sparse engine does not handle (a variable whose
-// dual-feasible starting bound would be infinite); the backend then delegates
-// the whole model to the dense reference engine.
-var errDense = errors.New("solver: model needs the dense engine")
 
 // prob is the immutable sparse form of one lp.Model, shared by every worker
 // of a solve: CSR constraint rows over the structural columns, internal
@@ -125,17 +120,27 @@ func buildProb(m *lp.Model) (*prob, error) {
 			p.intObj = false
 		}
 		// A dual-feasible cold start needs a finite bound on the side the
-		// reduced-cost sign demands.
-		switch {
-		case c > spxDualTol && math.IsInf(p.rootLo[j], 0):
-			return nil, errDense
-		case c < -spxDualTol && math.IsInf(p.rootHi[j], 0):
-			return nil, errDense
-		case math.IsInf(p.rootLo[j], 0) && math.IsInf(p.rootHi[j], 0):
-			return nil, errDense
+		// reduced-cost sign demands. Every variable of the paper's models is
+		// bounded by the schedule horizon, so only hand-built models get here.
+		switch lo, hi := p.rootLo[j], p.rootHi[j]; {
+		case c > spxDualTol && math.IsInf(lo, 0):
+			return nil, unboundedVarError(m, j, "lower")
+		case c < -spxDualTol && math.IsInf(hi, 0):
+			return nil, unboundedVarError(m, j, "upper")
+		case math.IsInf(lo, 0) && math.IsInf(hi, 0):
+			return nil, fmt.Errorf("solver: model %s: variable %s is free (no finite bound)",
+				m.Name(), m.VarName(lp.Var(j)))
 		}
 	}
 	return p, nil
+}
+
+// unboundedVarError reports a cost-bearing variable whose bound on the
+// objective's improving side ("lower" or "upper") is infinite.
+func unboundedVarError(m *lp.Model, j int, side string) error {
+	v := lp.Var(j)
+	return fmt.Errorf("solver: model %s: variable %s has objective coefficient %g but no finite %s bound",
+		m.Name(), m.VarName(v), m.ObjCoef(v), side)
 }
 
 // internalObj converts a model-sense objective value to the internal

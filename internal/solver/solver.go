@@ -1,44 +1,28 @@
-// Package solver is the pluggable MILP solving layer: every exact intLP of
-// the paper (the Section 3 saturation program and the Section 4 reduction
-// program) is solved through the Backend interface of this package instead of
-// calling a concrete engine directly.
+// Package solver is the MILP solving layer: every exact intLP of the paper
+// (the Section 3 saturation program and the Section 4 reduction program) is
+// solved through Solve.
 //
-// Two engines ship in-tree:
-//
-//   - "dense" — the original dense-tableau two-phase primal simplex with a
-//     sequential depth-first branch and bound (internal/lp), kept as the
-//     reference implementation;
-//   - "sparse" — a rewrite around sparse constraint storage, a dual-simplex
-//     reoptimizer, best-bound node selection with single-bound deltas,
-//     warm-started dives from the parent basis, incumbent/cutoff seeding,
-//     and an optional parallel tree search with a shared atomic incumbent.
-//     "parallel" is the same engine defaulting to one tree-search worker per
-//     CPU.
-//
-// Backends register themselves by name; consumers select one with
-// Options.Backend and receive uniform Solution/Stats reporting, including
-// the proven dual bound and optimality gap when a search limit is hit.
+// The engine (sparse.go) combines presolve, hint-derived clique cuts, sparse
+// constraint storage, a dual-simplex reoptimizer, best-bound node selection
+// with single-bound deltas, warm-started dives from the parent basis,
+// incumbent/cutoff seeding, and an optional parallel tree search with a
+// shared atomic incumbent. Consumers receive uniform Solution/Stats
+// reporting, including the proven dual bound and optimality gap when a
+// search limit is hit.
 package solver
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 	"time"
 
 	"regsat/internal/lp"
 	"regsat/internal/obs"
 )
 
-// DefaultBackend is used when Options.Backend is empty.
-const DefaultBackend = "sparse"
-
-// Options configures one MILP solve, whatever the backend.
+// Options configures one MILP solve.
 type Options struct {
-	// Backend selects the registered engine ("" = DefaultBackend).
-	Backend string
 	// MaxNodes caps the number of explored branch-and-bound nodes
 	// (0 = default 200000).
 	MaxNodes int
@@ -46,9 +30,7 @@ type Options struct {
 	TimeLimit time.Duration
 	// IntTol is the integrality tolerance (0 = default 1e-6).
 	IntTol float64
-	// Parallel is the tree-search worker count of backends that support a
-	// parallel search (0 = backend default: 1 for "sparse", GOMAXPROCS for
-	// "parallel"). The "dense" backend is always sequential.
+	// Parallel is the tree-search worker count (0 = 1: a sequential search).
 	Parallel int
 	// Cutoff seeds the search with the objective value of a solution known
 	// to be achievable (model sense): subtrees that cannot match it are
@@ -67,9 +49,9 @@ type Options struct {
 	// sets over binary variables), so the cut generator never re-derives it
 	// from the matrix. Hints are trusted: every hinted inequality must hold
 	// for every integer-feasible point of the model (see Hints). Nil means
-	// no hints; backends without a cut layer ignore them.
+	// no hints.
 	Hints *Hints
-	// DisablePresolve skips the presolve reductions of the sparse engine
+	// DisablePresolve skips the presolve reductions
 	// (the solve semantics are unchanged — presolve+postsolve is invisible
 	// to callers — so this exists for differential testing and debugging).
 	DisablePresolve bool
@@ -78,9 +60,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Backend == "" {
-		o.Backend = DefaultBackend
-	}
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
 	}
@@ -93,7 +72,9 @@ func (o Options) withDefaults() Options {
 // CutoffAt is a convenience for building Options.Cutoff values.
 func CutoffAt(v float64) *float64 { return &v }
 
-// Key renders the solve-determining fields for cache keys.
+// Key renders the solve-determining fields for cache keys. The leading
+// "sparse|" names the engine; it is kept so that keys persisted in result
+// stores by releases that selected among several engines stay valid.
 func (o Options) Key() string {
 	o = o.withDefaults()
 	cut := "-"
@@ -103,8 +84,8 @@ func (o Options) Key() string {
 			cut += "!"
 		}
 	}
-	key := fmt.Sprintf("%s|n%d|t%s|i%g|p%d|c%s",
-		o.Backend, o.MaxNodes, o.TimeLimit, o.IntTol, o.Parallel, cut)
+	key := fmt.Sprintf("sparse|n%d|t%s|i%g|p%d|c%s",
+		o.MaxNodes, o.TimeLimit, o.IntTol, o.Parallel, cut)
 	// The debug switches are appended only when set so that keys for default
 	// options — the ones persisted in result stores — stay stable across
 	// releases. Hints are deliberately excluded: they change solve speed,
@@ -123,8 +104,8 @@ func (o Options) Key() string {
 // responses and its persistent result store, so the field names below are a
 // compatibility surface (Duration serializes as nanoseconds).
 type Stats struct {
-	// Nodes is the number of branch-and-bound nodes whose relaxation was
-	// solved (or dense-fallback subtree solves, counted by their own nodes).
+	// Nodes is the number of branch-and-bound node relaxations solved (a
+	// node re-solved after a numerical-trouble recovery counts twice).
 	Nodes int64 `json:"nodes"`
 	// SimplexIters is the total simplex iterations across all nodes and the
 	// root cut-separation LPs.
@@ -135,8 +116,10 @@ type Stats struct {
 	// converged cut separation is adopted, not rebuilt, and not counted.
 	WarmStarts int64 `json:"warmStarts"`
 	ColdStarts int64 `json:"coldStarts"`
-	// Fallbacks counts subtrees handed to the dense reference engine after
-	// numerical trouble.
+	// Fallbacks counts numerical-trouble recoveries: node solves that hit
+	// the simplex iteration cap or produced an integer point failing the
+	// check against the original rows, and were rebuilt from a fresh basis.
+	// (The name predates the recovery scheme; it is a wire field.)
 	Fallbacks int64 `json:"fallbacks"`
 	// Incumbents counts incumbent improvements.
 	Incumbents int64 `json:"incumbents"`
@@ -147,7 +130,7 @@ type Stats struct {
 	// PresolveRows and PresolveCols count constraints and variables the
 	// presolve pass eliminated before the search; PresolveTightenings counts
 	// bound and coefficient tightenings it applied. All zero when presolve is
-	// disabled or the backend has none.
+	// disabled.
 	PresolveRows        int64 `json:"presolveRows,omitempty"`
 	PresolveCols        int64 `json:"presolveCols,omitempty"`
 	PresolveTightenings int64 `json:"presolveTightenings,omitempty"`
@@ -197,11 +180,11 @@ func (s *Stats) Add(other Stats) {
 	s.BlandIters += other.BlandIters
 }
 
-// Solution is the uniform result of a backend solve.
+// Solution is the result of a solve.
 type Solution struct {
 	// Status uses the lp package's vocabulary: Optimal, Infeasible,
-	// Unbounded, Feasible (limit hit with an incumbent), Limit (limit hit
-	// with no incumbent).
+	// Feasible (limit hit with an incumbent), Limit (limit hit with no
+	// incumbent).
 	Status lp.Status
 	// Obj is the incumbent objective in model sense (valid for Optimal and
 	// Feasible).
@@ -238,74 +221,23 @@ func (s *Solution) Feasible() bool {
 	return s.Status == lp.StatusOptimal || s.Status == lp.StatusFeasible
 }
 
-// Backend is one MILP engine. Implementations must be safe for concurrent
-// Solve calls on distinct models and must honor context cancellation inside
-// an in-flight solve (simplex iterations included), returning the best
-// solution found so far together with ctx.Err().
-type Backend interface {
-	Name() string
-	Solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error)
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Backend{}
-)
-
-// Register installs a backend under its name, replacing any previous holder.
-func Register(b Backend) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[b.Name()] = b
-}
-
-// Get returns the backend registered under name ("" = DefaultBackend).
-func Get(name string) (Backend, error) {
-	if name == "" {
-		name = DefaultBackend
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("solver: unknown backend %q (have %v)", name, namesLocked())
-	}
-	return b, nil
-}
-
-// Names lists the registered backends, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Solve dispatches to the backend selected by opt.Backend. On a traced
-// context the solve gets its own span whose event timeline is the search
-// telemetry backends emit (presolve reductions, cut rounds, dives,
-// incumbents, refactorizations, dense fallbacks) and whose attributes
-// summarize the finished solve's Stats — for an untraced context the whole
-// layer is nil checks.
+// Solve solves m. It honors context cancellation inside an in-flight solve
+// (simplex iterations included), returning the best solution found so far
+// together with ctx.Err(), and is safe for concurrent calls on distinct
+// models. A model the engine cannot start from a dual-feasible basis — a
+// cost-bearing variable without a finite bound on its improving side, or a
+// free variable — is rejected with an error naming the variable.
+//
+// On a traced context the solve gets its own span whose event timeline is
+// the search telemetry (presolve reductions, cut rounds, dives, incumbents,
+// refactorizations, recoveries) and whose attributes summarize the finished
+// solve's Stats — for an untraced context the whole layer is nil checks.
 func Solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 	opt = opt.withDefaults()
-	b, err := Get(opt.Backend)
-	if err != nil {
-		return nil, err
-	}
 	ctx, sp := obs.StartSpan(ctx, "solver.solve",
-		obs.Str("backend", opt.Backend),
 		obs.Int("vars", int64(m.NumVars())),
 		obs.Int("constrs", int64(m.NumConstrs())))
-	sol, err := b.Solve(ctx, m, opt)
+	sol, err := solve(ctx, m, opt)
 	if sol != nil {
 		sp.SetAttr(
 			obs.Str("status", sol.Status.String()),

@@ -2,40 +2,40 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"regsat/internal/lp"
+	"regsat/internal/solver/solvertest"
 )
 
-func solveWith(t *testing.T, backend string, m *lp.Model, opt Options) *Solution {
+func solveWith(t *testing.T, m *lp.Model, opt Options) *Solution {
 	t.Helper()
-	opt.Backend = backend
 	sol, err := Solve(context.Background(), m, opt)
 	if err != nil {
-		t.Fatalf("%s: %v", backend, err)
+		t.Fatal(err)
 	}
 	return sol
 }
 
-func TestRegistry(t *testing.T) {
-	names := Names()
-	want := map[string]bool{"dense": false, "sparse": false, "parallel": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
+// checkOracle requires sol to match the brute-force optimum of m: the same
+// feasibility verdict and, when feasible, a proven optimum of equal value.
+func checkOracle(t *testing.T, tag string, m *lp.Model, sol *Solution) {
+	t.Helper()
+	want := solvertest.BruteForce(m)
+	if !want.Found {
+		if sol.Status != lp.StatusInfeasible {
+			t.Fatalf("%s: status %v, brute force says infeasible\n%s", tag, sol.Status, m.String())
 		}
+		return
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("backend %q not registered (have %v)", n, names)
-		}
-	}
-	if _, err := Get("no-such-backend"); err == nil {
-		t.Error("Get of unknown backend did not fail")
+	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-want.Obj) > 1e-6 {
+		t.Fatalf("%s: %v/%g, brute force optimum %g\n%s", tag, sol.Status, sol.Obj, want.Obj, m.String())
 	}
 }
 
@@ -53,30 +53,22 @@ func knapsack() *lp.Model {
 	return m
 }
 
+// TestKnapsackAllBackends solves the knapsack sequentially and with a
+// 4-worker tree search; both must prove the brute-force optimum with a
+// closed interval.
 func TestKnapsackAllBackends(t *testing.T) {
-	// The dense engine provides the reference optimum.
-	m := knapsack()
-	ref := solveWith(t, "dense", m, Options{})
-	if ref.Status != lp.StatusOptimal {
-		t.Fatalf("dense: status %v", ref.Status)
-	}
-	for _, b := range []string{"sparse", "parallel"} {
-		m2 := knapsack()
-		sol := solveWith(t, b, m2, Options{Parallel: 4})
-		if sol.Status != lp.StatusOptimal {
-			t.Fatalf("%s: status %v", b, sol.Status)
-		}
-		if math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-			t.Fatalf("%s: obj %g, dense %g", b, sol.Obj, ref.Obj)
-		}
+	for _, workers := range []int{1, 4} {
+		m := knapsack()
+		sol := solveWith(t, m, Options{Parallel: workers})
+		checkOracle(t, fmt.Sprintf("parallel=%d", workers), m, sol)
 		if sol.Gap != 0 || sol.Bound != sol.Obj {
-			t.Fatalf("%s: optimal solve reported bound %g gap %g", b, sol.Bound, sol.Gap)
+			t.Fatalf("parallel=%d: optimal solve reported bound %g gap %g", workers, sol.Bound, sol.Gap)
 		}
 	}
 }
 
-// randomMILP builds a small random pure-integer program (the same family the
-// lp package cross-validates against brute force).
+// randomMILP builds a small random pure-integer program, small enough for
+// solvertest.BruteForce.
 func randomMILP(rng *rand.Rand) *lp.Model {
 	nv := 2 + rng.Intn(4)
 	nc := 1 + rng.Intn(4)
@@ -104,9 +96,9 @@ func randomMILP(rng *rand.Rand) *lp.Model {
 	return m
 }
 
-// TestBackendsAgreeRandom cross-validates the sparse engine (sequential and
-// parallel) against the dense reference on hundreds of random integer
-// programs, including infeasible ones.
+// TestBackendsAgreeRandom cross-validates the engine, sequential and with a
+// 3-worker tree search, against brute-force enumeration on hundreds of
+// random integer programs, including infeasible ones.
 func TestBackendsAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(2004))
 	trials := 400
@@ -115,17 +107,9 @@ func TestBackendsAgreeRandom(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		m := randomMILP(rng)
-		ref := solveWith(t, "dense", m, Options{})
-		for _, b := range []string{"sparse", "parallel"} {
-			sol := solveWith(t, b, m, Options{Parallel: 3})
-			if sol.Status != ref.Status {
-				t.Fatalf("trial %d: %s status %v, dense %v\n%s",
-					trial, b, sol.Status, ref.Status, m.String())
-			}
-			if ref.Status == lp.StatusOptimal && math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-				t.Fatalf("trial %d: %s obj %g, dense %g\n%s",
-					trial, b, sol.Obj, ref.Obj, m.String())
-			}
+		for _, workers := range []int{1, 3} {
+			sol := solveWith(t, m, Options{Parallel: workers})
+			checkOracle(t, fmt.Sprintf("trial %d parallel=%d", trial, workers), m, sol)
 		}
 	}
 }
@@ -133,36 +117,33 @@ func TestBackendsAgreeRandom(t *testing.T) {
 // TestMixedIntegerContinuous checks the sparse engine on a model with a
 // continuous variable (only the integer one is branched).
 func TestMixedIntegerContinuous(t *testing.T) {
-	for _, b := range Names() {
-		m := lp.NewModel("mix", lp.Maximize)
-		x := m.NewVar(0, 10, true, "x")
-		y := m.NewVar(0, 10, false, "y")
-		m.SetObjCoef(x, 2)
-		m.SetObjCoef(y, 3)
-		m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 2}}, lp.LE, 7.5, "c")
-		sol := solveWith(t, b, m, Options{})
-		if sol.Status != lp.StatusOptimal {
-			t.Fatalf("%s: status %v", b, sol.Status)
-		}
-		// x integer, y continuous: best is x=7, y=0.25 → 14.75.
-		if math.Abs(sol.Obj-14.75) > 1e-6 {
-			t.Fatalf("%s: obj %g, want 14.75", b, sol.Obj)
-		}
+	m := lp.NewModel("mix", lp.Maximize)
+	x := m.NewVar(0, 10, true, "x")
+	y := m.NewVar(0, 10, false, "y")
+	m.SetObjCoef(x, 2)
+	m.SetObjCoef(y, 3)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 2}}, lp.LE, 7.5, "c")
+	sol := solveWith(t, m, Options{})
+	if sol.Status != lp.StatusOptimal {
+		t.Fatalf("status %v", sol.Status)
+	}
+	// x integer, y continuous: best is x=7, y=0.25 → 14.75.
+	if math.Abs(sol.Obj-14.75) > 1e-6 {
+		t.Fatalf("obj %g, want 14.75", sol.Obj)
 	}
 }
 
 // TestCutoffSeeding verifies that seeding with an achievable objective keeps
 // the solve exact while pruning the tree.
 func TestCutoffSeeding(t *testing.T) {
-	base := knapsack()
-	ref := solveWith(t, "dense", base, Options{})
+	ref := solvertest.BruteForce(knapsack())
 	m := knapsack()
-	sol := solveWith(t, "sparse", m, Options{Cutoff: CutoffAt(ref.Obj)})
+	sol := solveWith(t, m, Options{Cutoff: CutoffAt(ref.Obj)})
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-ref.Obj) > 1e-6 {
 		t.Fatalf("seeded at the optimum: status %v obj %g, want optimal %g", sol.Status, sol.Obj, ref.Obj)
 	}
 	m2 := knapsack()
-	sol2 := solveWith(t, "sparse", m2, Options{Cutoff: CutoffAt(ref.Obj - 3)})
+	sol2 := solveWith(t, m2, Options{Cutoff: CutoffAt(ref.Obj - 3)})
 	if sol2.Status != lp.StatusOptimal || math.Abs(sol2.Obj-ref.Obj) > 1e-6 {
 		t.Fatalf("seeded below the optimum: status %v obj %g, want optimal %g", sol2.Status, sol2.Obj, ref.Obj)
 	}
@@ -173,29 +154,28 @@ func TestCutoffSeeding(t *testing.T) {
 // the interval like rs.ExactStats.Capped).
 func TestNodeLimitReportsInterval(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, b := range []string{"dense", "sparse"} {
-		m := lp.NewModel("cap", lp.Maximize)
-		var terms []lp.Term
-		for i := 0; i < 18; i++ {
-			x := m.NewBinary("x")
-			m.SetObjCoef(x, float64(1+rng.Intn(9)))
-			terms = append(terms, lp.Term{Var: x, Coef: float64(2 + rng.Intn(5))})
+	m := lp.NewModel("cap", lp.Maximize)
+	var terms []lp.Term
+	for i := 0; i < 18; i++ {
+		x := m.NewBinary("x")
+		m.SetObjCoef(x, float64(1+rng.Intn(9)))
+		terms = append(terms, lp.Term{Var: x, Coef: float64(2 + rng.Intn(5))})
+	}
+	m.AddConstr(terms, lp.LE, 23, "cap")
+	sol := solveWith(t, m, Options{MaxNodes: 3})
+	if !sol.Capped {
+		t.Fatalf("3-node solve of an 18-item knapsack not capped (status %v)", sol.Status)
+	}
+	want := solvertest.BruteForce(m).Obj
+	if want > sol.Bound+1e-9 {
+		t.Fatalf("maximize bound %g below the brute-force optimum %g", sol.Bound, want)
+	}
+	if sol.Status == lp.StatusFeasible {
+		if sol.Obj > want+1e-9 {
+			t.Fatalf("incumbent %g above the brute-force optimum %g", sol.Obj, want)
 		}
-		m.AddConstr(terms, lp.LE, 23, "cap")
-		sol := solveWith(t, b, m, Options{MaxNodes: 3})
-		if sol.Status == lp.StatusOptimal || sol.Status == lp.StatusInfeasible {
-			continue // tiny model solved within the cap on this backend
-		}
-		if !sol.Capped {
-			t.Fatalf("%s: limit solve not marked capped (status %v)", b, sol.Status)
-		}
-		if sol.Status == lp.StatusFeasible {
-			if sol.Bound < sol.Obj-1e-9 {
-				t.Fatalf("%s: maximize bound %g below incumbent %g", b, sol.Bound, sol.Obj)
-			}
-			if math.Abs(sol.Gap-(sol.Bound-sol.Obj)) > 1e-9 {
-				t.Fatalf("%s: gap %g inconsistent with [%g, %g]", b, sol.Gap, sol.Obj, sol.Bound)
-			}
+		if math.Abs(sol.Gap-(sol.Bound-sol.Obj)) > 1e-9 {
+			t.Fatalf("gap %g inconsistent with [%g, %g]", sol.Gap, sol.Obj, sol.Bound)
 		}
 	}
 }
@@ -203,7 +183,7 @@ func TestNodeLimitReportsInterval(t *testing.T) {
 // TestContextCancellation: cancelling the context interrupts an in-flight
 // solve promptly and surfaces the context error.
 func TestContextCancellation(t *testing.T) {
-	for _, b := range []string{"dense", "sparse", "parallel"} {
+	for _, workers := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(42))
 		m := lp.NewModel("slow", lp.Maximize)
 		var terms []lp.Term
@@ -223,15 +203,15 @@ func TestContextCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already cancelled: the solve must return immediately
 		start := time.Now()
-		sol, err := Solve(ctx, m, Options{Backend: b, MaxNodes: 10_000_000})
+		sol, err := Solve(ctx, m, Options{Parallel: workers, MaxNodes: 10_000_000})
 		if err == nil {
-			t.Fatalf("%s: cancelled solve returned no error", b)
+			t.Fatalf("parallel=%d: cancelled solve returned no error", workers)
 		}
 		if sol == nil {
-			t.Fatalf("%s: cancelled solve returned nil solution", b)
+			t.Fatalf("parallel=%d: cancelled solve returned nil solution", workers)
 		}
 		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("%s: cancelled solve took %v", b, elapsed)
+			t.Fatalf("parallel=%d: cancelled solve took %v", workers, elapsed)
 		}
 	}
 }
@@ -247,20 +227,16 @@ func TestParallelTreeSearchRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for trial := 0; trial < 8; trial++ {
 				m := randomMILP(rng)
-				ref, err := Solve(context.Background(), m, Options{Backend: "dense"})
-				if err != nil {
-					t.Errorf("dense: %v", err)
-					return
-				}
-				sol, err := Solve(context.Background(), m, Options{Backend: "parallel", Parallel: 4})
+				ref := solvertest.BruteForce(m)
+				sol, err := Solve(context.Background(), m, Options{Parallel: 4})
 				if err != nil {
 					t.Errorf("parallel: %v", err)
 					return
 				}
-				if sol.Status != ref.Status ||
-					(ref.Status == lp.StatusOptimal && math.Abs(sol.Obj-ref.Obj) > 1e-6) {
-					t.Errorf("seed %d trial %d: parallel %v/%g, dense %v/%g",
-						seed, trial, sol.Status, sol.Obj, ref.Status, ref.Obj)
+				if (ref.Found && (sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-ref.Obj) > 1e-6)) ||
+					(!ref.Found && sol.Status != lp.StatusInfeasible) {
+					t.Errorf("seed %d trial %d: parallel %v/%g, brute force found=%v obj=%g",
+						seed, trial, sol.Status, sol.Obj, ref.Found, ref.Obj)
 					return
 				}
 			}
@@ -281,7 +257,7 @@ func TestWarmStartsHappen(t *testing.T) {
 		terms = append(terms, lp.Term{Var: x, Coef: float64(2 + rng.Intn(7))})
 	}
 	m.AddConstr(terms, lp.LE, 31, "cap")
-	sol := solveWith(t, "sparse", m, Options{})
+	sol := solveWith(t, m, Options{})
 	if sol.Status != lp.StatusOptimal {
 		t.Fatalf("status %v", sol.Status)
 	}
@@ -291,26 +267,73 @@ func TestWarmStartsHappen(t *testing.T) {
 }
 
 func TestInfeasibleModel(t *testing.T) {
-	for _, b := range Names() {
+	for _, opt := range []Options{{}, {DisablePresolve: true, DisableCuts: true}} {
 		m := lp.NewModel("inf", lp.Minimize)
 		x := m.NewVar(0, 5, true, "x")
 		m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.GE, 3, "ge")
 		m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 2, "le")
-		sol := solveWith(t, b, m, Options{})
+		sol := solveWith(t, m, opt)
 		if sol.Status != lp.StatusInfeasible {
-			t.Fatalf("%s: status %v, want infeasible", b, sol.Status)
+			t.Fatalf("%+v: status %v, want infeasible", opt, sol.Status)
 		}
 	}
 }
 
-// TestUnboundedFallsBackToDense: the sparse engine delegates models with
-// infinite cost-bearing bounds to the dense engine, which detects the ray.
-func TestUnboundedFallsBackToDense(t *testing.T) {
-	m := lp.NewModel("unb", lp.Maximize)
-	x := m.NewVar(0, math.Inf(1), false, "x")
+// TestInfiniteBoundIsModelError: the engine starts every node from a
+// dual-feasible basis, which needs a finite bound on each cost-bearing
+// variable's improving side and on every free variable. A model without one
+// is rejected with an error naming the variable, whatever the sense.
+func TestInfiniteBoundIsModelError(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		sense  lp.Sense
+		lo, hi float64
+		cost   float64
+		want   string
+	}{
+		{"max-up", lp.Maximize, 0, inf, 1, "no finite upper bound"},
+		{"min-down", lp.Minimize, -inf, 0, 2, "no finite lower bound"},
+		{"min-neg-cost", lp.Minimize, 0, inf, -1, "no finite upper bound"},
+		{"free", lp.Minimize, -inf, inf, 0, "is free"},
+	} {
+		m := lp.NewModel("unb", tc.sense)
+		m.NewVar(0, 1, true, "ok")
+		x := m.NewVar(tc.lo, tc.hi, false, "ray_"+tc.name)
+		m.SetObjCoef(x, tc.cost)
+		sol, err := Solve(context.Background(), m, Options{})
+		if err == nil {
+			t.Fatalf("%s: no error (status %v)", tc.name, sol.Status)
+		}
+		if !strings.Contains(err.Error(), "ray_"+tc.name) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %q does not name the variable and %q", tc.name, err, tc.want)
+		}
+	}
+	// A one-sided infinite bound away from the improving side is fine.
+	m := lp.NewModel("half", lp.Minimize)
+	x := m.NewVar(2, inf, false, "x")
 	m.SetObjCoef(x, 1)
-	sol := solveWith(t, "sparse", m, Options{})
-	if sol.Status != lp.StatusUnbounded {
-		t.Fatalf("status %v, want unbounded", sol.Status)
+	if sol := solveWith(t, m, Options{}); sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-2) > 1e-9 {
+		t.Fatalf("min x, x ≥ 2: %v/%g, want optimal 2", sol.Status, sol.Obj)
+	}
+}
+
+// TestOptionsKeyStable pins the cache-key rendering: result stores persist
+// these strings, so the default key and the non-default variants must stay
+// byte-for-byte what releases with several engines wrote (the leading
+// "sparse|" named the engine then).
+func TestOptionsKeyStable(t *testing.T) {
+	for _, tc := range []struct {
+		opt  Options
+		want string
+	}{
+		{Options{}, "sparse|n200000|t0s|i1e-06|p0|c-"},
+		{Options{MaxNodes: 10000}, "sparse|n10000|t0s|i1e-06|p0|c-"},
+		{Options{Cutoff: CutoffAt(7), ExclusiveCutoff: true}, "sparse|n200000|t0s|i1e-06|p0|c7!"},
+		{Options{DisableCuts: true}, "sparse|n200000|t0s|i1e-06|p0|c-|nocuts"},
+	} {
+		if got := tc.opt.Key(); got != tc.want {
+			t.Errorf("Key() = %q, want %q", got, tc.want)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -15,13 +14,12 @@ import (
 	"regsat/internal/obs"
 )
 
-// sparseBackend is the rewritten MILP engine: presolve with postsolve
-// mapping, hint-derived clique cuts separated at the root, sparse constraint
-// storage, a dual-simplex reoptimizer with devex pricing, best-bound node
-// selection with single-bound deltas, warm-started dives from the parent
-// basis, pseudo-cost branching with reliability initialization,
-// incumbent/cutoff seeding, and a parallel tree search sharing an atomic
-// incumbent.
+// solve is the MILP engine: presolve with postsolve mapping, hint-derived
+// clique cuts separated at the root, sparse constraint storage, a
+// dual-simplex reoptimizer with devex pricing, best-bound node selection with
+// single-bound deltas, warm-started dives from the parent basis, pseudo-cost
+// branching with reliability initialization, incumbent/cutoff seeding, and a
+// parallel tree search sharing an atomic incumbent.
 //
 // Node processing is organized as dives: a worker pops the best-bound open
 // node, solves it from a cold (all-slack, dual-feasible) start — or, for the
@@ -29,28 +27,16 @@ import (
 // descending into one child per branching — reusing the tableau and basis it
 // already holds, which makes the child solve a handful of dual pivots — while
 // the sibling goes onto the shared best-bound queue as a {variable, bound}
-// delta against its parent chain. Any numerical trouble hands the affected
-// subtree to the dense reference engine, so exactness never depends on the
-// fast path.
-type sparseBackend struct {
-	// defaultParallel is the worker count when Options.Parallel is 0.
-	defaultParallel func() int
-	name            string
-}
-
-func init() {
-	Register(sparseBackend{name: "sparse", defaultParallel: func() int { return 1 }})
-	Register(sparseBackend{name: "parallel", defaultParallel: runtime.NumCPU})
-}
-
-func (b sparseBackend) Name() string { return b.name }
-
-func (b sparseBackend) Solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
-	opt = opt.withDefaults()
+// delta against its parent chain. Numerical trouble at a node (the iteration
+// cap, or an integer point failing the check against the exact rows) rebuilds
+// the tableau once from the sparse matrix and re-solves the node; a node
+// still in trouble is abandoned at its parent bound, so the solve reports a
+// capped interval rather than trusting a drifted tableau.
+func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 	start := time.Now()
-	// The solve span (created by the Solve dispatcher; nil when untraced)
-	// carries the search telemetry: milestone events on a bounded buffer,
-	// never one per simplex iteration.
+	// The solve span (created by Solve; nil when untraced) carries the search
+	// telemetry: milestone events on a bounded buffer, never one per simplex
+	// iteration.
 	span := obs.FromContext(ctx)
 
 	// Presolve works on a private copy, so the reduced model rm is owned by
@@ -80,23 +66,6 @@ func (b sparseBackend) Solve(ctx context.Context, m *lp.Model, opt Options) (*So
 	}
 
 	p, err := buildProb(rm)
-	if err == errDense {
-		span.Event("fallback.dense", obs.Str("cause", "unbounded-cost-var"))
-		// Infinite bounds on a cost-bearing variable: the general-purpose
-		// dense engine handles those (and detects unboundedness). The
-		// delegation is a whole-model fallback — count it so it never
-		// happens silently — and its solution lives in reduced space, so it
-		// goes through postsolve like any other.
-		sol, derr := denseBackend{}.Solve(ctx, rm, opt)
-		if sol != nil {
-			sol.X = ps.postsolve(sol.X)
-			sol.Stats.Fallbacks++
-			sol.Stats.PresolveRows += ps.rows
-			sol.Stats.PresolveCols += ps.cols
-			sol.Stats.PresolveTightenings += ps.tightenings
-		}
-		return sol, derr
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -128,14 +97,8 @@ func (b sparseBackend) Solve(ctx context.Context, m *lp.Model, opt Options) (*So
 	}
 
 	// An explicit Parallel is honored as given (oversubscription is just
-	// goroutines); only the default is derived from the machine.
-	workers := opt.Parallel
-	if workers <= 0 {
-		workers = b.defaultParallel()
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// goroutines).
+	workers := max(opt.Parallel, 1)
 
 	s := &searcher{
 		p:         p,
@@ -257,7 +220,6 @@ type searcher struct {
 	limitHit bool
 	// stoppedFlag mirrors stopped for the lock-free per-node fast path.
 	stoppedFlag atomic.Bool
-	unbounded   bool
 	openBound   float64   // min bound over abandoned subtrees (internal)
 	incX        []float64 // incumbent assignment (model variables, snapped)
 
@@ -269,15 +231,15 @@ type searcher struct {
 	pcDownN   []int32
 	pcUpN     []int32
 
-	incObj   atomic.Uint64 // math.Float64bits of the internal incumbent obj
-	nodes    atomic.Int64
-	iters    atomic.Int64
-	warm     atomic.Int64
-	cold     atomic.Int64
-	fallback atomic.Int64
-	incumb   atomic.Int64
-	probes   atomic.Int64
-	bland    atomic.Int64
+	incObj    atomic.Uint64 // math.Float64bits of the internal incumbent obj
+	nodes     atomic.Int64
+	iters     atomic.Int64
+	warm      atomic.Int64
+	cold      atomic.Int64
+	recovered atomic.Int64
+	incumb    atomic.Int64
+	probes    atomic.Int64
+	bland     atomic.Int64
 }
 
 func (s *searcher) incumbentObj() float64 {
@@ -394,21 +356,11 @@ func (s *searcher) abandon(bound float64) {
 	s.mu.Unlock()
 }
 
-func (s *searcher) setUnbounded() {
-	s.mu.Lock()
-	s.unbounded = true
-	s.stopped = true
-	s.stoppedFlag.Store(true)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
 // updateIncumbent installs a verified integer solution if it improves.
 func (s *searcher) updateIncumbent(objInternal float64, x []float64) {
 	// Under an exclusive cutoff the caller already holds a solution at the
-	// cutoff objective; a fallback subtree solve (which runs without cutoff
-	// knowledge) may legally return something strictly worse — installing it
-	// would let finish() report a worse-than-held "optimum". Drop it.
+	// cutoff objective: installing anything strictly worse would let
+	// finish() report a worse-than-held "optimum". Drop it.
 	if s.exclusiveCutoff && objInternal > s.cutoff+1e-7 {
 		return
 	}
@@ -523,6 +475,7 @@ func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 	p := s.p
 	x := make([]float64, p.n)
 	cands := make([]brCand, 0, 16)
+	retried := false // nd was already rebuilt once after numerical trouble
 	for {
 		if s.shouldStop() {
 			s.abandon(nd.bound)
@@ -530,6 +483,9 @@ func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 		}
 		if warm {
 			s.warm.Add(1)
+		}
+		if testHookNodeSolve != nil {
+			testHookNodeSolve(w, nd, retried)
 		}
 		st := w.dual(s.pruneTarget())
 		s.nodes.Add(1)
@@ -543,13 +499,17 @@ func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 			s.abandon(nd.bound)
 			return
 		case spxIterLimit:
-			s.denseFallback(w)
-			return
+			if !s.recoverNode(w, nd, &retried, "iter-limit") {
+				return
+			}
+			warm = false
+			continue
 		}
 		obj := w.obj()
 		// Pseudo-cost observation: the LP degradation this branch caused,
-		// per unit of fractionality it removed.
-		if nd.vr >= 0 && nd.frac > 1e-9 {
+		// per unit of fractionality it removed (once per node, even when a
+		// recovery re-solves it).
+		if nd.vr >= 0 && nd.frac > 1e-9 && !retried {
 			deg := obj - nd.pobj
 			if deg < 0 {
 				deg = 0
@@ -579,16 +539,19 @@ func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 		}
 		if len(cands) == 0 {
 			// Integer feasible: snap, verify against the original rows, and
-			// publish. A failed verification means the warm tableau drifted —
-			// hand the subtree to the dense engine instead of trusting it.
+			// publish. A failed verification means the tableau drifted —
+			// rebuild it and re-solve the node instead of trusting it.
 			for j := 0; j < p.n; j++ {
 				if p.integer[j] {
 					x[j] = math.Round(x[j])
 				}
 			}
 			if !w.verify(x) {
-				s.denseFallback(w)
-				return
+				if !s.recoverNode(w, nd, &retried, "verify") {
+					return
+				}
+				warm = false
+				continue
 			}
 			objInt := 0.0
 			for j := 0; j < p.n; j++ {
@@ -609,7 +572,7 @@ func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 		}
 		if forced != nil {
 			nd = forced
-			warm = true
+			warm, retried = true, false
 			w.applyBound(forced.vr, forced.lo, forced.hi)
 			if s.propagateCliques(w, forced) {
 				return
@@ -647,8 +610,34 @@ func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 		if s.propagateCliques(w, diveNd) {
 			return
 		}
-		nd = diveNd
+		nd, retried = diveNd, false
 	}
+}
+
+// testHookNodeSolve, when set, runs right before every node solve of a
+// worker tableau (retry reports a re-solve after recovery). Tests use it to
+// inject numerical trouble; it is nil in production.
+var testHookNodeSolve func(w *spx, nd *qnode, retry bool)
+
+// recoverNode handles numerical trouble at nd. The first time, it rebuilds
+// w from the exact sparse matrix under the node's current bounds (the
+// rebuild the periodic refactorization uses, resetting the devex weights)
+// and reports true: the caller re-solves the node cold. Trouble again after
+// that rebuild abandons the subtree at nd.bound — a valid bound on
+// everything below — so the solve returns a capped interval instead of an
+// answer resting on a drifted tableau.
+func (s *searcher) recoverNode(w *spx, nd *qnode, retried *bool, cause string) bool {
+	if *retried {
+		s.span.Event("recover", obs.Str("cause", cause), obs.Bool("abandoned", true))
+		s.abandon(nd.bound)
+		return false
+	}
+	*retried = true
+	s.recovered.Add(1)
+	s.span.Event("recover", obs.Str("cause", cause), obs.Bool("abandoned", false))
+	w.reset(w.lo[:s.p.n], w.hi[:s.p.n])
+	s.cold.Add(1)
+	return true
 }
 
 // reliabilityProbes runs iteration-capped strong-branching probes on the
@@ -819,52 +808,8 @@ func (w *spx) applyBoundOnlyStore(nd *qnode) {
 	w.lo[nd.vr], w.hi[nd.vr] = nd.lo, nd.hi
 }
 
-// denseFallback solves the worker's current subtree with the dense reference
-// engine: slower, but immune to the warm tableau's numerical state. The
-// subtree is fully resolved (its own branch and bound), so the node does not
-// return to the queue.
-func (s *searcher) denseFallback(w *spx) {
-	p := s.p
-	s.fallback.Add(1)
-	// Reserve the node grant up front (and refund the unused part after), so
-	// concurrent fallbacks cannot each claim the full remaining budget and
-	// overshoot MaxNodes by a factor of the worker count.
-	var grant int64
-	for {
-		cur := s.nodes.Load()
-		grant = int64(s.opt.MaxNodes) - cur
-		if grant < 1 {
-			grant = 1
-		}
-		if s.nodes.CompareAndSwap(cur, cur+grant) {
-			break
-		}
-	}
-	s.span.Event("fallback.dense", obs.Int("nodeGrant", grant))
-	params := lp.Params{IntTol: s.opt.IntTol, MaxNodes: int(grant)}
-	if !s.deadline.IsZero() {
-		params.TimeLimit = time.Until(s.deadline)
-		if params.TimeLimit <= 0 {
-			params.TimeLimit = time.Millisecond
-		}
-	}
-	sol := p.model.SolveWithBounds(s.ctx, params, w.lo[:p.n], w.hi[:p.n])
-	s.nodes.Add(int64(sol.Nodes) - grant)
-	switch sol.Status {
-	case lp.StatusUnbounded:
-		s.setUnbounded()
-	case lp.StatusOptimal:
-		s.updateIncumbent(p.internalObj(sol.Obj), sol.X)
-	case lp.StatusFeasible:
-		s.updateIncumbent(p.internalObj(sol.Obj), sol.X)
-		s.abandon(p.internalObj(sol.Bound))
-	case lp.StatusLimit:
-		s.abandon(p.internalObj(sol.Bound))
-	}
-}
-
 // finish assembles the Solution from the search state. Workers have joined
-// by the time it runs, but it reads mu-guarded fields (unbounded, limitHit,
+// by the time it runs, but it reads mu-guarded fields (limitHit,
 // openBound, incX), so it takes the — by now uncontended — lock anyway.
 func (s *searcher) finish() *Solution {
 	s.mu.Lock()
@@ -876,7 +821,7 @@ func (s *searcher) finish() *Solution {
 			SimplexIters: s.iters.Load(),
 			WarmStarts:   s.warm.Load(),
 			ColdStarts:   s.cold.Load(),
-			Fallbacks:    s.fallback.Load(),
+			Fallbacks:    s.recovered.Load(),
 			Incumbents:   s.incumb.Load(),
 			BranchProbes: s.probes.Load(),
 			BlandIters:   s.bland.Load(),
@@ -889,10 +834,6 @@ func (s *searcher) finish() *Solution {
 		}
 	}
 	s.pcMu.Unlock()
-	if s.unbounded {
-		sol.Status = lp.StatusUnbounded
-		return sol
-	}
 	inc := s.incumbentObj()
 	haveInc := !math.IsInf(inc, 1)
 	if !haveInc && s.exclusiveCutoff {

@@ -18,10 +18,9 @@
 //
 // Three RS methods are provided: the near-optimal Greedy-k heuristic of
 // [Touati, CC 2001], an exact branch-and-bound over killing functions, and
-// the paper's exact integer linear program (Section 3) solved through the
-// pluggable MILP layer of internal/solver (backends: the dense reference
-// engine, a sparse warm-started best-bound engine, and its parallel tree
-// search — see docs/SOLVER.md). Reduction (Section 4) similarly
+// the paper's exact integer linear program (Section 3) solved by the MILP
+// engine of internal/solver (a sparse dual-simplex, warm-started best-bound
+// branch and bound — see docs/SOLVER.md). Reduction (Section 4) similarly
 // offers the value-serialization heuristic, an exact combinatorial search,
 // and the paper's coloring intLP, all applying the constructive arc
 // insertion of Theorem 4.2.
@@ -119,21 +118,16 @@ type RSOptions = rs.Options
 // saturating values.
 type RSResult = rs.Result
 
-// MILP solving layer (internal/solver): every exact intLP is solved through
-// a pluggable backend.
+// MILP solving layer (internal/solver): every exact intLP is solved by its
+// sparse dual-simplex branch-and-bound engine.
 type (
-	// SolverOptions selects and bounds a MILP backend (RSOptions.Solver,
+	// SolverOptions bounds a MILP solve (RSOptions.Solver,
 	// ReduceOptions.ILP.Solver, BatchOptions.Solver).
 	SolverOptions = solver.Options
-	// SolverStats is a backend's work accounting (nodes, simplex
-	// iterations, warm-start rate, incumbents, wall clock).
+	// SolverStats is a solve's work accounting (nodes, simplex iterations,
+	// warm-start rate, incumbents, recoveries, wall clock).
 	SolverStats = solver.Stats
 )
-
-// SolverBackends lists the registered MILP backends ("dense" — the original
-// tableau engine; "sparse" — the warm-started best-bound rewrite;
-// "parallel" — the same engine with one tree-search worker per CPU).
-func SolverBackends() []string { return solver.Names() }
 
 // ComputeRS computes the register saturation RS_t(G): the exact upper bound
 // of the register requirement of type t over all valid schedules of g.
@@ -209,7 +203,7 @@ func ReduceRSContext(ctx context.Context, g *Graph, t RegType, available int, op
 // potential-killer sets) keyed by structural fingerprint.
 type (
 	// BatchOptions configures AnalyzeAll (worker count, RS options, MILP
-	// solver backend, type restriction, optional reduction pass, memo size).
+	// solver limits, type restriction, optional reduction pass, memo size).
 	BatchOptions = batch.Options
 	// BatchResult is the per-item outcome, delivered in input order.
 	BatchResult = batch.Result

@@ -1,8 +1,8 @@
 package regsat
 
-// Corpus-wide differential tests of the pluggable MILP solving layer: every
-// registered backend must agree with the combinatorial exact search
-// (rs.ExactBB) on the register saturation of every committed corpus graph.
+// Corpus-wide differential tests of the MILP solving layer: the engine must
+// agree with the combinatorial exact search (rs.ExactBB) on the register
+// saturation of every committed corpus graph.
 
 import (
 	"context"
@@ -63,14 +63,15 @@ func loadSingleGraph(path string) (*ddg.Graph, error) {
 	return it.Graph, nil
 }
 
-// TestSolverBackendsAgreeOnCorpus: for every corpus graph and register type
-// within the exactness budget, every backend's intLP saturation equals the
-// exact-BB saturation when the solve completes, and never exceeds it when a
-// search limit capped the solve (RS is then a valid lower bound, with the
-// reported interval bracketing the exact value). The sparse engine runs
-// twice — once with its presolve and clique-cut layers, once raw — so the
-// speed layers are differentially proven semantics-free on the whole corpus.
-func TestSolverBackendsAgreeOnCorpus(t *testing.T) {
+// TestSolverAgreesOnCorpus: for every corpus graph and register type within
+// the exactness budget, the intLP saturation equals the exact-BB saturation
+// when the solve completes, and never exceeds it when a search limit capped
+// the solve (RS is then a valid lower bound, with the reported interval
+// bracketing the exact value). No solve may need a numerical-trouble
+// recovery. The engine runs twice — once with its presolve and clique-cut
+// layers, once raw — so the speed layers are differentially proven
+// semantics-free on the whole corpus.
+func TestSolverAgreesOnCorpus(t *testing.T) {
 	maxValues := 8
 	limit := 15 * time.Second
 	if testing.Short() {
@@ -81,12 +82,10 @@ func TestSolverBackendsAgreeOnCorpus(t *testing.T) {
 		label string
 		opt   solver.Options
 	}
-	var configs []config
-	for _, b := range solver.Names() {
-		configs = append(configs, config{b, solver.Options{Backend: b, TimeLimit: limit}})
+	configs := []config{
+		{"sparse", solver.Options{TimeLimit: limit}},
+		{"sparse/raw", solver.Options{TimeLimit: limit, DisablePresolve: true, DisableCuts: true}},
 	}
-	configs = append(configs, config{"sparse/raw", solver.Options{
-		Backend: "sparse", TimeLimit: limit, DisablePresolve: true, DisableCuts: true}})
 	for _, g := range loadCorpus(t) {
 		for _, typ := range g.Types() {
 			an, err := rs.NewAnalysis(g, typ)
@@ -104,6 +103,9 @@ func TestSolverBackendsAgreeOnCorpus(t *testing.T) {
 				res, err := rs.ExactILP(context.Background(), an, true, c.opt)
 				if err != nil {
 					t.Fatalf("%s/%s [%s]: %v", g.Name, typ, c.label, err)
+				}
+				if n := res.Stats.Fallbacks; n != 0 {
+					t.Errorf("%s/%s [%s]: %d numerical-trouble recoveries", g.Name, typ, c.label, n)
 				}
 				switch {
 				case res.Exact && res.RS != ref.RS:
@@ -124,15 +126,15 @@ func TestSolverBackendsAgreeOnCorpus(t *testing.T) {
 	}
 }
 
-// TestBatchSolverBackendSelection: BatchOptions.Solver routes every intLP
-// solve of a batch through the selected backend, and the results match the
-// default backend's.
+// TestBatchSolverBackendSelection: BatchOptions.Solver reaches every intLP
+// solve of a batch — a 2-worker tree search reports two workers on every
+// solve — and its proved results match the sequential search's.
 func TestBatchSolverBackendSelection(t *testing.T) {
 	type outcome struct {
 		rs    int
 		exact bool
 	}
-	runWith := func(backend string) map[string]outcome {
+	runWith := func(workers int) map[string]outcome {
 		src, err := SourceDir("testdata")
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +142,7 @@ func TestBatchSolverBackendSelection(t *testing.T) {
 		ch, err := AnalyzeAll(context.Background(), []GraphSource{src}, BatchOptions{
 			RS:     RSOptions{Method: ExactILP, ApplyReductions: true, SkipWitness: true},
 			Types:  []RegType{Float},
-			Solver: SolverOptions{Backend: backend, TimeLimit: 5 * time.Second},
+			Solver: SolverOptions{Parallel: workers, TimeLimit: 5 * time.Second},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -155,8 +157,8 @@ func TestBatchSolverBackendSelection(t *testing.T) {
 				continue
 			}
 			out[res.Name] = outcome{rs: r.RS, exact: r.Exact}
-			if r.SolverStats == nil {
-				t.Fatalf("%s: no solver stats from backend %q", res.Name, backend)
+			if r.SolverStats == nil || r.SolverStats.Workers != workers {
+				t.Fatalf("%s: solver stats %+v, want %d workers", res.Name, r.SolverStats, workers)
 			}
 		}
 		return out
@@ -164,12 +166,12 @@ func TestBatchSolverBackendSelection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus batch ILP comparison is slow")
 	}
-	sparse := runWith("sparse")
-	parallel := runWith("parallel")
-	for name, v := range sparse {
+	seq := runWith(1)
+	parallel := runWith(2)
+	for name, v := range seq {
 		// Capped solves depend on timing; only proved results must agree.
 		if pv, ok := parallel[name]; ok && v.exact && pv.exact && pv.rs != v.rs {
-			t.Errorf("%s: sparse RS=%d, parallel RS=%d", name, v.rs, pv.rs)
+			t.Errorf("%s: sequential RS=%d, 2 workers RS=%d", name, v.rs, pv.rs)
 		}
 	}
 }
