@@ -7,8 +7,10 @@
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Sense is the optimization direction of a model.
@@ -117,19 +119,27 @@ func (m *Model) AddObjCoef(v Var, c float64) { m.objCoef[v] += c }
 func (m *Model) SetObjOffset(c float64) { m.objOff = c }
 
 // AddConstr adds the linear constraint Σ terms rel rhs and returns its row
-// index. Terms referring to the same variable are accumulated.
+// index. The stored terms are in ascending variable order; terms referring
+// to the same variable are summed in input order, and zero sums dropped.
 func (m *Model) AddConstr(terms []Term, rel Rel, rhs float64, name string) int {
-	merged := make(map[Var]float64, len(terms))
 	for _, t := range terms {
 		if int(t.Var) < 0 || int(t.Var) >= len(m.vars) {
 			panic(fmt.Sprintf("lp: constraint %s uses unknown variable %d", name, t.Var))
 		}
-		merged[t.Var] += t.Coef
 	}
-	compact := make([]Term, 0, len(merged))
-	for v := Var(0); int(v) < len(m.vars); v++ {
-		if c, ok := merged[v]; ok && c != 0 {
-			compact = append(compact, Term{Var: v, Coef: c})
+	byVar := func(a, b Term) int { return cmp.Compare(a.Var, b.Var) }
+	sorted := slices.Clone(terms)
+	if !slices.IsSortedFunc(sorted, byVar) {
+		slices.SortStableFunc(sorted, byVar)
+	}
+	compact := sorted[:0]
+	for i := 0; i < len(sorted); {
+		t := sorted[i]
+		for i++; i < len(sorted) && sorted[i].Var == t.Var; i++ {
+			t.Coef += sorted[i].Coef
+		}
+		if t.Coef != 0 {
+			compact = append(compact, t)
 		}
 	}
 	m.constrs = append(m.constrs, constr{terms: compact, rel: rel, rhs: rhs, name: name})

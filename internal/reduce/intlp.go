@@ -64,86 +64,9 @@ func ExactILP(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int, o
 		return r, nil
 	}
 
-	m := lp.NewModel(fmt.Sprintf("ReduceRS(%s,%s,R=%d)", g.Name, t, available), lp.Minimize)
-	// On zero-offset machines the latency-1 serialization arcs require
-	// strictly separated lifetimes, so the interference test is widened by
-	// one cycle (see rs.BuildCore).
-	core, _, err := rs.BuildCore(an, opt.ApplyReductions, StrictSlack(g), m)
+	m, core, colors, err := coloringModel(g, t, an, available, opt)
 	if err != nil {
 		return nil, err
-	}
-	nv := len(an.Values)
-
-	// Coloring variables: x^c_i, one register c per value i.
-	colors := make([][]lp.Var, nv)
-	for i := 0; i < nv; i++ {
-		colors[i] = make([]lp.Var, available)
-		terms := make([]lp.Term, available)
-		for c := 0; c < available; c++ {
-			colors[i][c] = m.NewBinary(fmt.Sprintf("x%d(%s)", c, g.Node(an.Values[i]).Name))
-			terms[c] = lp.Term{Var: colors[i][c], Coef: 1}
-		}
-		m.AddConstr(terms, lp.EQ, 1, fmt.Sprintf("onereg(%d)", i))
-	}
-	// Interfering values cannot share a register: x^c_i + x^c_j ≤ 2 − s_{ij}.
-	for i := 0; i < nv; i++ {
-		for j := i + 1; j < nv; j++ {
-			key := [2]int{i, j}
-			if core.NeverAlive[key] {
-				continue // statically disjoint lifetimes: any colors work
-			}
-			s := core.S[key]
-			for c := 0; c < available; c++ {
-				m.AddConstr([]lp.Term{
-					{Var: colors[i][c], Coef: 1},
-					{Var: colors[j][c], Coef: 1},
-					{Var: s, Coef: 1},
-				}, lp.LE, 2, fmt.Sprintf("col%d(%d,%d)", c, i, j))
-			}
-		}
-	}
-
-	// Topological-sort guarantee (VLIW/EPIC): ordering variables π with
-	// π_v ≥ π_u + 1 along original edges, and whenever LT_i ≺ LT_j (the
-	// half-interference binary h_{i→j} is 0), the would-be serialization
-	// arcs must also respect π.
-	if opt.GuaranteeDAG && g.Machine.HasOffsets() {
-		n := g.NumNodes()
-		pi := make([]lp.Var, n)
-		for u := 0; u < n; u++ {
-			pi[u] = m.NewVar(0, float64(n-1), true, fmt.Sprintf("pi(%s)", g.Node(u).Name))
-		}
-		for _, e := range g.Edges() {
-			ilp.GE(m, ilp.VarExpr(pi[e.To]).Minus(ilp.VarExpr(pi[e.From])).AddConst(-1),
-				fmt.Sprintf("piedge(%s,%s)", g.Node(e.From).Name, g.Node(e.To).Name))
-		}
-		for i := 0; i < nv; i++ {
-			for j := 0; j < nv; j++ {
-				if i == j {
-					continue
-				}
-				h, ok := core.H[[2]int{i, j}]
-				if !ok {
-					continue // statically handled pair
-				}
-				for _, a := range ValueSerializationArcs(g, t, an.Values[i], an.Values[j]) {
-					if a.From == a.To {
-						continue
-					}
-					// h_{i→j} = 0 (i.e. LT_i ≺ LT_j) ⇒ π_to ≥ π_from + 1.
-					ilp.ImpliesGEWhenZero(m, h,
-						ilp.VarExpr(pi[a.To]).Minus(ilp.VarExpr(pi[a.From])).AddConst(-1),
-						fmt.Sprintf("piser(%d,%d,%s)", i, j, g.Node(a.From).Name))
-				}
-			}
-		}
-	}
-
-	// Objective: minimize the total schedule time σ_⊥.
-	m.SetObjCoef(core.Sigma[g.Bottom()], 1)
-	if opt.MakespanBound > 0 {
-		m.AddConstr([]lp.Term{{Var: core.Sigma[g.Bottom()], Coef: 1}},
-			lp.LE, float64(opt.MakespanBound), "makespan")
 	}
 
 	sopt := opt.Solver
@@ -239,6 +162,95 @@ func ExactILP(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int, o
 		Exact:       sol.Status == lp.StatusOptimal,
 		SolverStats: &stats,
 	}, nil
+}
+
+// coloringModel builds the Section 4 intLP for reducing g's type-t
+// saturation to available registers: the Section 3 interference core, the
+// coloring variables colors[i][c] and rows, the optional π ordering, and
+// the σ_⊥ objective.
+func coloringModel(g *ddg.Graph, t ddg.RegType, an *rs.Analysis, available int, opt ILPOptions) (*lp.Model, *rs.CoreVars, [][]lp.Var, error) {
+	m := lp.NewModel(fmt.Sprintf("ReduceRS(%s,%s,R=%d)", g.Name, t, available), lp.Minimize)
+	// On zero-offset machines the latency-1 serialization arcs require
+	// strictly separated lifetimes, so the interference test is widened by
+	// one cycle (see rs.BuildCore).
+	core, _, err := rs.BuildCore(an, opt.ApplyReductions, StrictSlack(g), m)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	nv := len(an.Values)
+
+	// Coloring variables: x^c_i, one register c per value i.
+	colors := make([][]lp.Var, nv)
+	for i := 0; i < nv; i++ {
+		colors[i] = make([]lp.Var, available)
+		terms := make([]lp.Term, available)
+		for c := 0; c < available; c++ {
+			colors[i][c] = m.NewBinary(fmt.Sprintf("x%d(%s)", c, g.Node(an.Values[i]).Name))
+			terms[c] = lp.Term{Var: colors[i][c], Coef: 1}
+		}
+		m.AddConstr(terms, lp.EQ, 1, fmt.Sprintf("onereg(%d)", i))
+	}
+	// Interfering values cannot share a register: x^c_i + x^c_j ≤ 2 − s_{ij}.
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			key := [2]int{i, j}
+			if core.NeverAlive[key] {
+				continue // statically disjoint lifetimes: any colors work
+			}
+			s := core.S[key]
+			for c := 0; c < available; c++ {
+				m.AddConstr([]lp.Term{
+					{Var: colors[i][c], Coef: 1},
+					{Var: colors[j][c], Coef: 1},
+					{Var: s, Coef: 1},
+				}, lp.LE, 2, fmt.Sprintf("col%d(%d,%d)", c, i, j))
+			}
+		}
+	}
+
+	// Topological-sort guarantee (VLIW/EPIC): ordering variables π with
+	// π_v ≥ π_u + 1 along original edges, and whenever LT_i ≺ LT_j (the
+	// half-interference binary h_{i→j} is 0), the would-be serialization
+	// arcs must also respect π.
+	if opt.GuaranteeDAG && g.Machine.HasOffsets() {
+		n := g.NumNodes()
+		pi := make([]lp.Var, n)
+		for u := 0; u < n; u++ {
+			pi[u] = m.NewVar(0, float64(n-1), true, fmt.Sprintf("pi(%s)", g.Node(u).Name))
+		}
+		for _, e := range g.Edges() {
+			ilp.GE(m, ilp.VarExpr(pi[e.To]).Minus(ilp.VarExpr(pi[e.From])).AddConst(-1),
+				fmt.Sprintf("piedge(%s,%s)", g.Node(e.From).Name, g.Node(e.To).Name))
+		}
+		for i := 0; i < nv; i++ {
+			for j := 0; j < nv; j++ {
+				if i == j {
+					continue
+				}
+				h, ok := core.H[[2]int{i, j}]
+				if !ok {
+					continue // statically handled pair
+				}
+				for _, a := range ValueSerializationArcs(g, t, an.Values[i], an.Values[j]) {
+					if a.From == a.To {
+						continue
+					}
+					// h_{i→j} = 0 (i.e. LT_i ≺ LT_j) ⇒ π_to ≥ π_from + 1.
+					ilp.ImpliesGEWhenZero(m, h,
+						ilp.VarExpr(pi[a.To]).Minus(ilp.VarExpr(pi[a.From])).AddConst(-1),
+						fmt.Sprintf("piser(%d,%d,%s)", i, j, g.Node(a.From).Name))
+				}
+			}
+		}
+	}
+
+	// Objective: minimize the total schedule time σ_⊥.
+	m.SetObjCoef(core.Sigma[g.Bottom()], 1)
+	if opt.MakespanBound > 0 {
+		m.AddConstr([]lp.Term{{Var: core.Sigma[g.Bottom()], Coef: 1}},
+			lp.LE, float64(opt.MakespanBound), "makespan")
+	}
+	return m, core, colors, nil
 }
 
 // coloringCliques derives the always-interfere clique hints of the Section 4

@@ -112,75 +112,87 @@ func remapCliques(h *Hints, ps *presolved) (cliques []*cutClique, infeasible boo
 
 // separation is the outcome of root cut separation.
 type separation struct {
-	added int64 // cuts appended to the model
+	added  int64 // cuts appended to the model
+	rounds int64 // separation LPs solved
 	// root is the solved root LP of the final model when separation
 	// converged (its last round added no cut): the search adopts it for the
 	// root node instead of solving the same LP again from a cold start. Nil
-	// when no round ran to optimality or the last round added cuts.
+	// when no round ran to optimality or the last round added cuts; the
+	// tableau has then been released.
 	root *spx
 	// iters and blandIters total the simplex iterations of every round's
 	// solve; root's own counters are zeroed, so nothing is counted twice.
 	iters, blandIters int64
 }
 
-// separateRoot solves the root LP relaxation of rm repeatedly, appending the
-// hinted cliques the fractional point violates, until no violation remains
-// or a round/cut cap is hit. rm is solver-owned (presolve always re-emits),
-// so appending rows is safe. p must be the sparse form of rm as passed; the
-// first round solves it, later rounds rebuild it after the appended cuts.
+// separateRoot solves the root LP relaxation of rm, appends the hinted
+// cliques the fractional point violates, and reoptimizes, until no violation
+// remains or a round/cut cap is hit. rm is solver-owned (presolve always
+// re-emits), so appending rows is safe. p must be the sparse form of rm as
+// passed. Every round after the first extends the previous round's optimal
+// tableau with the new cut rows (spx.addRows) and resumes the dual simplex
+// from that basis, so the root LP is solved cold only once.
 func separateRoot(rm *lp.Model, p *prob, cliques []*cutClique, cancelled func() bool) (sep separation) {
-	if len(cliques) == 0 {
+	if len(cliques) == 0 || (cancelled != nil && cancelled()) {
 		return sep
 	}
-	for round := 0; round < cutMaxRounds; round++ {
-		if cancelled != nil && cancelled() {
-			return sep
-		}
-		if round > 0 {
-			var err error
-			if p, err = buildProb(rm); err != nil {
-				return sep
-			}
-		}
-		w := newSpx(p)
-		w.cancel = cancelled
-		w.reset(p.rootLo, p.rootHi)
+	w := newSpx(p)
+	w.cancel = cancelled
+	w.reset(p.rootLo, p.rootHi)
+	for round := 1; ; round++ {
 		st := w.dual(math.Inf(1))
+		sep.rounds++
 		sep.iters += w.iters
 		sep.blandIters += w.blandIters
 		w.iters, w.blandIters = 0, 0
 		if st != spxOptimal {
-			return sep
+			break
 		}
-		x := w.solution()
-		any := false
-		for _, c := range cliques {
-			if c.row >= 0 {
-				continue
-			}
-			act := 0.0
-			for _, j := range c.cols {
-				act += x[j]
-			}
-			if act > c.rhs+cutMinViol {
-				terms := make([]lp.Term, len(c.cols))
-				for i, j := range c.cols {
-					terms[i] = lp.Term{Var: lp.Var(j), Coef: 1}
-				}
-				c.row = rm.AddConstr(terms, lp.LE, c.rhs, c.name)
-				sep.added++
-				any = true
-				if sep.added >= cutMaxAdded {
-					return sep
-				}
-			}
-		}
-		if !any {
+		k := appendViolated(rm, cliques, w.solution(), cutMaxAdded-sep.added)
+		if k == 0 {
 			sep.root = w
 			return sep
 		}
+		sep.added += k
+		if sep.added >= cutMaxAdded || round == cutMaxRounds || (cancelled != nil && cancelled()) {
+			break
+		}
+		p2, err := buildProb(rm)
+		if err != nil {
+			break
+		}
+		w.addRows(p2)
 	}
+	releaseSpx(w)
 	return sep
+}
+
+// appendViolated appends to rm, as rows, the cliques not yet added that x
+// violates by more than cutMinViol, stopping after limit of them, and
+// returns how many it appended.
+func appendViolated(rm *lp.Model, cliques []*cutClique, x []float64, limit int64) int64 {
+	var k int64
+	for _, c := range cliques {
+		if k >= limit {
+			break
+		}
+		if c.row >= 0 {
+			continue
+		}
+		act := 0.0
+		for _, j := range c.cols {
+			act += x[j]
+		}
+		if act > c.rhs+cutMinViol {
+			terms := make([]lp.Term, len(c.cols))
+			for i, j := range c.cols {
+				terms[i] = lp.Term{Var: lp.Var(j), Coef: 1}
+			}
+			c.row = rm.AddConstr(terms, lp.LE, c.rhs, c.name)
+			k++
+		}
+	}
+	return k
 }
 
 // activeCuts counts the added cuts tight at x (a reduced-space incumbent).

@@ -1,12 +1,17 @@
 package solver
 
 import (
+	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"regsat/internal/lp"
+	"regsat/internal/obs"
+	"regsat/internal/solver/solvertest"
 )
 
 // conflictModel builds maximize Σ c_i x_i over binaries with a pairwise
@@ -217,10 +222,15 @@ func TestCutsDisabled(t *testing.T) {
 }
 
 // hintedConflict draws a weighted maximum-independent-set model over a
-// random conflict graph (pairwise rows x_i + x_j ≤ 1) with every triangle
-// hinted as a clique, so root separation has violated cliques to add.
+// random conflict graph (pairwise rows x_i + x_j ≤ 1) on 12 to 20 vertices
+// with every triangle hinted as a clique, so root separation has violated
+// cliques to add.
 func hintedConflict(rng *rand.Rand) (*lp.Model, *Hints) {
-	nv := 12 + rng.Intn(9)
+	return hintedConflictN(rng, 12+rng.Intn(9))
+}
+
+// hintedConflictN is hintedConflict on nv vertices.
+func hintedConflictN(rng *rand.Rand, nv int) (*lp.Model, *Hints) {
 	obj := make([]float64, nv)
 	for i := range obj {
 		obj[i] = float64(1 + rng.Intn(9))
@@ -248,6 +258,34 @@ func hintedConflict(rng *rand.Rand) (*lp.Model, *Hints) {
 	return conflictModel(obj, edges), h
 }
 
+// completeConflict is the conflict model over the complete graph K_k with
+// the given vertex weights, hinted with every clique of each listed size.
+// Its LP relaxation without cuts is x = 1/2 everywhere.
+func completeConflict(obj []float64, sizes ...int) (*lp.Model, *Hints) {
+	k := len(obj)
+	var edges [][2]int
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			edges = append(edges, [2]int{i, j})
+		}
+	}
+	h := &Hints{}
+	var pick func(from int, vars []lp.Var, size int)
+	pick = func(from int, vars []lp.Var, size int) {
+		if len(vars) == size {
+			h.Cliques = append(h.Cliques, Clique{Name: fmt.Sprintf("k%d", size), Vars: slices.Clone(vars), RHS: 1})
+			return
+		}
+		for v := from; v < k; v++ {
+			pick(v+1, append(vars, lp.Var(v)), size)
+		}
+	}
+	for _, size := range sizes {
+		pick(0, nil, size)
+	}
+	return conflictModel(obj, edges), h
+}
+
 // separateAsSolve replays the sparse backend's steps up to and including
 // root separation on a private presolved copy of m.
 func separateAsSolve(t *testing.T, m *lp.Model, h *Hints) separation {
@@ -267,12 +305,41 @@ func separateAsSolve(t *testing.T, m *lp.Model, h *Hints) separation {
 	return separateRoot(ps.m, p, cliques, nil)
 }
 
+// checkOptimalBasis requires w to hold an optimal basis: every basic value
+// within its bounds (no primal violation) and every reduced cost of the
+// sign its nonbasic column's bound demands (dual feasible).
+func checkOptimalBasis(t *testing.T, tag string, w *spx) {
+	t.Helper()
+	for i, b := range w.basis[:w.p.m] {
+		if v := w.xB[i]; v < w.lo[b]-spxFeasTol || v > w.hi[b]+spxFeasTol {
+			t.Fatalf("%s: basic column %d = %g outside [%g, %g]", tag, b, v, w.lo[b], w.hi[b])
+		}
+	}
+	for j := 0; j < w.p.N; j++ {
+		d := w.d[j]
+		switch st := w.status[j]; {
+		case st == spBasic:
+			if d != 0 {
+				t.Fatalf("%s: basic column %d has reduced cost %g", tag, j, d)
+			}
+		case w.lo[j] == w.hi[j]:
+		case st == spAtLower && d < -spxDualTol, st == spAtUpper && d > spxDualTol:
+			t.Fatalf("%s: nonbasic column %d (status %d) has reduced cost %g of the wrong sign", tag, j, st, d)
+		}
+	}
+}
+
 // TestSeparateRootHandsOffSolvedRoot: when separation converges, the
-// tableau it returns is, bit for bit, what a fresh cold solve of the final
-// model's root LP reaches — so the search may adopt it for the root node.
+// tableau it returns is an optimal root of the final model, so the search
+// may adopt it for the root node. It spans every row of that model, its
+// iterations are already counted, its point satisfies the exact rows, its
+// basis is primal and dual feasible, and its objective is the one a cold
+// solve of the final model reaches. Warm rounds may stop at a different
+// optimal vertex of a degenerate LP than a cold solve, so the vertex itself
+// is not compared.
 func TestSeparateRootHandsOffSolvedRoot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	handed := 0
+	handed, warm := 0, 0
 	for trial := 0; trial < 20; trial++ {
 		m, h := hintedConflict(rng)
 		sep := separateAsSolve(t, m, h)
@@ -280,26 +347,46 @@ func TestSeparateRootHandsOffSolvedRoot(t *testing.T) {
 			continue
 		}
 		handed++
-		p := sep.root.p
+		if sep.rounds > 1 {
+			warm++
+		}
+		tag := fmt.Sprintf("trial %d", trial)
+		root := sep.root
+		p := root.p
 		if p.m != p.model.NumConstrs() {
-			t.Fatalf("trial %d: handed-off root has %d rows, the final model %d", trial, p.m, p.model.NumConstrs())
+			t.Fatalf("%s: handed-off root has %d rows, the final model %d", tag, p.m, p.model.NumConstrs())
 		}
-		if sep.root.iters != 0 || sep.root.blandIters != 0 {
-			t.Fatalf("trial %d: handed-off root still holds %d iterations: they would be counted twice", trial, sep.root.iters)
+		if root.iters != 0 || root.blandIters != 0 {
+			t.Fatalf("%s: handed-off root still holds %d iterations: they would be counted twice", tag, root.iters)
 		}
-		fresh := newSpx(p)
-		fresh.reset(p.rootLo, p.rootHi)
-		if st := fresh.dual(math.Inf(1)); st != spxOptimal {
-			t.Fatalf("trial %d: fresh root solve %v", trial, st)
+		if !root.verify(root.solution()) {
+			t.Fatalf("%s: handed-off root's point violates the exact rows", tag)
 		}
-		fresh.iters, fresh.blandIters = 0, 0
-		if d := spxDiff(sep.root, fresh); d != "" {
-			t.Fatalf("trial %d: handed-off root differs from a fresh solve in %s", trial, d)
+		checkOptimalBasis(t, tag, root)
+		cold := newSpx(p)
+		cold.reset(p.rootLo, p.rootHi)
+		if st := cold.dual(math.Inf(1)); st != spxOptimal {
+			t.Fatalf("%s: cold root solve %v", tag, st)
 		}
+		if got, want := root.obj(), cold.obj(); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("%s: handed-off root objective %.17g, cold solve %.17g", tag, got, want)
+		}
+		releaseSpx(cold)
+		releaseSpx(root)
 	}
-	if handed == 0 {
-		t.Fatal("separation never converged: nothing was compared")
+	if handed == 0 || warm == 0 {
+		t.Fatalf("separation converged %d times, %d of them after a warm round: too little was compared", handed, warm)
 	}
+}
+
+// k12 is the unit-weight complete conflict graph K12 hinted with all of its
+// 3- and 4-member cliques: 715 of them, all violated by the root LP.
+func k12() (*lp.Model, *Hints) {
+	obj := make([]float64, 12)
+	for i := range obj {
+		obj[i] = 1
+	}
+	return completeConflict(obj, 3, 4)
 }
 
 // TestSeparateRootNoHandoff: separation hands off nothing when it did not
@@ -309,30 +396,11 @@ func TestSeparateRootNoHandoff(t *testing.T) {
 	// On the complete conflict graph K12 the LP relaxation is x = 1/2
 	// everywhere, which violates every hinted 3- and 4-member clique: more
 	// than the cut cap in the first round.
-	const k = 12
-	var edges [][2]int
-	obj := make([]float64, k)
-	for i := 0; i < k; i++ {
-		obj[i] = 1
-		for j := i + 1; j < k; j++ {
-			edges = append(edges, [2]int{i, j})
-		}
-	}
-	h := &Hints{}
-	for a := 0; a < k; a++ {
-		for b := a + 1; b < k; b++ {
-			for c := b + 1; c < k; c++ {
-				h.Cliques = append(h.Cliques, Clique{Name: "k3", Vars: []lp.Var{lp.Var(a), lp.Var(b), lp.Var(c)}, RHS: 1})
-				for d := c + 1; d < k; d++ {
-					h.Cliques = append(h.Cliques, Clique{Name: "k4", Vars: []lp.Var{lp.Var(a), lp.Var(b), lp.Var(c), lp.Var(d)}, RHS: 1})
-				}
-			}
-		}
-	}
+	m12, h := k12()
 	if len(h.Cliques) <= cutMaxAdded {
 		t.Fatalf("%d cliques cannot reach the cut cap %d", len(h.Cliques), cutMaxAdded)
 	}
-	sep := separateAsSolve(t, conflictModel(obj, edges), h)
+	sep := separateAsSolve(t, m12, h)
 	if sep.added != cutMaxAdded || sep.root != nil {
 		t.Fatalf("cut cap: added %d, root handed off %v; want %d added and no root", sep.added, sep.root != nil, cutMaxAdded)
 	}
@@ -355,51 +423,56 @@ func TestSeparateRootNoHandoff(t *testing.T) {
 	}
 }
 
-// TestRootHandoffSameSearch pins hinted solves to the results the engine
-// produced before the root handoff existed: the same status, objective,
-// assignment and node count, with one cold start fewer whenever separation
-// converged (the root LP is no longer solved a second time).
+// TestRootHandoffSameSearch pins hinted solves: the status and objective
+// the engine has always proven, an assignment attaining the brute-force
+// optimum, and the node count, with one cold start fewer whenever
+// separation converged (the search adopts the separation root instead of
+// solving the root LP again).
 func TestRootHandoffSameSearch(t *testing.T) {
 	golden := []struct {
 		status lp.Status
 		obj    float64
-		x      string
 		nodes  int64
 		cold   int64 // ColdStarts without the handoff
 	}{
-		{lp.StatusOptimal, 31, "01000001000001010100", 7, 4},
-		{lp.StatusOptimal, 29, "0111000000000100010", 1, 1},
-		{lp.StatusOptimal, 23, "00000101000100", 5, 3},
-		{lp.StatusOptimal, 40, "00010010001000001100", 1, 1},
-		{lp.StatusOptimal, 28, "01100001100000", 1, 1},
-		{lp.StatusOptimal, 31, "0110000000000010010", 9, 5},
-		{lp.StatusOptimal, 29, "10010000000000101000", 5, 3},
-		{lp.StatusOptimal, 40, "00001100011010100", 1, 1},
-		{lp.StatusOptimal, 33, "00100000100001000101", 6, 3},
-		{lp.StatusOptimal, 26, "0000001100010010", 2, 1},
-		{lp.StatusOptimal, 29, "10001000010100", 1, 1},
-		{lp.StatusOptimal, 23, "000110011000", 1, 1},
+		{lp.StatusOptimal, 31, 6, 3},
+		{lp.StatusOptimal, 29, 1, 1},
+		{lp.StatusOptimal, 23, 5, 3},
+		{lp.StatusOptimal, 40, 1, 1},
+		{lp.StatusOptimal, 28, 1, 1},
+		{lp.StatusOptimal, 31, 7, 4},
+		{lp.StatusOptimal, 29, 5, 3},
+		{lp.StatusOptimal, 40, 1, 1},
+		{lp.StatusOptimal, 33, 6, 3},
+		{lp.StatusOptimal, 26, 2, 1},
+		{lp.StatusOptimal, 29, 1, 1},
+		{lp.StatusOptimal, 23, 2, 1},
 	}
 	rng := rand.New(rand.NewSource(14))
 	for trial, want := range golden {
 		m, h := hintedConflict(rng)
 		converged := separateAsSolve(t, m, h).root != nil
 		sol := solveWith(t, m, Options{Hints: h})
-		x := make([]byte, len(sol.X))
-		for i, v := range sol.X {
-			x[i] = '0' + byte(math.Round(v))
-		}
 		wantCold := want.cold
 		if converged {
 			wantCold--
 		}
-		if sol.Status != want.status || sol.Obj != want.obj || string(x) != want.x || sol.Stats.Nodes != want.nodes {
-			t.Fatalf("trial %d: %v obj %g x %s nodes %d; want %v obj %g x %s nodes %d",
-				trial, sol.Status, sol.Obj, x, sol.Stats.Nodes, want.status, want.obj, want.x, want.nodes)
+		if sol.Status != want.status || sol.Obj != want.obj || sol.Stats.Nodes != want.nodes {
+			t.Fatalf("trial %d: %v obj %g nodes %d; want %v obj %g nodes %d",
+				trial, sol.Status, sol.Obj, sol.Stats.Nodes, want.status, want.obj, want.nodes)
 		}
 		if sol.Stats.ColdStarts != wantCold {
 			t.Fatalf("trial %d: %d cold starts, want %d (separation converged: %v)",
 				trial, sol.Stats.ColdStarts, wantCold, converged)
+		}
+		tag := fmt.Sprintf("trial %d", trial)
+		checkSatisfies(t, m, sol.X, tag)
+		obj := 0.0
+		for j, x := range sol.X {
+			obj += m.ObjCoef(lp.Var(j)) * x
+		}
+		if bf := solvertest.BruteForce(m); !bf.Found || obj != bf.Obj {
+			t.Fatalf("%s: assignment attains %g, brute-force optimum %g", tag, obj, bf.Obj)
 		}
 	}
 }
@@ -434,5 +507,40 @@ func TestSeparationItersCounted(t *testing.T) {
 	if st.SimplexIters != sep.iters+1 || st.BlandIters != sep.blandIters || st.ColdStarts != 0 {
 		t.Fatalf("SimplexIters %d BlandIters %d ColdStarts %d; want %d, %d and 0 (separation %d + the root check)",
 			st.SimplexIters, st.BlandIters, st.ColdStarts, sep.iters+1, sep.blandIters, sep.iters)
+	}
+}
+
+// TestCutsSeparatedEventReportsCost: a traced hinted solve's
+// cuts.separated event carries the separation's cliques, added cuts,
+// rounds and simplex iterations — the same figures separateRoot reports.
+func TestCutsSeparatedEventReportsCost(t *testing.T) {
+	m, h := completeConflict([]float64{6, 5, 4, 3, 2, 1}, 3, 6)
+	sep := separateAsSolve(t, m, h)
+	releaseSpx(sep.root)
+	if sep.rounds < 2 {
+		t.Fatalf("separation ran %d rounds, want a warm round too", sep.rounds)
+	}
+	tr := obs.NewTracer(obs.Config{SampleRate: 1})
+	ctx, root := tr.StartRequest(context.Background(), "test", obs.Link{}, true)
+	if _, err := Solve(ctx, m, Options{Hints: h}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	var got []map[string]string
+	for _, sp := range tr.Collect(root.TraceID()) {
+		for _, ev := range sp.Events {
+			if ev.Name == "cuts.separated" {
+				got = append(got, ev.Attrs)
+			}
+		}
+	}
+	want := map[string]string{
+		"cliques": fmt.Sprint(len(h.Cliques)),
+		"added":   fmt.Sprint(sep.added),
+		"rounds":  fmt.Sprint(sep.rounds),
+		"iters":   fmt.Sprint(sep.iters),
+	}
+	if len(got) != 1 || !maps.Equal(got[0], want) {
+		t.Fatalf("cuts.separated events %v, want one with %v", got, want)
 	}
 }

@@ -1,0 +1,150 @@
+package solver
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"regsat/internal/lp"
+	"regsat/internal/solver/solvertest"
+)
+
+// drainSpxPool empties the tableau pool: a sync.Pool drops everything it
+// holds across two garbage collections.
+func drainSpxPool() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// poison overwrites the whole capacity of every buffer of a released
+// tableau: NaN in the float slices, out-of-range values in the index and
+// status slices. Anything read before being written again shows.
+func poison(s *spx) {
+	for _, b := range [][]float64{s.tab, s.lo, s.hi, s.xval, s.xB, s.d, s.dweight} {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = math.NaN()
+		}
+	}
+	for _, b := range [][]int32{s.basis, s.rowOf, s.nz} {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = math.MaxInt32
+		}
+	}
+	st := s.status[:cap(s.status)]
+	for i := range st {
+		st[i] = math.MaxInt8
+	}
+}
+
+// hintedModel is a model with the hints its solve gets.
+type hintedModel struct {
+	m *lp.Model
+	h *Hints
+}
+
+// poolCorpus is a set of hinted and unhinted models whose solves exercise
+// every tableau life cycle: converged separation handed to the search,
+// the cut cap releasing the separation tableau, addRows replacing buffers,
+// strong-branching probe tableaux, and tableaux of different sizes reusing
+// each other's storage.
+func poolCorpus() []hintedModel {
+	var c []hintedModel
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 12; i++ {
+		m, h := hintedConflict(rng)
+		c = append(c, hintedModel{m, h}, hintedModel{m: randomMILP(rng)})
+	}
+	m6, h6 := completeConflict([]float64{6, 5, 4, 3, 2, 1}, 3, 6)
+	m12, h12 := k12()
+	return append(c, hintedModel{m6, h6}, hintedModel{m12, h12}, hintedModel{m: bigKnapsack()})
+}
+
+// TestPooledTableauNoStaleData: pooled tableaux come back with stale
+// contents, which reset, copyFrom and addRows must overwrite in full. With
+// every released tableau poisoned, the corpus must solve to the same
+// Solution and Stats as it does starting from a drained pool.
+func TestPooledTableauNoStaleData(t *testing.T) {
+	solveAll := func(drain bool) []*Solution {
+		var sols []*Solution
+		for _, in := range poolCorpus() {
+			if drain {
+				drainSpxPool()
+			}
+			sol := solveWith(t, in.m, Options{Hints: in.h})
+			sol.Stats.Duration = 0
+			sols = append(sols, sol)
+		}
+		return sols
+	}
+	want := solveAll(true)
+	testHookRelease = poison
+	defer func() { testHookRelease = nil }()
+	drainSpxPool()
+	for round := 0; round < 2; round++ {
+		for i, got := range solveAll(false) {
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("round %d model %d: from poisoned pooled tableaux\n%+v\nfrom a drained pool\n%+v", round, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestPooledTableauConcurrentSolves solves models of different sizes on
+// several goroutines at once, sequential and 2-worker searches mixed, so
+// tableaux of one solve are recycled into another while both run. Every
+// answer is checked against brute force.
+func TestPooledTableauConcurrentSolves(t *testing.T) {
+	type input struct {
+		hintedModel
+		want solvertest.Optimum
+	}
+	build := func() []input {
+		rng := rand.New(rand.NewSource(31))
+		var in []input
+		for nv := 6; nv <= 13; nv++ {
+			m, h := hintedConflictN(rng, nv)
+			in = append(in, input{hintedModel: hintedModel{m, h}}, input{hintedModel: hintedModel{m: randomMILP(rng)}})
+		}
+		m6, h6 := completeConflict([]float64{6, 5, 4, 3, 2, 1}, 3, 6)
+		m12, h12 := k12()
+		return append(in, input{hintedModel: hintedModel{m6, h6}}, input{hintedModel: hintedModel{m12, h12}},
+			input{hintedModel: hintedModel{m: bigKnapsack()}})
+	}
+	ref := build()
+	for i := range ref {
+		ref[i].want = solvertest.BruteForce(ref[i].m)
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			in := build() // models are private to the goroutine
+			for k := range in {
+				i := (k*3 + g) % len(in)
+				tag := fmt.Sprintf("goroutine %d model %d", g, i)
+				sol, err := Solve(context.Background(), in[i].m, Options{Hints: in[i].h, Parallel: 1 + g%2})
+				if err != nil {
+					t.Errorf("%s: %v", tag, err)
+					return
+				}
+				want := ref[i].want
+				switch {
+				case !want.Found && sol.Status != lp.StatusInfeasible:
+					t.Errorf("%s: status %v, brute force says infeasible", tag, sol.Status)
+				case want.Found && (sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-want.Obj) > 1e-6):
+					t.Errorf("%s: %v/%g, brute-force optimum %g", tag, sol.Status, sol.Obj, want.Obj)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"regsat/internal/lp"
 )
@@ -193,20 +194,59 @@ type spx struct {
 	cancel     func() bool
 }
 
+// spxPool recycles tableau storage across solves: a cold solve of the
+// paper's models otherwise spends most of its allocation on tableaux.
+// Everything in it was released by releaseSpx and is owned by nobody.
+var spxPool = sync.Pool{New: func() any { return new(spx) }}
+
+// newSpx returns a tableau for p, reusing pooled storage when its capacity
+// suffices. The contents are stale: reset, copyFrom or addRows overwrites
+// every element before use.
 func newSpx(p *prob) *spx {
-	s := &spx{p: p, stride: p.N + 1}
-	s.tab = make([]float64, p.m*s.stride)
-	s.lo = make([]float64, p.N)
-	s.hi = make([]float64, p.N)
-	s.basis = make([]int32, p.m)
-	s.rowOf = make([]int32, p.N)
-	s.status = make([]int8, p.N)
-	s.xval = make([]float64, p.N)
-	s.xB = make([]float64, p.m)
-	s.d = make([]float64, p.N)
-	s.dweight = make([]float64, p.m)
-	s.nz = make([]int32, 0, s.stride)
+	s := spxPool.Get().(*spx)
+	stride := p.N + 1
+	*s = spx{
+		p:       p,
+		stride:  stride,
+		tab:     resize(s.tab, p.m*stride),
+		lo:      resize(s.lo, p.N),
+		hi:      resize(s.hi, p.N),
+		basis:   resize(s.basis, p.m),
+		rowOf:   resize(s.rowOf, p.N),
+		status:  resize(s.status, p.N),
+		xval:    resize(s.xval, p.N),
+		xB:      resize(s.xB, p.m),
+		d:       resize(s.d, p.N),
+		dweight: resize(s.dweight, p.m),
+		nz:      resize(s.nz, stride)[:0],
+	}
 	return s
+}
+
+// resize returns b resliced to length n, or a new slice when b is too small.
+func resize[T any](b []T, n int) []T {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	return make([]T, n)
+}
+
+// testHookRelease, when set, sees every tableau releaseSpx pools. Tests use
+// it to poison released storage; it is nil in production.
+var testHookRelease func(s *spx)
+
+// releaseSpx returns s and its probe tableau to the pool. Neither may be
+// touched afterwards. A nil s is a no-op.
+func releaseSpx(s *spx) {
+	if s == nil {
+		return
+	}
+	releaseSpx(s.probe)
+	s.p, s.probe, s.cancel = nil, nil, nil
+	if testHookRelease != nil {
+		testHookRelease(s)
+	}
+	spxPool.Put(s)
 }
 
 // copyFrom makes s an exact clone of src (same prob), for iteration-capped
@@ -300,6 +340,71 @@ func (s *spx) reset(lo, hi []float64) {
 		s.dweight[i] = 1
 	}
 	s.pivots = 0
+}
+
+// addRows extends s, a tableau over the leading rows of p2 (same columns,
+// p2 only appends rows), to all of p2's rows while keeping its basis. The
+// old rows are copied into the wider stride with zero entries in the new
+// slack columns. Each new row is rewritten in terms of the current basis by
+// eliminating its basic structural columns, and its slack becomes basic at
+// rhs − a·x. Reduced costs do not change, so the basis stays dual feasible
+// and dual resumes from where the last solve stopped. The replaced storage
+// goes back to the pool.
+func (s *spx) addRows(p2 *prob) {
+	p := s.p
+	t := newSpx(p2)
+	N, N2 := p.N, p2.N
+	for i := 0; i < p.m; i++ {
+		src, dst := s.row(i), t.row(i)
+		copy(dst, src[:N])
+		clear(dst[N:N2])
+		dst[N2] = src[N]
+	}
+	copy(t.lo, s.lo)
+	copy(t.hi, s.hi)
+	copy(t.lo[N:], p2.slackLo[p.m:])
+	copy(t.hi[N:], p2.slackHi[p.m:])
+	copy(t.basis, s.basis)
+	copy(t.rowOf, s.rowOf)
+	copy(t.status, s.status)
+	copy(t.xval, s.xval)
+	copy(t.xB, s.xB)
+	copy(t.d, s.d)
+	copy(t.dweight, s.dweight)
+	for i := p.m; i < p2.m; i++ {
+		r := t.row(i)
+		clear(r)
+		act := 0.0
+		for k := p2.rowPtr[i]; k < p2.rowPtr[i+1]; k++ {
+			j, a := p2.rowCol[k], p2.rowVal[k]
+			act += a * s.value(int(j))
+			r[j] += a
+			if b := s.rowOf[j]; b >= 0 {
+				for c, v := range t.row(int(b)) {
+					if v != 0 {
+						r[c] -= a * v
+					}
+				}
+				// Row b is exactly zero in every other basic column, so
+				// only j's own entry can keep a rounding residue.
+				r[j] = 0
+			}
+		}
+		r[N2] += p2.rhs[i]
+		slack := p2.n + i
+		r[slack] = 1
+		t.basis[i] = int32(slack)
+		t.rowOf[slack] = int32(i)
+		t.status[slack] = spBasic
+		t.xval[slack] = 0
+		t.xB[i] = p2.rhs[i] - act
+		t.d[slack] = 0
+		t.dweight[i] = 1
+	}
+	t.iters, t.blandIters, t.pivots = s.iters, s.blandIters, s.pivots
+	t.iterLimit, t.cancel = s.iterLimit, s.cancel
+	*s, *t = *t, *s
+	releaseSpx(t)
 }
 
 // applyBound tightens structural column j to [lo, hi] in place, keeping the

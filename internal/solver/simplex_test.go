@@ -1,8 +1,10 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"regsat/internal/lp"
@@ -312,5 +314,97 @@ func TestDualSparseEliminationBitIdentical(t *testing.T) {
 	}
 	if pivots == 0 {
 		t.Fatal("no trial pivoted: the comparison exercised nothing")
+	}
+}
+
+// checkTableauPoint requires w's current point — basic values plus
+// nonbasic values — to satisfy every row of its sparse matrix, A·x + s = b,
+// and every tableau row to agree with its right-hand-side column, both to
+// 1e-9. Every row must also be exactly zero in the other rows' basic
+// columns.
+func checkTableauPoint(t *testing.T, tag string, w *spx) {
+	t.Helper()
+	p := w.p
+	for i := 0; i < p.m; i++ {
+		act := w.value(p.n + i)
+		for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
+			act += p.rowVal[k] * w.value(int(p.rowCol[k]))
+		}
+		if math.Abs(act-p.rhs[i]) > 1e-9 {
+			t.Fatalf("%s: row %d: A·x + s = %.17g, b = %g", tag, i, act, p.rhs[i])
+		}
+		r := w.row(i)
+		sum := w.xB[i]
+		for j := 0; j < p.N; j++ {
+			if w.status[j] != spBasic {
+				sum += r[j] * w.xval[j]
+			} else if int(w.rowOf[j]) != i && r[j] != 0 {
+				t.Fatalf("%s: tableau row %d holds %g in column %d, basic in row %d", tag, i, r[j], j, w.rowOf[j])
+			}
+		}
+		if math.Abs(sum-r[p.N]) > 1e-9 {
+			t.Fatalf("%s: tableau row %d: basic plus nonbasic terms %.17g, right-hand side %.17g", tag, i, sum, r[p.N])
+		}
+	}
+}
+
+// TestAddRowsKeepsTableauPoint runs the cut rounds of root separation by
+// hand and checks every extension of the optimal tableau: the point it
+// holds still satisfies every original row and every cut row, each tableau
+// row agrees with its right-hand side, the old reduced costs are unchanged
+// bit for bit, and the extended basis reoptimizes to an optimum.
+func TestAddRowsKeepsTableauPoint(t *testing.T) {
+	extended := 0
+	run := func(tag string, m *lp.Model, h *Hints) {
+		ps := presolve(m, 1e-6, true)
+		cliques, _ := remapCliques(h, ps)
+		p, err := buildProb(ps.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newSpx(p)
+		defer releaseSpx(w)
+		w.reset(p.rootLo, p.rootHi)
+		for round := 0; round < cutMaxRounds; round++ {
+			tag := fmt.Sprintf("%s round %d", tag, round)
+			if st := w.dual(math.Inf(1)); st != spxOptimal {
+				t.Fatalf("%s: %v", tag, st)
+			}
+			checkTableauPoint(t, tag, w)
+			if appendViolated(ps.m, cliques, w.solution(), math.MaxInt64) == 0 {
+				return
+			}
+			p2, err := buildProb(ps.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := slices.Clone(w.d)
+			w.addRows(p2)
+			extended++
+			if w.p != p2 || len(w.basis) != p2.m {
+				t.Fatalf("%s: tableau not extended to the %d rows", tag, p2.m)
+			}
+			if !sameBits(w.d[:len(d)], d) {
+				t.Fatalf("%s: addRows changed the old reduced costs", tag)
+			}
+			checkTableauPoint(t, tag+" after addRows", w)
+		}
+	}
+	rng := rand.New(rand.NewSource(16))
+	trials := 40
+	if testing.Short() {
+		trials = 15
+	}
+	for trial := 0; trial < trials; trial++ {
+		m, h := hintedConflict(rng)
+		run(fmt.Sprintf("trial %d", trial), m, h)
+	}
+	k6 := []float64{6, 5, 4, 3, 2, 1}
+	m, h := completeConflict(k6, 3, 6)
+	run("K6", m, h)
+	m, h = k12()
+	run("K12", m, h)
+	if extended == 0 {
+		t.Fatal("no tableau was extended")
 	}
 }

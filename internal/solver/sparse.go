@@ -81,7 +81,8 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 	var sep separation
 	if len(cliques) > 0 {
 		sep = separateRoot(rm, p, cliques, cancelled)
-		span.Event("cuts.separated", obs.Int("added", sep.added), obs.Int("cliques", int64(len(cliques))))
+		span.Event("cuts.separated", obs.Int("added", sep.added), obs.Int("cliques", int64(len(cliques))),
+			obs.Int("rounds", sep.rounds), obs.Int("iters", sep.iters))
 		switch {
 		case sep.root != nil:
 			// Separation converged: its last round solved the root LP of
@@ -209,7 +210,8 @@ type searcher struct {
 	exclusiveCutoff bool
 	cliqueIx        *cliqueIndex
 	// root is the root LP already solved by cut separation, or nil. Only
-	// the one worker that pops the root node reads it, and it takes it.
+	// the one worker that pops the root node reads it, and it takes
+	// ownership: the tableau is released when that worker exits.
 	root *spx
 
 	mu       sync.Mutex
@@ -434,6 +436,7 @@ func (s *searcher) worker() {
 	lo := make([]float64, p.n)
 	hi := make([]float64, p.n)
 	var path []*qnode
+	defer func() { releaseSpx(w) }()
 	for {
 		nd := s.pop()
 		if nd == nil {
@@ -444,8 +447,9 @@ func (s *searcher) worker() {
 			obs.Int("depth", int64(len(path))),
 			obs.Str("bound", strconv.FormatFloat(nd.bound, 'g', 6, 64)))
 		if nd.vr < 0 && s.root != nil {
-			// The root LP is already solved: adopt that tableau, whose
-			// optimal basis is exactly what a cold solve would reach.
+			// The root LP is already solved: adopt that tableau, an optimal
+			// basis of exactly the LP a cold solve would face. The root is
+			// the first node popped, so w holds no tableau yet.
 			w, s.root = s.root, nil
 			w.cancel = s.cancelled
 		} else {
