@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 
 	"regsat/internal/ddg"
 	"regsat/internal/lp"
@@ -169,130 +170,13 @@ func (l *Loop) periodicBounds(t ddg.RegType, ii int64) (dmax int64, jmax int) {
 // PeriodicRS solves the exact periodic MILP for one register type at the
 // given (or minimum) initiation interval.
 func PeriodicRS(ctx context.Context, l *Loop, t ddg.RegType, opt PeriodicOptions) (*Periodic, error) {
-	if err := l.Validate(); err != nil {
+	m, ii, jmax, err := PeriodicModel(l, t, opt)
+	if err != nil {
 		return nil, err
 	}
-	ii := opt.II
-	if ii <= 0 {
-		var err error
-		if ii, err = MinII(l); err != nil {
-			return nil, err
-		}
-	} else if !l.feasibleII(ii) {
-		return nil, fmt.Errorf("cyclic: initiation interval %d is infeasible for %q", ii, l.Name)
-	}
-	var values []int
-	for i := range l.nodes {
-		if l.nodes[i].WritesType(t) {
-			values = append(values, i)
-		}
-	}
-	if len(values) == 0 {
+	if m == nil {
 		return &Periodic{II: ii, RS: 0, Exact: true}, nil
 	}
-	dmax, jmax := l.periodicBounds(t, ii)
-	maxBin := opt.MaxAliveBinaries
-	if maxBin <= 0 {
-		maxBin = DefaultMaxAliveBinaries
-	}
-	if int64(len(values))*ii*int64(jmax) > int64(maxBin) {
-		return nil, fmt.Errorf("cyclic: periodic model for %q/%s needs %d alive binaries (> %d): kernel too large to certify",
-			l.Name, t, int64(len(values))*ii*int64(jmax), maxBin)
-	}
-
-	hx := l.horizon()
-	bigM := float64(dmax + ii*int64(jmax) + 1)
-	m := lp.NewModel(fmt.Sprintf("prs-%s-%s", l.Name, t), lp.Maximize)
-
-	x := make([]lp.Var, len(l.nodes))
-	for i := range l.nodes {
-		x[i] = m.NewVar(0, float64(hx), true, "x_"+l.nodes[i].Name)
-	}
-	// Periodic precedence: x_v − x_u ≥ λ − II·ω for every dependence.
-	for _, e := range l.edges {
-		rhs := float64(e.Latency - ii*e.Dist)
-		if e.From == e.To {
-			if rhs > 0 {
-				return nil, fmt.Errorf("cyclic: self-edge on %s infeasible at II=%d", l.nodes[e.From].Name, ii)
-			}
-			continue
-		}
-		m.AddConstr([]lp.Term{{Var: x[e.To], Coef: 1}, {Var: x[e.From], Coef: -1}},
-			lp.GE, rhs, "prec")
-	}
-
-	// Death dates: d_u = last read of u^t across consumer instances (c, ω) —
-	// d ≥ every read, pinned to the chosen killer's read by a binary per
-	// consumer instance. Values without consumers die a fixed latency after
-	// their write.
-	d := make(map[int]lp.Var, len(values))
-	for _, u := range values {
-		name := l.nodes[u].Name
-		d[u] = m.NewVar(0, float64(dmax), true, "d_"+name)
-		dw := l.nodes[u].DelayW(t)
-		var kills []lp.Term
-		for ei, e := range l.edges {
-			if e.Kind != ddg.Flow || e.From != u || e.Type != t {
-				continue
-			}
-			rhs := float64(l.nodes[e.To].DelayR + ii*e.Dist)
-			m.AddConstr([]lp.Term{{Var: d[u], Coef: 1}, {Var: x[e.To], Coef: -1}},
-				lp.GE, rhs, "dge_"+name)
-			k := m.NewBinary(fmt.Sprintf("kill_%s_%d", name, ei))
-			m.AddConstr([]lp.Term{{Var: d[u], Coef: 1}, {Var: x[e.To], Coef: -1}, {Var: k, Coef: bigM}},
-				lp.LE, rhs+bigM, "dle_"+name)
-			kills = append(kills, lp.Term{Var: k, Coef: 1})
-		}
-		if len(kills) == 0 {
-			lat := l.nodes[u].Latency
-			if lat < 1 {
-				lat = 1
-			}
-			m.AddConstr([]lp.Term{{Var: d[u], Coef: 1}, {Var: x[u], Coef: -1}},
-				lp.EQ, float64(dw+lat), "dlast_"+name)
-			continue
-		}
-		m.AddConstr(kills, lp.EQ, 1, "killone_"+name)
-	}
-
-	// Alive binaries a_{u,τ,j}: copy j of value u alive at kernel position τ
-	// (instant T = τ + II·j lies in ]write, death]). One-directional big-M —
-	// the objective pushes a up, so only the "may be 1" direction is modeled.
-	sumAt := make([][]lp.Term, ii)
-	for _, u := range values {
-		name := l.nodes[u].Name
-		dw := l.nodes[u].DelayW(t)
-		for tau := int64(0); tau < ii; tau++ {
-			for j := 0; j < jmax; j++ {
-				T := tau + ii*int64(j)
-				a := m.NewBinary(fmt.Sprintf("a_%s_%d_%d", name, tau, j))
-				// T ≥ write + 1 when alive: x_u + M·a ≤ M + T − 1 − δw.
-				m.AddConstr([]lp.Term{{Var: x[u], Coef: 1}, {Var: a, Coef: bigM}},
-					lp.LE, bigM+float64(T-1-dw), "alow")
-				// T ≤ death when alive: M·a − d_u ≤ M − T.
-				m.AddConstr([]lp.Term{{Var: a, Coef: bigM}, {Var: d[u], Coef: -1}},
-					lp.LE, bigM-float64(T), "ahigh")
-				sumAt[tau] = append(sumAt[tau], lp.Term{Var: a, Coef: 1})
-			}
-		}
-	}
-
-	// Peak selection: P is the pressure at the one chosen kernel position.
-	peakCap := float64(len(values) * jmax)
-	p := m.NewVar(0, peakCap, true, "P")
-	m.SetObjCoef(p, 1)
-	var zs []lp.Term
-	for tau := int64(0); tau < ii; tau++ {
-		z := m.NewBinary(fmt.Sprintf("z_%d", tau))
-		terms := []lp.Term{{Var: p, Coef: 1}, {Var: z, Coef: peakCap}}
-		for _, at := range sumAt[tau] {
-			terms = append(terms, lp.Term{Var: at.Var, Coef: -1})
-		}
-		m.AddConstr(terms, lp.LE, peakCap, "peak")
-		zs = append(zs, lp.Term{Var: z, Coef: 1})
-	}
-	m.AddConstr(zs, lp.EQ, 1, "peakone")
-
 	ctx, sp := obs.StartSpan(ctx, "cyclic.periodic",
 		obs.Str("type", string(t)), obs.Int("ii", ii), obs.Int("jmax", int64(jmax)))
 	defer sp.End()
@@ -319,6 +203,131 @@ func PeriodicRS(ctx context.Context, l *Loop, t ddg.RegType, opt PeriodicOptions
 	}
 	sp.SetAttr(obs.Int("prs", int64(out.RS)), obs.Bool("exact", out.Exact))
 	return out, nil
+}
+
+// PeriodicModel builds the exact periodic MILP of l for register type t at
+// opt.II (0 = the minimum feasible initiation interval) and returns it with
+// the interval used and the copy bound Jmax. The model is nil when l writes
+// no value of type t.
+func PeriodicModel(l *Loop, t ddg.RegType, opt PeriodicOptions) (m *lp.Model, ii int64, jmax int, err error) {
+	if err := l.Validate(); err != nil {
+		return nil, 0, 0, err
+	}
+	ii = opt.II
+	if ii <= 0 {
+		if ii, err = MinII(l); err != nil {
+			return nil, 0, 0, err
+		}
+	} else if !l.feasibleII(ii) {
+		return nil, 0, 0, fmt.Errorf("cyclic: initiation interval %d is infeasible for %q", ii, l.Name)
+	}
+	var values []int
+	for i := range l.nodes {
+		if l.nodes[i].WritesType(t) {
+			values = append(values, i)
+		}
+	}
+	if len(values) == 0 {
+		return nil, ii, 0, nil
+	}
+	dmax, jmax := l.periodicBounds(t, ii)
+	maxBin := opt.MaxAliveBinaries
+	if maxBin <= 0 {
+		maxBin = DefaultMaxAliveBinaries
+	}
+	if int64(len(values))*ii*int64(jmax) > int64(maxBin) {
+		return nil, 0, 0, fmt.Errorf("cyclic: periodic model for %q/%s needs %d alive binaries (> %d): kernel too large to certify",
+			l.Name, t, int64(len(values))*ii*int64(jmax), maxBin)
+	}
+
+	hx := l.horizon()
+	bigM := float64(dmax + ii*int64(jmax) + 1)
+	m = lp.NewModel("prs-"+l.Name+"-"+string(t), lp.Maximize)
+
+	x := make([]lp.Var, len(l.nodes))
+	for i := range l.nodes {
+		x[i] = m.NewVar(0, float64(hx), true, "x_"+l.nodes[i].Name)
+	}
+	// Periodic precedence: x_v − x_u ≥ λ − II·ω for every dependence.
+	for _, e := range l.edges {
+		rhs := float64(e.Latency - ii*e.Dist)
+		if e.From == e.To {
+			if rhs > 0 {
+				return nil, 0, 0, fmt.Errorf("cyclic: self-edge on %s infeasible at II=%d", l.nodes[e.From].Name, ii)
+			}
+			continue
+		}
+		m.AddConstr([]lp.Term{{Var: x[e.To], Coef: 1}, {Var: x[e.From], Coef: -1}}, lp.GE, rhs)
+	}
+
+	// Death dates: d_u = last read of u^t across consumer instances (c, ω) —
+	// d ≥ every read, pinned to the chosen killer's read by a binary per
+	// consumer instance. Values without consumers die a fixed latency after
+	// their write.
+	d := make(map[int]lp.Var, len(values))
+	for _, u := range values {
+		name := l.nodes[u].Name
+		d[u] = m.NewVar(0, float64(dmax), true, "d_"+name)
+		dw := l.nodes[u].DelayW(t)
+		var kills []lp.Term
+		for ei, e := range l.edges {
+			if e.Kind != ddg.Flow || e.From != u || e.Type != t {
+				continue
+			}
+			rhs := float64(l.nodes[e.To].DelayR + ii*e.Dist)
+			m.AddConstr([]lp.Term{{Var: d[u], Coef: 1}, {Var: x[e.To], Coef: -1}}, lp.GE, rhs)
+			k := m.NewBinary("kill_" + name + "_" + strconv.Itoa(ei))
+			m.AddConstr([]lp.Term{{Var: d[u], Coef: 1}, {Var: x[e.To], Coef: -1}, {Var: k, Coef: bigM}},
+				lp.LE, rhs+bigM)
+			kills = append(kills, lp.Term{Var: k, Coef: 1})
+		}
+		if len(kills) == 0 {
+			lat := l.nodes[u].Latency
+			if lat < 1 {
+				lat = 1
+			}
+			m.AddConstr([]lp.Term{{Var: d[u], Coef: 1}, {Var: x[u], Coef: -1}}, lp.EQ, float64(dw+lat))
+			continue
+		}
+		m.AddConstr(kills, lp.EQ, 1)
+	}
+
+	// Alive binaries a_{u,τ,j}: copy j of value u alive at kernel position τ
+	// (instant T = τ + II·j lies in ]write, death]). One-directional big-M —
+	// the objective pushes a up, so only the "may be 1" direction is modeled.
+	sumAt := make([][]lp.Term, ii)
+	for _, u := range values {
+		name := l.nodes[u].Name
+		dw := l.nodes[u].DelayW(t)
+		for tau := int64(0); tau < ii; tau++ {
+			for j := 0; j < jmax; j++ {
+				T := tau + ii*int64(j)
+				a := m.NewBinary("a_" + name + "_" + strconv.FormatInt(tau, 10) + "_" + strconv.Itoa(j))
+				// T ≥ write + 1 when alive: x_u + M·a ≤ M + T − 1 − δw.
+				m.AddConstr([]lp.Term{{Var: x[u], Coef: 1}, {Var: a, Coef: bigM}}, lp.LE, bigM+float64(T-1-dw))
+				// T ≤ death when alive: M·a − d_u ≤ M − T.
+				m.AddConstr([]lp.Term{{Var: a, Coef: bigM}, {Var: d[u], Coef: -1}}, lp.LE, bigM-float64(T))
+				sumAt[tau] = append(sumAt[tau], lp.Term{Var: a, Coef: 1})
+			}
+		}
+	}
+
+	// Peak selection: P is the pressure at the one chosen kernel position.
+	peakCap := float64(len(values) * jmax)
+	p := m.NewVar(0, peakCap, true, "P")
+	m.SetObjCoef(p, 1)
+	var zs []lp.Term
+	for tau := int64(0); tau < ii; tau++ {
+		z := m.NewBinary("z_" + strconv.FormatInt(tau, 10))
+		terms := []lp.Term{{Var: p, Coef: 1}, {Var: z, Coef: peakCap}}
+		for _, at := range sumAt[tau] {
+			terms = append(terms, lp.Term{Var: at.Var, Coef: -1})
+		}
+		m.AddConstr(terms, lp.LE, peakCap)
+		zs = append(zs, lp.Term{Var: z, Coef: 1})
+	}
+	m.AddConstr(zs, lp.EQ, 1)
+	return m, ii, jmax, nil
 }
 
 // certify runs the periodic MILP at the minimum II and verifies the upper

@@ -283,15 +283,15 @@ func checkCliqueCuts(ctx context.Context, g *ddg.Graph, an *rs.Analysis) error {
 	if !sol.Feasible() || sol.AtCutoff {
 		return nil
 	}
-	for _, c := range cliques {
+	for ci, c := range cliques {
 		sum := 0.0
 		for _, v := range c.Vars {
 			sum += sol.Value(v)
 		}
 		if sum > float64(c.RHS)+1e-6 {
 			return &Violation{Invariant: "clique-cuts-valid", Graph: g.Name, Type: an.Type,
-				Detail: fmt.Sprintf("hinted clique %s sums to %g > %d at a cut-free incumbent",
-					c.Name, sum, c.RHS)}
+				Detail: fmt.Sprintf("hinted clique %d %v sums to %g > %d at a cut-free incumbent",
+					ci, c.Vars, sum, c.RHS)}
 		}
 	}
 	return nil

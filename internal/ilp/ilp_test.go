@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"regsat/internal/lp"
@@ -69,7 +70,7 @@ func TestImpliesGEForcing(t *testing.T) {
 	b := m.NewBinary("b")
 	m.SetObjCoef(b, 10)
 	m.SetObjCoef(x, -1) // prefer small x
-	ImpliesGE(m, b, NewExpr(-5, lp.Term{Var: x, Coef: 1}), "imp")
+	ImpliesGE(m, b, NewExpr(-5, lp.Term{Var: x, Coef: 1}))
 	sol := solve(t, m)
 	if sol.IntValue(b) != 1 || sol.IntValue(x) != 5 {
 		t.Fatalf("b=%d x=%d, want b=1 x=5", sol.IntValue(b), sol.IntValue(x))
@@ -82,8 +83,8 @@ func TestImpliesGERelaxedWhenZero(t *testing.T) {
 	x := m.NewVar(0, 10, true, "x")
 	b := m.NewBinary("b")
 	m.SetObjCoef(x, 1)
-	m.AddConstr([]lp.Term{{Var: b, Coef: 1}}, lp.EQ, 0, "fix")
-	ImpliesGE(m, b, NewExpr(-5, lp.Term{Var: x, Coef: 1}), "imp")
+	m.AddConstr([]lp.Term{{Var: b, Coef: 1}}, lp.EQ, 0)
+	ImpliesGE(m, b, NewExpr(-5, lp.Term{Var: x, Coef: 1}))
 	sol := solve(t, m)
 	if sol.IntValue(x) != 0 {
 		t.Fatalf("x=%d, want 0 (implication disabled)", sol.IntValue(x))
@@ -96,8 +97,8 @@ func TestImpliesLEForcing(t *testing.T) {
 	x := m.NewVar(0, 10, true, "x")
 	b := m.NewBinary("b")
 	m.SetObjCoef(x, 1)
-	m.AddConstr([]lp.Term{{Var: b, Coef: 1}}, lp.EQ, 1, "fix")
-	ImpliesLE(m, b, NewExpr(-3, lp.Term{Var: x, Coef: 1}), "imp")
+	m.AddConstr([]lp.Term{{Var: b, Coef: 1}}, lp.EQ, 1)
+	ImpliesLE(m, b, NewExpr(-3, lp.Term{Var: x, Coef: 1}))
 	sol := solve(t, m)
 	if sol.IntValue(x) != 3 {
 		t.Fatalf("x=%d, want 3", sol.IntValue(x))
@@ -112,7 +113,7 @@ func TestIffGEBothDirections(t *testing.T) {
 	}{{7, 1}, {5, 1}, {4, 0}, {0, 0}} {
 		m := lp.NewModel("t", lp.Maximize)
 		x := m.NewVar(0, 10, true, "x")
-		m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.EQ, float64(tc.xFix), "fixx")
+		m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.EQ, float64(tc.xFix))
 		b := IffGE(m, NewExpr(-5, lp.Term{Var: x, Coef: 1}), "iff")
 		// Objective pulls b the wrong way to prove the constraint binds.
 		if tc.wantB == 1 {
@@ -156,8 +157,8 @@ func TestAndBinaryTruthTable(t *testing.T) {
 		m := lp.NewModel("t", lp.Maximize)
 		a := m.NewBinary("a")
 		b := m.NewBinary("b")
-		m.AddConstr([]lp.Term{{Var: a, Coef: 1}}, lp.EQ, float64(tc.a), "fa")
-		m.AddConstr([]lp.Term{{Var: b, Coef: 1}}, lp.EQ, float64(tc.b), "fb")
+		m.AddConstr([]lp.Term{{Var: a, Coef: 1}}, lp.EQ, float64(tc.a))
+		m.AddConstr([]lp.Term{{Var: b, Coef: 1}}, lp.EQ, float64(tc.b))
 		c := AndBinary(m, a, b, "and")
 		if tc.want == 1 {
 			m.SetObjCoef(c, -1)
@@ -178,8 +179,8 @@ func TestOrBinaryTruthTable(t *testing.T) {
 		m := lp.NewModel("t", lp.Maximize)
 		a := m.NewBinary("a")
 		b := m.NewBinary("b")
-		m.AddConstr([]lp.Term{{Var: a, Coef: 1}}, lp.EQ, float64(tc.a), "fa")
-		m.AddConstr([]lp.Term{{Var: b, Coef: 1}}, lp.EQ, float64(tc.b), "fb")
+		m.AddConstr([]lp.Term{{Var: a, Coef: 1}}, lp.EQ, float64(tc.a))
+		m.AddConstr([]lp.Term{{Var: b, Coef: 1}}, lp.EQ, float64(tc.b))
 		c := OrBinary(m, a, b, "or")
 		if tc.want == 1 {
 			m.SetObjCoef(c, -1)
@@ -203,7 +204,7 @@ func TestOrGEAtLeastOneHolds(t *testing.T) {
 		NewExpr(-7, lp.Term{Var: x, Coef: 1}),
 		NewExpr(2, lp.Term{Var: x, Coef: -1}),
 	}, "or")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.GE, 3, "push")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.GE, 3)
 	sol := solve(t, m)
 	if sol.IntValue(x) != 7 {
 		t.Fatalf("x=%d, want 7", sol.IntValue(x))
@@ -222,9 +223,9 @@ func TestMaxEqualsComputesMax(t *testing.T) {
 		b := m.NewVar(0, 10, true, "b")
 		c := m.NewVar(0, 10, true, "c")
 		y := m.NewVar(0, 100, true, "y")
-		m.AddConstr([]lp.Term{{Var: a, Coef: 1}}, lp.EQ, float64(tc.a), "fa")
-		m.AddConstr([]lp.Term{{Var: b, Coef: 1}}, lp.EQ, float64(tc.b), "fb")
-		m.AddConstr([]lp.Term{{Var: c, Coef: 1}}, lp.EQ, float64(tc.c), "fc")
+		m.AddConstr([]lp.Term{{Var: a, Coef: 1}}, lp.EQ, float64(tc.a))
+		m.AddConstr([]lp.Term{{Var: b, Coef: 1}}, lp.EQ, float64(tc.b))
+		m.AddConstr([]lp.Term{{Var: c, Coef: 1}}, lp.EQ, float64(tc.c))
 		MaxEquals(m, y, []Expr{VarExpr(a), VarExpr(b), VarExpr(c)}, "max")
 		m.SetObjCoef(y, -1) // minimize −y = maximize y: must not exceed the max
 		sol := solve(t, m)
@@ -276,7 +277,7 @@ func TestPlainRelations(t *testing.T) {
 	m := lp.NewModel("t", lp.Maximize)
 	x := m.NewVar(0, 10, true, "x")
 	m.SetObjCoef(x, 1)
-	LE(m, NewExpr(-6, lp.Term{Var: x, Coef: 1}), "le") // x ≤ 6
+	LE(m, NewExpr(-6, lp.Term{Var: x, Coef: 1})) // x ≤ 6
 	sol := solve(t, m)
 	if sol.IntValue(x) != 6 {
 		t.Fatalf("x=%d, want 6", sol.IntValue(x))
@@ -285,7 +286,7 @@ func TestPlainRelations(t *testing.T) {
 	m2 := lp.NewModel("t2", lp.Minimize)
 	y := m2.NewVar(0, 10, true, "y")
 	m2.SetObjCoef(y, 1)
-	GE(m2, NewExpr(-4, lp.Term{Var: y, Coef: 1}), "ge") // y ≥ 4
+	GE(m2, NewExpr(-4, lp.Term{Var: y, Coef: 1})) // y ≥ 4
 	sol2 := solve(t, m2)
 	if sol2.IntValue(y) != 4 {
 		t.Fatalf("y=%d, want 4", sol2.IntValue(y))
@@ -293,9 +294,47 @@ func TestPlainRelations(t *testing.T) {
 
 	m3 := lp.NewModel("t3", lp.Minimize)
 	z := m3.NewVar(0, 10, true, "z")
-	EQ(m3, NewExpr(-5, lp.Term{Var: z, Coef: 1}), "eq") // z = 5
+	EQ(m3, NewExpr(-5, lp.Term{Var: z, Coef: 1})) // z = 5
 	sol3 := solve(t, m3)
 	if sol3.IntValue(z) != 5 {
 		t.Fatalf("z=%d, want 5", sol3.IntValue(z))
+	}
+}
+
+// TestHelpersDoNotAliasExpr: one Expr passed in turn to ImpliesGE, IffGE
+// and MaxEquals — its terms in a backing array with spare capacity that
+// holds other data — yields exactly the rows built from fresh copies, and
+// neither its terms nor the data past them change.
+func TestHelpersDoNotAliasExpr(t *testing.T) {
+	build := func(shared bool) (string, []lp.Term) {
+		m := lp.NewModel("alias", lp.Maximize)
+		x := m.NewVar(0, 10, true, "x")
+		y := m.NewVar(0, 10, true, "y")
+		z := m.NewVar(0, 20, true, "z")
+		b := m.NewBinary("b")
+		backing := []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: -1}, {Var: z, Coef: 7}, {Var: z, Coef: 9}}
+		e := Expr{Terms: backing[:2], Const: -3}
+		expr := func() Expr {
+			if shared {
+				return e
+			}
+			return NewExpr(-3, lp.Term{Var: x, Coef: 1}, lp.Term{Var: y, Coef: -1})
+		}
+		ImpliesGE(m, b, expr())
+		IffGE(m, expr(), "iff")
+		MaxEquals(m, z, []Expr{expr(), expr()}, "max")
+		var sb strings.Builder
+		if err := m.WriteLP(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String(), backing
+	}
+	want, _ := build(false)
+	got, backing := build(true)
+	if got != want {
+		t.Fatalf("rows from one shared Expr:\n%s\nfrom fresh copies:\n%s", got, want)
+	}
+	if backing[0].Coef != 1 || backing[1].Coef != -1 || backing[2].Coef != 7 || backing[3].Coef != 9 {
+		t.Fatalf("helpers wrote into the caller's backing array: %v", backing)
 	}
 }

@@ -34,8 +34,8 @@ func TestSolveLPSimpleMax(t *testing.T) {
 	y := m.NewVar(0, 10, false, "y")
 	m.SetObjCoef(x, 3)
 	m.SetObjCoef(y, 2)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 4, "c1")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 3}}, lp.LE, 6, "c2")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 4)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 3}}, lp.LE, 6)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal {
 		t.Fatalf("status=%v", sol.Status)
@@ -52,8 +52,8 @@ func TestSolveLPClassic(t *testing.T) {
 	y := m.NewVar(0, 100, false, "y")
 	m.SetObjCoef(x, 5)
 	m.SetObjCoef(y, 4)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 6}, {Var: y, Coef: 4}}, lp.LE, 24, "c1")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 2}}, lp.LE, 6, "c2")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 6}, {Var: y, Coef: 4}}, lp.LE, 24)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 2}}, lp.LE, 6)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 21) {
 		t.Fatalf("status=%v obj=%g, want optimal 21", sol.Status, sol.Obj)
@@ -70,8 +70,8 @@ func TestSolveLPWithGEAndEQ(t *testing.T) {
 	y := m.NewVar(0, 10, false, "y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 3, "c1")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: -1}}, lp.EQ, 1, "c2")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 3)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: -1}}, lp.EQ, 1)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 3) {
 		t.Fatalf("status=%v obj=%g, want optimal 3", sol.Status, sol.Obj)
@@ -87,8 +87,8 @@ func TestSolveLPNonzeroLowerBounds(t *testing.T) {
 	x := m.NewVar(2, 20, false, "x")
 	y := m.NewVar(3, 20, false, "y")
 	m.SetObjCoef(x, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 10, "c1")
-	m.AddConstr([]lp.Term{{Var: y, Coef: 1}}, lp.LE, 4, "c2")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 10)
+	m.AddConstr([]lp.Term{{Var: y, Coef: 1}}, lp.LE, 4)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 6) {
 		t.Fatalf("status=%v obj=%g x=%v, want optimal 6", sol.Status, sol.Obj, sol.X)
@@ -98,7 +98,7 @@ func TestSolveLPNonzeroLowerBounds(t *testing.T) {
 func TestSolveLPInfeasible(t *testing.T) {
 	m := lp.NewModel("infeasible", lp.Minimize)
 	x := m.NewVar(0, 1, false, "x")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.GE, 5, "impossible")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.GE, 5)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusInfeasible {
 		t.Fatalf("status=%v, want infeasible", sol.Status)
@@ -113,7 +113,7 @@ func TestSolveLPUnbounded(t *testing.T) {
 	x := m.NewVar(0, math.Inf(1), false, "x")
 	y := m.NewVar(0, math.Inf(1), false, "y")
 	m.SetObjCoef(x, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: -1}}, lp.LE, 1, "c") // x can grow with y
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: -1}}, lp.LE, 1) // x can grow with y
 	_, err := solver.Solve(context.Background(), m, solver.Options{})
 	if err == nil || !strings.Contains(err.Error(), "variable x ") {
 		t.Fatalf("err=%v, want a model error naming variable x", err)
@@ -126,8 +126,8 @@ func TestSolveLPEqualityOnly(t *testing.T) {
 	x := m.NewVar(-5, 5, false, "x")
 	y := m.NewVar(-5, 5, false, "y")
 	m.SetObjCoef(x, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.EQ, 2, "c1")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: -1}}, lp.EQ, 0, "c2")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.EQ, 2)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: -1}}, lp.EQ, 0)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.X[x], 1) || !almostEq(sol.X[y], 1) {
 		t.Fatalf("status=%v x=%v, want x=y=1", sol.Status, sol.X)
@@ -139,8 +139,8 @@ func TestSolveLPRedundantRows(t *testing.T) {
 	m := lp.NewModel("redundant", lp.Maximize)
 	x := m.NewVar(0, 10, false, "x")
 	m.SetObjCoef(x, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.EQ, 4, "c1")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 2}}, lp.EQ, 8, "c2")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.EQ, 4)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 2}}, lp.EQ, 8)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 4) {
 		t.Fatalf("status=%v obj=%g, want optimal 4", sol.Status, sol.Obj)
@@ -159,7 +159,7 @@ func TestSolveKnapsack(t *testing.T) {
 		m.SetObjCoef(vars[i], vals[i])
 		terms[i] = lp.Term{Var: vars[i], Coef: wts[i]}
 	}
-	m.AddConstr(terms, lp.LE, 50, "cap")
+	m.AddConstr(terms, lp.LE, 50)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 220) {
 		t.Fatalf("status=%v obj=%g, want optimal 220", sol.Status, sol.Obj)
@@ -177,8 +177,8 @@ func TestSolveIntegerRounding(t *testing.T) {
 	y := m.NewVar(0, 2, true, "y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 1}}, lp.LE, 3, "c1")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 2}}, lp.LE, 3, "c2")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 1}}, lp.LE, 3)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 2}}, lp.LE, 3)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 2) {
 		t.Fatalf("status=%v obj=%g, want optimal 2", sol.Status, sol.Obj)
@@ -189,7 +189,7 @@ func TestSolveMILPInfeasible(t *testing.T) {
 	m := lp.NewModel("milp-infeasible", lp.Minimize)
 	x := m.NewBinary("x")
 	y := m.NewBinary("y")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 3, "impossible")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 3)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusInfeasible {
 		t.Fatalf("status=%v, want infeasible", sol.Status)
@@ -205,7 +205,7 @@ func TestSolveBinaryLogic(t *testing.T) {
 	m.SetObjCoef(a, 1)
 	m.SetObjCoef(b, 5)
 	m.SetObjCoef(c, 3)
-	m.AddConstr([]lp.Term{{Var: a, Coef: 1}, {Var: b, Coef: 1}, {Var: c, Coef: 1}}, lp.EQ, 1, "one")
+	m.AddConstr([]lp.Term{{Var: a, Coef: 1}, {Var: b, Coef: 1}, {Var: c, Coef: 1}}, lp.EQ, 1)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || sol.IntValue(b) != 1 {
 		t.Fatalf("status=%v X=%v, want b chosen", sol.Status, sol.X)
@@ -220,7 +220,7 @@ func TestSolveMixedIntegerContinuous(t *testing.T) {
 	y := m.NewVar(0, 10, false, "y")
 	m.SetObjCoef(x, 2)
 	m.SetObjCoef(y, 3)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 3.6, "c")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 3.6)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 8.8) {
 		t.Fatalf("status=%v obj=%g, want 8.8", sol.Status, sol.Obj)
@@ -245,7 +245,7 @@ func TestSolveNodeLimit(t *testing.T) {
 	y := m.NewVar(0, 5, true, "y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 3}}, lp.LE, 7.5, "c")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 3}}, lp.LE, 7.5)
 	sol := solve(t, m, solver.Options{MaxNodes: 1})
 	if sol.Status != lp.StatusLimit && sol.Status != lp.StatusFeasible {
 		t.Fatalf("status=%v, want limit or feasible", sol.Status)
@@ -259,7 +259,7 @@ func TestSolveNodeLimit(t *testing.T) {
 func TestModelAccessors(t *testing.T) {
 	m := lp.NewModel("acc", lp.Minimize)
 	x := m.NewVar(1, 3, true, "xx")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 2, "c")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 2)
 	if m.NumVars() != 1 || m.NumConstrs() != 1 || m.NumIntVars() != 1 {
 		t.Fatal("counts wrong")
 	}
@@ -282,7 +282,7 @@ func TestMergedDuplicateTerms(t *testing.T) {
 	m := lp.NewModel("dup", lp.Maximize)
 	x := m.NewVar(0, 10, false, "x")
 	m.SetObjCoef(x, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: x, Coef: 1}}, lp.LE, 2, "c")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: x, Coef: 1}}, lp.LE, 2)
 	sol := solve(t, m, solver.Options{})
 	if !almostEq(sol.Obj, 1) {
 		t.Fatalf("obj=%g, want 1", sol.Obj)
@@ -315,7 +315,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 				continue
 			}
 			rel := []lp.Rel{lp.LE, lp.GE, lp.EQ}[rng.Intn(3)]
-			m.AddConstr(terms, rel, float64(rng.Intn(9)-2), "c")
+			m.AddConstr(terms, rel, float64(rng.Intn(9)-2))
 		}
 		ref := solvertest.BruteForce(m)
 		found, want := ref.Found, ref.Obj
@@ -354,7 +354,7 @@ func TestLPRandomFeasiblePoint(t *testing.T) {
 			for i := 0; i < nv; i++ {
 				terms = append(terms, lp.Term{Var: lp.Var(i), Coef: float64(rng.Intn(4))})
 			}
-			m.AddConstr(terms, lp.LE, float64(5+rng.Intn(20)), "c")
+			m.AddConstr(terms, lp.LE, float64(5+rng.Intn(20)))
 		}
 		sol := solve(t, m, solver.Options{})
 		if sol.Status != lp.StatusOptimal {

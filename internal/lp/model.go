@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 )
 
 // Sense is the optimization direction of a model.
@@ -57,25 +58,31 @@ type Term struct {
 
 type varInfo struct {
 	lo, hi  float64
+	obj     float64 // objective coefficient
 	integer bool
-	name    string
+	nameEnd int // the name is Model.names[previous variable's nameEnd:nameEnd]
 }
 
-type constr struct {
-	terms []Term
+// row is the header of one stored constraint; its terms are
+// Model.terms[start:end] with end the next row's start (or len(terms)).
+type row struct {
+	start int
 	rel   Rel
 	rhs   float64
-	name  string
 }
 
-// Model is a mixed-integer linear program under construction.
+// Model is a mixed-integer linear program under construction. Constraint
+// terms live in one arena slice with per-row offsets, and variable names in
+// one byte arena, so building a model allocates amortized O(log nnz) times
+// rather than once per row or variable.
 type Model struct {
-	name    string
-	sense   Sense
-	vars    []varInfo
-	objCoef []float64
-	objOff  float64
-	constrs []constr
+	name   string
+	sense  Sense
+	vars   []varInfo
+	names  []byte
+	objOff float64
+	terms  []Term
+	rows   []row
 }
 
 // NewModel creates an empty model with the given optimization sense.
@@ -93,14 +100,17 @@ func (m *Model) Sense() Sense { return m.sense }
 // returns its identifier. Bounds must satisfy lo ≤ hi and be finite for
 // integer variables (branch and bound requires finite integer domains).
 func (m *Model) NewVar(lo, hi float64, integer bool, name string) Var {
+	// The messages are concatenated, not formatted, so name does not escape
+	// and callers may build it on the stack.
 	if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
-		panic(fmt.Sprintf("lp: bad bounds [%g,%g] for %s", lo, hi, name))
+		panic("lp: bad bounds [" + strconv.FormatFloat(lo, 'g', -1, 64) + "," +
+			strconv.FormatFloat(hi, 'g', -1, 64) + "] for " + name)
 	}
 	if integer && (math.IsInf(lo, 0) || math.IsInf(hi, 0)) {
-		panic(fmt.Sprintf("lp: integer variable %s needs finite bounds", name))
+		panic("lp: integer variable " + name + " needs finite bounds")
 	}
-	m.vars = append(m.vars, varInfo{lo: lo, hi: hi, integer: integer, name: name})
-	m.objCoef = append(m.objCoef, 0)
+	m.names = append(m.names, name...)
+	m.vars = append(m.vars, varInfo{lo: lo, hi: hi, integer: integer, nameEnd: len(m.names)})
 	return Var(len(m.vars) - 1)
 }
 
@@ -110,10 +120,10 @@ func (m *Model) NewBinary(name string) Var {
 }
 
 // SetObjCoef sets the objective coefficient of v.
-func (m *Model) SetObjCoef(v Var, c float64) { m.objCoef[v] = c }
+func (m *Model) SetObjCoef(v Var, c float64) { m.vars[v].obj = c }
 
 // AddObjCoef adds c to the objective coefficient of v.
-func (m *Model) AddObjCoef(v Var, c float64) { m.objCoef[v] += c }
+func (m *Model) AddObjCoef(v Var, c float64) { m.vars[v].obj += c }
 
 // SetObjOffset sets a constant added to every objective value.
 func (m *Model) SetObjOffset(c float64) { m.objOff = c }
@@ -121,14 +131,17 @@ func (m *Model) SetObjOffset(c float64) { m.objOff = c }
 // AddConstr adds the linear constraint Σ terms rel rhs and returns its row
 // index. The stored terms are in ascending variable order; terms referring
 // to the same variable are summed in input order, and zero sums dropped.
-func (m *Model) AddConstr(terms []Term, rel Rel, rhs float64, name string) int {
+// The caller's slice is copied, never modified.
+func (m *Model) AddConstr(terms []Term, rel Rel, rhs float64) int {
 	for _, t := range terms {
 		if int(t.Var) < 0 || int(t.Var) >= len(m.vars) {
-			panic(fmt.Sprintf("lp: constraint %s uses unknown variable %d", name, t.Var))
+			panic("lp: constraint " + strconv.Itoa(len(m.rows)) + " uses unknown variable " + strconv.Itoa(int(t.Var)))
 		}
 	}
+	start := len(m.terms)
+	m.terms = append(m.terms, terms...)
+	sorted := m.terms[start:]
 	byVar := func(a, b Term) int { return cmp.Compare(a.Var, b.Var) }
-	sorted := slices.Clone(terms)
 	if !slices.IsSortedFunc(sorted, byVar) {
 		slices.SortStableFunc(sorted, byVar)
 	}
@@ -142,15 +155,19 @@ func (m *Model) AddConstr(terms []Term, rel Rel, rhs float64, name string) int {
 			compact = append(compact, t)
 		}
 	}
-	m.constrs = append(m.constrs, constr{terms: compact, rel: rel, rhs: rhs, name: name})
-	return len(m.constrs) - 1
+	m.terms = m.terms[:start+len(compact)]
+	m.rows = append(m.rows, row{start: start, rel: rel, rhs: rhs})
+	return len(m.rows) - 1
 }
 
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return len(m.vars) }
 
 // NumConstrs returns the number of constraints.
-func (m *Model) NumConstrs() int { return len(m.constrs) }
+func (m *Model) NumConstrs() int { return len(m.rows) }
+
+// NumNonzeros returns the number of stored constraint terms over all rows.
+func (m *Model) NumNonzeros() int { return len(m.terms) }
 
 // NumIntVars returns the number of integer (including binary) variables.
 func (m *Model) NumIntVars() int {
@@ -164,10 +181,16 @@ func (m *Model) NumIntVars() int {
 }
 
 // VarName returns the name of v.
-func (m *Model) VarName(v Var) string { return m.vars[v].name }
+func (m *Model) VarName(v Var) string {
+	start := 0
+	if v > 0 {
+		start = m.vars[v-1].nameEnd
+	}
+	return string(m.names[start:m.vars[v].nameEnd])
+}
 
 // ObjCoef returns the objective coefficient of v.
-func (m *Model) ObjCoef(v Var) float64 { return m.objCoef[v] }
+func (m *Model) ObjCoef(v Var) float64 { return m.vars[v].obj }
 
 // ObjOffset returns the constant added to every objective value.
 func (m *Model) ObjOffset() float64 { return m.objOff }
@@ -175,12 +198,13 @@ func (m *Model) ObjOffset() float64 { return m.objOff }
 // Constr returns row i: its terms (shared storage — treat as read-only, the
 // terms are already merged and nonzero), relation, and right-hand side.
 func (m *Model) Constr(i int) ([]Term, Rel, float64) {
-	c := &m.constrs[i]
-	return c.terms, c.rel, c.rhs
+	r := &m.rows[i]
+	end := len(m.terms)
+	if i+1 < len(m.rows) {
+		end = m.rows[i+1].start
+	}
+	return m.terms[r.start:end:end], r.rel, r.rhs
 }
-
-// ConstrName returns the name of row i.
-func (m *Model) ConstrName(i int) string { return m.constrs[i].name }
 
 // Bounds returns the declared bounds of v.
 func (m *Model) Bounds(v Var) (lo, hi float64) { return m.vars[v].lo, m.vars[v].hi }
@@ -192,18 +216,19 @@ func (m *Model) IsInteger(v Var) bool { return m.vars[v].integer }
 func (m *Model) String() string {
 	s := fmt.Sprintf("model %s: %s\n", m.name, map[Sense]string{Minimize: "min", Maximize: "max"}[m.sense])
 	s += "  obj:"
-	for v, c := range m.objCoef {
-		if c != 0 {
-			s += fmt.Sprintf(" %+g·%s", c, m.vars[v].name)
+	for v, info := range m.vars {
+		if c := info.obj; c != 0 {
+			s += fmt.Sprintf(" %+g·%s", c, m.VarName(Var(v)))
 		}
 	}
 	s += "\n"
-	for _, c := range m.constrs {
-		s += fmt.Sprintf("  %s:", c.name)
-		for _, t := range c.terms {
-			s += fmt.Sprintf(" %+g·%s", t.Coef, m.vars[t.Var].name)
+	for i := range m.rows {
+		terms, rel, rhs := m.Constr(i)
+		s += fmt.Sprintf("  c%d:", i)
+		for _, t := range terms {
+			s += fmt.Sprintf(" %+g·%s", t.Coef, m.VarName(t.Var))
 		}
-		s += fmt.Sprintf(" %s %g\n", c.rel, c.rhs)
+		s += fmt.Sprintf(" %s %g\n", rel, rhs)
 	}
 	return s
 }

@@ -38,7 +38,7 @@ func TestAddConstrMergesTerms(t *testing.T) {
 		{Var: v[2], Coef: 0}, // zero: drops out
 	}
 	keep := append([]lp.Term(nil), in...)
-	row := m.AddConstr(in, lp.LE, 7, "c")
+	row := m.AddConstr(in, lp.LE, 7)
 	got, rel, rhs := m.Constr(row)
 	want := []lp.Term{{Var: v[0], Coef: 3}, {Var: v[4], Coef: 2.5}, {Var: v[5], Coef: 1}}
 	if !reflect.DeepEqual(got, want) || rel != lp.LE || rhs != 7 {
@@ -49,11 +49,11 @@ func TestAddConstrMergesTerms(t *testing.T) {
 	}
 
 	// Already ascending input, duplicates adjacent.
-	row = m.AddConstr([]lp.Term{{Var: v[0], Coef: 1}, {Var: v[2], Coef: 1}, {Var: v[2], Coef: 2}}, lp.GE, 1, "asc")
+	row = m.AddConstr([]lp.Term{{Var: v[0], Coef: 1}, {Var: v[2], Coef: 1}, {Var: v[2], Coef: 2}}, lp.GE, 1)
 	if got, _, _ := m.Constr(row); !reflect.DeepEqual(got, []lp.Term{{Var: v[0], Coef: 1}, {Var: v[2], Coef: 3}}) {
 		t.Fatalf("ascending input stored as %v", got)
 	}
-	if row = m.AddConstr(nil, lp.EQ, 0, "empty"); row != 2 {
+	if row = m.AddConstr(nil, lp.EQ, 0); row != 2 {
 		t.Fatalf("empty row got index %d", row)
 	}
 	if got, _, _ := m.Constr(row); len(got) != 0 {
@@ -99,7 +99,7 @@ func TestAddConstrMatchesMapMerge(t *testing.T) {
 			}
 		}
 		want := mapMerge(n, terms)
-		got, _, _ := m.Constr(m.AddConstr(terms, lp.LE, 1, "c"))
+		got, _, _ := m.Constr(m.AddConstr(terms, lp.LE, 1))
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %v merged to %v, want %v", trial, terms, got, want)
 		}
@@ -123,7 +123,7 @@ func TestAddConstrUnknownVarPanicsFirst(t *testing.T) {
 					t.Fatalf("variable %d: no panic", bad)
 				}
 			}()
-			m.AddConstr([]lp.Term{{Var: v[1], Coef: 1}, {Var: v[0], Coef: 2}, {Var: bad, Coef: 1}}, lp.LE, 1, "c")
+			m.AddConstr([]lp.Term{{Var: v[1], Coef: 1}, {Var: v[0], Coef: 2}, {Var: bad, Coef: 1}}, lp.LE, 1)
 		}()
 		if m.NumConstrs() != 0 {
 			t.Fatalf("variable %d: %d rows appended before the panic", bad, m.NumConstrs())

@@ -19,7 +19,7 @@ func TestBoundFlipPath(t *testing.T) {
 	y := m.NewVar(0, 5, false, "y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 10)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 12, "c")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 12)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 57) {
 		t.Fatalf("status=%v obj=%g, want 57", sol.Status, sol.Obj)
@@ -35,7 +35,7 @@ func TestFixedVariable(t *testing.T) {
 	x := m.NewVar(3, 3, false, "x")
 	y := m.NewVar(0, 10, false, "y")
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 1}}, lp.LE, 10, "c") // y ≤ 4
+	m.AddConstr([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 1}}, lp.LE, 10) // y ≤ 4
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.X[y], 4) {
 		t.Fatalf("status=%v y=%g, want 4", sol.Status, sol.X[y])
@@ -49,7 +49,7 @@ func TestNegativeLowerBounds(t *testing.T) {
 	y := m.NewVar(-3, 3, false, "y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, -6, "c")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, -6)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, -6) {
 		t.Fatalf("status=%v obj=%g, want -6", sol.Status, sol.Obj)
@@ -64,10 +64,10 @@ func TestDegenerateSystem(t *testing.T) {
 	y := m.NewVar(0, 10, false, "y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 4, "c1")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 0}}, lp.LE, 4, "c2") // duplicate face
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 7, "c3")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 2}}, lp.LE, 14, "c4") // scaled duplicate
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 4)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 0}}, lp.LE, 4) // duplicate face
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 7)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 2}}, lp.LE, 14) // scaled duplicate
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 7) {
 		t.Fatalf("status=%v obj=%g, want 7", sol.Status, sol.Obj)
@@ -89,10 +89,10 @@ func TestLargerDenseSystem(t *testing.T) {
 	supply := []float64{10, 20, 30}
 	demand := []float64{15, 25, 20}
 	for i := 0; i < 3; i++ {
-		m.AddConstr([]lp.Term{{Var: x[i][0], Coef: 1}, {Var: x[i][1], Coef: 1}, {Var: x[i][2], Coef: 1}}, lp.EQ, supply[i], "s")
+		m.AddConstr([]lp.Term{{Var: x[i][0], Coef: 1}, {Var: x[i][1], Coef: 1}, {Var: x[i][2], Coef: 1}}, lp.EQ, supply[i])
 	}
 	for j := 0; j < 3; j++ {
-		m.AddConstr([]lp.Term{{Var: x[0][j], Coef: 1}, {Var: x[1][j], Coef: 1}, {Var: x[2][j], Coef: 1}}, lp.EQ, demand[j], "d")
+		m.AddConstr([]lp.Term{{Var: x[0][j], Coef: 1}, {Var: x[1][j], Coef: 1}, {Var: x[2][j], Coef: 1}}, lp.EQ, demand[j])
 	}
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal {
@@ -145,7 +145,7 @@ func TestUnknownVarInConstraintPanics(t *testing.T) {
 		}
 	}()
 	m := lp.NewModel("bad", lp.Minimize)
-	m.AddConstr([]lp.Term{{Var: lp.Var(7), Coef: 1}}, lp.LE, 1, "c")
+	m.AddConstr([]lp.Term{{Var: lp.Var(7), Coef: 1}}, lp.LE, 1)
 }
 
 func TestSolveLPZeroConstraints(t *testing.T) {
@@ -167,7 +167,7 @@ func TestMILPBranchingOnGeneralIntegers(t *testing.T) {
 	y := m.NewVar(0, 4, true, "y")
 	m.SetObjCoef(x, 7)
 	m.SetObjCoef(y, 2)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 3}, {Var: y, Coef: 1}}, lp.LE, 10, "c")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 3}, {Var: y, Coef: 1}}, lp.LE, 10)
 	sol := solve(t, m, solver.Options{})
 	if sol.Status != lp.StatusOptimal || !almostEq(sol.Obj, 23) {
 		t.Fatalf("status=%v obj=%g, want 23", sol.Status, sol.Obj)

@@ -21,23 +21,24 @@ func (m *Model) WriteLP(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%s\n obj:", section)
 	wrote := false
-	for v, c := range m.objCoef {
-		if c == 0 {
+	for v, info := range m.vars {
+		if info.obj == 0 {
 			continue
 		}
-		fmt.Fprintf(w, " %+g %s", c, names[v])
+		fmt.Fprintf(w, " %+g %s", info.obj, names[v])
 		wrote = true
 	}
 	if !wrote {
 		fmt.Fprintf(w, " 0 %s", names[0])
 	}
 	fmt.Fprintf(w, "\nSubject To\n")
-	for i, c := range m.constrs {
+	for i := range m.rows {
+		terms, rel, rhs := m.Constr(i)
 		fmt.Fprintf(w, " c%d:", i)
-		for _, t := range c.terms {
+		for _, t := range terms {
 			fmt.Fprintf(w, " %+g %s", t.Coef, names[t.Var])
 		}
-		fmt.Fprintf(w, " %s %g\n", c.rel, c.rhs)
+		fmt.Fprintf(w, " %s %g\n", rel, rhs)
 	}
 	fmt.Fprintf(w, "Bounds\n")
 	for v, info := range m.vars {
@@ -60,8 +61,8 @@ func (m *Model) WriteLP(w io.Writer) error {
 func (m *Model) lpNames() []string {
 	names := make([]string, len(m.vars))
 	seen := map[string]int{}
-	for v, info := range m.vars {
-		base := sanitizeLPName(info.name)
+	for v := range m.vars {
+		base := sanitizeLPName(m.VarName(Var(v)))
 		if base == "" {
 			base = "x"
 		}

@@ -11,8 +11,8 @@ func TestWriteLPFormat(t *testing.T) {
 	y := m.NewVar(-2, 3, false, "y")
 	m.SetObjCoef(x, 3)
 	m.SetObjCoef(y, -1)
-	m.AddConstr([]Term{{x, 1}, {y, 2}}, LE, 7, "cap")
-	m.AddConstr([]Term{{x, 1}}, GE, 1, "floor")
+	m.AddConstr([]Term{{x, 1}, {y, 2}}, LE, 7)
+	m.AddConstr([]Term{{x, 1}}, GE, 1)
 
 	var b strings.Builder
 	if err := m.WriteLP(&b); err != nil {

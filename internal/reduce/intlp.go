@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"regsat/internal/ddg"
 	"regsat/internal/ilp"
@@ -164,12 +165,24 @@ func ExactILP(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int, o
 	}, nil
 }
 
+// ColoringModel builds the Section 4 intLP that ExactILP solves for
+// reducing g's type-t saturation to available registers (for rendering or
+// cross-checking with an external solver).
+func ColoringModel(g *ddg.Graph, t ddg.RegType, available int, opt ILPOptions) (*lp.Model, error) {
+	an, err := rs.NewAnalysis(g, t)
+	if err != nil {
+		return nil, err
+	}
+	m, _, _, err := coloringModel(g, t, an, available, opt)
+	return m, err
+}
+
 // coloringModel builds the Section 4 intLP for reducing g's type-t
 // saturation to available registers: the Section 3 interference core, the
 // coloring variables colors[i][c] and rows, the optional π ordering, and
 // the σ_⊥ objective.
 func coloringModel(g *ddg.Graph, t ddg.RegType, an *rs.Analysis, available int, opt ILPOptions) (*lp.Model, *rs.CoreVars, [][]lp.Var, error) {
-	m := lp.NewModel(fmt.Sprintf("ReduceRS(%s,%s,R=%d)", g.Name, t, available), lp.Minimize)
+	m := lp.NewModel("ReduceRS("+g.Name+","+string(t)+",R="+strconv.Itoa(available)+")", lp.Minimize)
 	// On zero-offset machines the latency-1 serialization arcs require
 	// strictly separated lifetimes, so the interference test is widened by
 	// one cycle (see rs.BuildCore).
@@ -181,29 +194,30 @@ func coloringModel(g *ddg.Graph, t ddg.RegType, an *rs.Analysis, available int, 
 
 	// Coloring variables: x^c_i, one register c per value i.
 	colors := make([][]lp.Var, nv)
+	colorVars := make([]lp.Var, nv*available)
+	terms := make([]lp.Term, available)
 	for i := 0; i < nv; i++ {
-		colors[i] = make([]lp.Var, available)
-		terms := make([]lp.Term, available)
+		colors[i] = colorVars[i*available : (i+1)*available : (i+1)*available]
+		name := "(" + g.Node(an.Values[i]).Name + ")"
 		for c := 0; c < available; c++ {
-			colors[i][c] = m.NewBinary(fmt.Sprintf("x%d(%s)", c, g.Node(an.Values[i]).Name))
+			colors[i][c] = m.NewBinary("x" + strconv.Itoa(c) + name)
 			terms[c] = lp.Term{Var: colors[i][c], Coef: 1}
 		}
-		m.AddConstr(terms, lp.EQ, 1, fmt.Sprintf("onereg(%d)", i))
+		m.AddConstr(terms, lp.EQ, 1)
 	}
 	// Interfering values cannot share a register: x^c_i + x^c_j ≤ 2 − s_{ij}.
 	for i := 0; i < nv; i++ {
 		for j := i + 1; j < nv; j++ {
-			key := [2]int{i, j}
-			if core.NeverAlive[key] {
+			s, ok := core.S(i, j)
+			if !ok {
 				continue // statically disjoint lifetimes: any colors work
 			}
-			s := core.S[key]
 			for c := 0; c < available; c++ {
 				m.AddConstr([]lp.Term{
 					{Var: colors[i][c], Coef: 1},
 					{Var: colors[j][c], Coef: 1},
 					{Var: s, Coef: 1},
-				}, lp.LE, 2, fmt.Sprintf("col%d(%d,%d)", c, i, j))
+				}, lp.LE, 2)
 			}
 		}
 	}
@@ -216,18 +230,17 @@ func coloringModel(g *ddg.Graph, t ddg.RegType, an *rs.Analysis, available int, 
 		n := g.NumNodes()
 		pi := make([]lp.Var, n)
 		for u := 0; u < n; u++ {
-			pi[u] = m.NewVar(0, float64(n-1), true, fmt.Sprintf("pi(%s)", g.Node(u).Name))
+			pi[u] = m.NewVar(0, float64(n-1), true, "pi("+g.Node(u).Name+")")
 		}
 		for _, e := range g.Edges() {
-			ilp.GE(m, ilp.VarExpr(pi[e.To]).Minus(ilp.VarExpr(pi[e.From])).AddConst(-1),
-				fmt.Sprintf("piedge(%s,%s)", g.Node(e.From).Name, g.Node(e.To).Name))
+			ilp.GE(m, ilp.Diff(pi[e.To], pi[e.From], -1))
 		}
 		for i := 0; i < nv; i++ {
 			for j := 0; j < nv; j++ {
 				if i == j {
 					continue
 				}
-				h, ok := core.H[[2]int{i, j}]
+				h, ok := core.H(i, j)
 				if !ok {
 					continue // statically handled pair
 				}
@@ -236,9 +249,7 @@ func coloringModel(g *ddg.Graph, t ddg.RegType, an *rs.Analysis, available int, 
 						continue
 					}
 					// h_{i→j} = 0 (i.e. LT_i ≺ LT_j) ⇒ π_to ≥ π_from + 1.
-					ilp.ImpliesGEWhenZero(m, h,
-						ilp.VarExpr(pi[a.To]).Minus(ilp.VarExpr(pi[a.From])).AddConst(-1),
-						fmt.Sprintf("piser(%d,%d,%s)", i, j, g.Node(a.From).Name))
+					ilp.ImpliesGEWhenZero(m, h, ilp.Diff(pi[a.To], pi[a.From], -1))
 				}
 			}
 		}
@@ -247,8 +258,7 @@ func coloringModel(g *ddg.Graph, t ddg.RegType, an *rs.Analysis, available int, 
 	// Objective: minimize the total schedule time σ_⊥.
 	m.SetObjCoef(core.Sigma[g.Bottom()], 1)
 	if opt.MakespanBound > 0 {
-		m.AddConstr([]lp.Term{{Var: core.Sigma[g.Bottom()], Coef: 1}},
-			lp.LE, float64(opt.MakespanBound), "makespan")
+		m.AddConstr([]lp.Term{{Var: core.Sigma[g.Bottom()], Coef: 1}}, lp.LE, float64(opt.MakespanBound))
 	}
 	return m, core, colors, nil
 }
@@ -268,7 +278,7 @@ func coloringCliques(an *rs.Analysis, core *rs.CoreVars, colors [][]lp.Var, slac
 	any := false
 	for i := 0; i < nv; i++ {
 		for j := i + 1; j < nv; j++ {
-			if core.NeverAlive[[2]int{i, j}] {
+			if core.NeverAlive(i, j) {
 				continue // no s variable, no col rows: colors may coincide
 			}
 			if an.ForcedInterference(i, j, slack) && an.ForcedInterference(j, i, slack) {
@@ -284,11 +294,11 @@ func coloringCliques(an *rs.Analysis, core *rs.CoreVars, colors [][]lp.Var, slac
 	cliques := interference.MaximalCliques(nv,
 		func(i, j int) bool { return adj[i*nv+j] }, 3, 16)
 	var out []solver.Clique
-	for ci, c := range cliques {
+	for _, c := range cliques {
 		for reg := range colors[0] {
-			cl := solver.Clique{Name: fmt.Sprintf("livec%d/r%d", ci, reg), RHS: 1}
-			for _, i := range c {
-				cl.Vars = append(cl.Vars, colors[i][reg])
+			cl := solver.Clique{Vars: make([]lp.Var, len(c)), RHS: 1}
+			for k, i := range c {
+				cl.Vars[k] = colors[i][reg]
 			}
 			out = append(out, cl)
 		}

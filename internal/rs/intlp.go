@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 
 	"regsat/internal/ddg"
 	"regsat/internal/graph"
@@ -36,15 +37,30 @@ type CoreVars struct {
 	Sigma []lp.Var
 	// Kill[i] is k of value i (index into Analysis.Values).
 	Kill []lp.Var
-	// S[{i,j}] (i<j) is the interference binary s_{u,v}.
-	S map[[2]int]lp.Var
-	// H[{i,j}] (ordered) is the half-interference binary
-	// h_{i→j} ⇔ (k_i > σ_vj + δw(j)), i.e. ¬(LT_i ≺ LT_j).
-	H map[[2]int]lp.Var
-	// NeverAlive[{i,j}] (i<j) marks pairs statically known to never be
-	// simultaneously alive (second model optimization): no S/H variables.
-	NeverAlive map[[2]int]bool
+	// nv is the number of values; s and h are nv×nv row-major matrices
+	// holding -1 where a pair has no variable.
+	nv   int
+	s, h []lp.Var
 }
+
+// S returns the interference binary s_{i,j} (i < j) and whether the pair
+// has one; pairs marked NeverAlive have none.
+func (c *CoreVars) S(i, j int) (lp.Var, bool) {
+	v := c.s[i*c.nv+j]
+	return v, v >= 0
+}
+
+// H returns the half-interference binary h_{i→j} (ordered pair)
+// ⇔ (k_i > σ_vj + δw(j)), i.e. ¬(LT_i ≺ LT_j), and whether the pair has one.
+func (c *CoreVars) H(i, j int) (lp.Var, bool) {
+	v := c.h[i*c.nv+j]
+	return v, v >= 0
+}
+
+// NeverAlive reports whether values i < j are statically known to never be
+// simultaneously alive (the second model optimization): such pairs get no
+// S/H variables.
+func (c *CoreVars) NeverAlive(i, j int) bool { return c.s[i*c.nv+j] < 0 }
 
 // BuildCore adds to m the Section 3 constraint core for the given analysis:
 // bounded scheduling variables with precedence constraints, killing dates as
@@ -65,42 +81,54 @@ func BuildCore(an *Analysis, reduceModel bool, strictSlack int64, m *lp.Model) (
 	if err != nil {
 		return nil, nil, err
 	}
+	nv := len(an.Values)
+	pairs := make([]lp.Var, 2*nv*nv)
+	for i := range pairs {
+		pairs[i] = -1
+	}
 	vars := &CoreVars{
-		S:          map[[2]int]lp.Var{},
-		H:          map[[2]int]lp.Var{},
-		NeverAlive: map[[2]int]bool{},
+		Sigma: make([]lp.Var, g.NumNodes()),
+		Kill:  make([]lp.Var, nv),
+		nv:    nv,
+		s:     pairs[:nv*nv],
+		h:     pairs[nv*nv:],
 	}
 	info := &ILPInfo{}
 
 	// Scheduling variables σ_u ∈ [ASAP_u, ALAP_u(T)].
-	for u := 0; u < g.NumNodes(); u++ {
-		vars.Sigma = append(vars.Sigma,
-			m.NewVar(float64(lo[u]), float64(hi[u]), true, fmt.Sprintf("sigma(%s)", g.Node(u).Name)))
+	for u := range vars.Sigma {
+		vars.Sigma[u] = m.NewVar(float64(lo[u]), float64(hi[u]), true, "sigma("+g.Node(u).Name+")")
 	}
 
 	// Precedence constraints, optionally dropping redundant arcs (the
 	// reduction is memoized on the interned snapshot, so repeated model
 	// builds over one structure pay for it once).
-	skip := map[int]bool{}
+	var skip []bool
 	if reduceModel {
 		red, err := an.IR.RedundantEdges()
 		if err != nil {
 			return nil, nil, err
 		}
+		skip = make([]bool, g.NumEdges())
 		for _, ei := range red {
 			skip[ei] = true
 		}
 		info.RedundantArcs = len(red)
 	}
 	for ei, e := range g.Edges() {
-		if skip[ei] {
+		if skip != nil && skip[ei] {
 			continue
 		}
-		ilp.GE(m, ilp.VarExpr(vars.Sigma[e.To]).Minus(ilp.VarExpr(vars.Sigma[e.From])).AddConst(float64(-e.Latency)),
-			fmt.Sprintf("prec(%s,%s)", g.Node(e.From).Name, g.Node(e.To).Name))
+		ilp.GE(m, ilp.Diff(vars.Sigma[e.To], vars.Sigma[e.From], float64(-e.Latency)))
 	}
 
-	// Killing dates: k_i = max over consumers of σ_v + δr(v).
+	// Killing dates: k_i = max over consumers of σ_v + δr(v). MaxEquals
+	// keeps none of its expressions, so one buffer serves every value.
+	maxCons := 0
+	for _, cons := range an.Cons {
+		maxCons = max(maxCons, len(cons))
+	}
+	exprBuf, termBuf := make([]ilp.Expr, maxCons), make([]lp.Term, maxCons)
 	for i, u := range an.Values {
 		cons := an.Cons[i]
 		kloVal, khiVal := int64(-1)<<62, int64(-1)<<62
@@ -112,37 +140,35 @@ func BuildCore(an *Analysis, reduceModel bool, strictSlack int64, m *lp.Model) (
 				khiVal = r
 			}
 		}
-		kv := m.NewVar(float64(kloVal), float64(khiVal), true,
-			fmt.Sprintf("kill(%s)", g.Node(u).Name))
-		vars.Kill = append(vars.Kill, kv)
-		exprs := make([]ilp.Expr, len(cons))
+		name := g.Node(u).Name
+		kv := m.NewVar(float64(kloVal), float64(khiVal), true, "kill("+name+")")
+		vars.Kill[i] = kv
+		exprs, terms := exprBuf[:len(cons)], termBuf[:len(cons)]
 		for ci, v := range cons {
-			exprs[ci] = ilp.VarExpr(vars.Sigma[v]).AddConst(float64(g.Node(v).DelayR))
+			terms[ci] = lp.Term{Var: vars.Sigma[v], Coef: 1}
+			exprs[ci] = ilp.Expr{Terms: terms[ci : ci+1 : ci+1], Const: float64(g.Node(v).DelayR)}
 		}
-		ilp.MaxEquals(m, kv, exprs, fmt.Sprintf("killmax(%s)", g.Node(u).Name))
+		ilp.MaxEquals(m, kv, exprs, "killmax("+name+")")
 	}
 
 	// Interference equivalences per value pair.
-	for i := 0; i < len(an.Values); i++ {
-		for j := i + 1; j < len(an.Values); j++ {
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
 			if reduceModel && (an.neverAlive(i, j) || an.neverAlive(j, i)) {
 				info.NeverAlivePairs++
-				vars.NeverAlive[[2]int{i, j}] = true
 				continue
 			}
 			ui, uj := an.Values[i], an.Values[j]
+			pair := strconv.Itoa(i) + "," + strconv.Itoa(j) + ")"
 			// h_{i→j} ⇔ k_i − σ_uj − δw(j) − 1 + strictSlack ≥ 0
 			// (k_i > birth of j, strengthened by the machine slack).
-			h1 := ilp.IffGE(m,
-				ilp.VarExpr(vars.Kill[i]).Minus(ilp.VarExpr(vars.Sigma[uj])).AddConst(float64(-an.DelayW(j)-1+strictSlack)),
-				fmt.Sprintf("h(%d,%d)", i, j))
-			h2 := ilp.IffGE(m,
-				ilp.VarExpr(vars.Kill[j]).Minus(ilp.VarExpr(vars.Sigma[ui])).AddConst(float64(-an.DelayW(i)-1+strictSlack)),
-				fmt.Sprintf("h(%d,%d)", j, i))
-			vars.H[[2]int{i, j}] = h1
-			vars.H[[2]int{j, i}] = h2
-			s := ilp.AndBinary(m, h1, h2, fmt.Sprintf("s(%d,%d)", i, j))
-			vars.S[[2]int{i, j}] = s
+			h1 := ilp.IffGE(m, ilp.Diff(vars.Kill[i], vars.Sigma[uj], float64(-an.DelayW(j)-1+strictSlack)),
+				"h("+pair)
+			h2 := ilp.IffGE(m, ilp.Diff(vars.Kill[j], vars.Sigma[ui], float64(-an.DelayW(i)-1+strictSlack)),
+				"h("+strconv.Itoa(j)+","+strconv.Itoa(i)+")")
+			vars.h[i*nv+j] = h1
+			vars.h[j*nv+i] = h2
+			vars.s[i*nv+j] = ilp.AndBinary(m, h1, h2, "s("+pair)
 		}
 	}
 	return vars, info, nil
@@ -161,28 +187,27 @@ type ILPVars struct {
 //	s.t.     the interference core (BuildCore), and
 //	         s_{u,v} = 0 ⇒ x_u + x_v ≤ 1   (independent set in H′_t)
 func BuildSaturationModel(an *Analysis, reduceModel bool) (*lp.Model, *ILPVars, *ILPInfo, error) {
-	m := lp.NewModel(fmt.Sprintf("RS(%s,%s)", an.G.Name, an.Type), lp.Maximize)
+	m := lp.NewModel("RS("+an.G.Name+","+string(an.Type)+")", lp.Maximize)
 	core, info, err := BuildCore(an, reduceModel, 0, m)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	vars := &ILPVars{CoreVars: core}
-	for _, u := range an.Values {
-		vars.X = append(vars.X, m.NewBinary(fmt.Sprintf("x(%s)", an.G.Node(u).Name)))
+	vars := &ILPVars{CoreVars: core, X: make([]lp.Var, len(an.Values))}
+	for i, u := range an.Values {
+		vars.X[i] = m.NewBinary("x(" + an.G.Node(u).Name + ")")
 	}
 	for i := 0; i < len(an.Values); i++ {
 		for j := i + 1; j < len(an.Values); j++ {
-			key := [2]int{i, j}
-			if core.NeverAlive[key] {
+			s, ok := core.S(i, j)
+			if !ok {
 				// s is statically 0: emit the IS constraint directly.
-				m.AddConstr([]lp.Term{{Var: vars.X[i], Coef: 1}, {Var: vars.X[j], Coef: 1}},
-					lp.LE, 1, fmt.Sprintf("is0(%d,%d)", i, j))
+				m.AddConstr([]lp.Term{{Var: vars.X[i], Coef: 1}, {Var: vars.X[j], Coef: 1}}, lp.LE, 1)
 				continue
 			}
 			// s = 0 ⇒ x_i + x_j ≤ 1, linearized as x_i + x_j ≤ 1 + s.
 			m.AddConstr([]lp.Term{
-				{Var: vars.X[i], Coef: 1}, {Var: vars.X[j], Coef: 1}, {Var: core.S[key], Coef: -1},
-			}, lp.LE, 1, fmt.Sprintf("is(%d,%d)", i, j))
+				{Var: vars.X[i], Coef: 1}, {Var: vars.X[j], Coef: 1}, {Var: s, Coef: -1},
+			}, lp.LE, 1)
 		}
 	}
 	for _, x := range vars.X {
@@ -258,10 +283,10 @@ func SaturationCliques(an *Analysis, vars *ILPVars) []solver.Clique {
 	cliques := interference.MaximalCliques(n,
 		func(i, j int) bool { return adj[i*n+j] }, 3, 64)
 	out := make([]solver.Clique, 0, len(cliques))
-	for ci, c := range cliques {
-		cl := solver.Clique{Name: fmt.Sprintf("nacq%d", ci), RHS: 1}
-		for _, i := range c {
-			cl.Vars = append(cl.Vars, vars.X[i])
+	for _, c := range cliques {
+		cl := solver.Clique{Vars: make([]lp.Var, len(c)), RHS: 1}
+		for k, i := range c {
+			cl.Vars[k] = vars.X[i]
 		}
 		out = append(out, cl)
 	}

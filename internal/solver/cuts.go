@@ -14,8 +14,8 @@ package solver
 // fixed variables are folded through the presolve column map.
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"regsat/internal/lp"
@@ -24,7 +24,6 @@ import (
 // Clique is one hinted set-packing inequality: at most RHS of the listed
 // binary variables may be 1 in any integer-feasible solution.
 type Clique struct {
-	Name string
 	Vars []lp.Var
 	RHS  int
 }
@@ -43,10 +42,9 @@ const (
 
 // cutClique is a clique remapped into reduced (post-presolve) column space.
 type cutClique struct {
-	name string
 	cols []int // reduced column indices, ascending
 	rhs  float64
-	row  int // row index in the reduced model once added, -1 otherwise
+	row  int // row index in the reduced problem once added, -1 otherwise
 }
 
 // remapCliques folds the hinted cliques through the presolve column map:
@@ -55,12 +53,13 @@ type cutClique struct {
 // right-hand side covering all members) are discarded; a clique whose
 // right-hand side goes negative proves infeasibility (the builder fixed
 // more ones than the clique admits — presolve found a contradiction).
-// The result is deterministically ordered.
+// The result is sorted by column list (ties in hint order), with later
+// duplicates — same columns and same right-hand side — dropped.
 func remapCliques(h *Hints, ps *presolved) (cliques []*cutClique, infeasible bool) {
 	if h == nil {
 		return nil, false
 	}
-	seen := make(map[string]bool, len(h.Cliques))
+	p := ps.p
 	for _, c := range h.Cliques {
 		rhs := float64(c.RHS)
 		cols := make([]int, 0, len(c.Vars))
@@ -75,7 +74,7 @@ func remapCliques(h *Hints, ps *presolved) (cliques []*cutClique, infeasible boo
 				rhs -= ps.fixed[v]
 				continue
 			}
-			if lo, hi := ps.m.Bounds(lp.Var(rc)); !ps.m.IsInteger(lp.Var(rc)) || lo < 0 || hi > 1 {
+			if !p.integer[rc] || p.rootLo[rc] < 0 || p.rootHi[rc] > 1 {
 				ok = false
 				break
 			}
@@ -91,48 +90,53 @@ func remapCliques(h *Hints, ps *presolved) (cliques []*cutClique, infeasible boo
 			continue
 		}
 		sort.Ints(cols)
-		key := fmt.Sprintf("%v|%g", cols, rhs)
-		if seen[key] {
+		cliques = append(cliques, &cutClique{cols: cols, rhs: rhs, row: -1})
+	}
+	slices.SortStableFunc(cliques, func(a, b *cutClique) int { return slices.Compare(a.cols, b.cols) })
+	// Equal column lists are adjacent now, in hint order: keep the first
+	// clique of each (columns, rhs) pair.
+	out := cliques[:0]
+	run := 0 // start in out of the current run of equal column lists
+	for _, c := range cliques {
+		if len(out) == 0 || !slices.Equal(out[len(out)-1].cols, c.cols) {
+			run = len(out)
+		} else if slices.ContainsFunc(out[run:], func(d *cutClique) bool { return d.rhs == c.rhs }) {
 			continue
 		}
-		seen[key] = true
-		cliques = append(cliques, &cutClique{name: c.Name, cols: cols, rhs: math.Round(rhs), row: -1})
+		out = append(out, c)
 	}
-	sort.SliceStable(cliques, func(a, b int) bool {
-		ca, cb := cliques[a], cliques[b]
-		for i := 0; i < len(ca.cols) && i < len(cb.cols); i++ {
-			if ca.cols[i] != cb.cols[i] {
-				return ca.cols[i] < cb.cols[i]
-			}
-		}
-		return len(ca.cols) < len(cb.cols)
-	})
-	return cliques, false
+	for _, c := range out {
+		c.rhs = math.Round(c.rhs)
+	}
+	return out, false
 }
 
 // separation is the outcome of root cut separation.
 type separation struct {
-	added  int64 // cuts appended to the model
+	added  int64 // cuts appended to the problem
 	rounds int64 // separation LPs solved
-	// root is the solved root LP of the final model when separation
-	// converged (its last round added no cut): the search adopts it for the
-	// root node instead of solving the same LP again from a cold start. Nil
-	// when no round ran to optimality or the last round added cuts; the
-	// tableau has then been released.
+	// p is the problem the search runs on: the one passed in, grown by the
+	// appended cut rows.
+	p *prob
+	// root is the solved root LP of p when separation converged (its last
+	// round added no cut): the search adopts it for the root node instead
+	// of solving the same LP again from a cold start. Nil when no round ran
+	// to optimality or the last round added cuts; the tableau has then been
+	// released.
 	root *spx
 	// iters and blandIters total the simplex iterations of every round's
 	// solve; root's own counters are zeroed, so nothing is counted twice.
 	iters, blandIters int64
 }
 
-// separateRoot solves the root LP relaxation of rm, appends the hinted
-// cliques the fractional point violates, and reoptimizes, until no violation
-// remains or a round/cut cap is hit. rm is solver-owned (presolve always
-// re-emits), so appending rows is safe. p must be the sparse form of rm as
-// passed. Every round after the first extends the previous round's optimal
-// tableau with the new cut rows (spx.addRows) and resumes the dual simplex
-// from that basis, so the root LP is solved cold only once.
-func separateRoot(rm *lp.Model, p *prob, cliques []*cutClique, cancelled func() bool) (sep separation) {
+// separateRoot solves the root LP relaxation of p, appends the hinted
+// cliques the fractional point violates as rows of a grown copy of p, and
+// reoptimizes, until no violation remains or a round/cut cap is hit. Every
+// round after the first extends the previous round's optimal tableau with
+// the new cut rows (spx.addRows) and resumes the dual simplex from that
+// basis, so the root LP is solved cold only once.
+func separateRoot(p *prob, cliques []*cutClique, cancelled func() bool) (sep separation) {
+	sep.p = p
 	if len(cliques) == 0 || (cancelled != nil && cancelled()) {
 		return sep
 	}
@@ -148,17 +152,14 @@ func separateRoot(rm *lp.Model, p *prob, cliques []*cutClique, cancelled func() 
 		if st != spxOptimal {
 			break
 		}
-		k := appendViolated(rm, cliques, w.solution(), cutMaxAdded-sep.added)
+		p2, k := appendViolated(sep.p, cliques, w.solution(), cutMaxAdded-sep.added)
 		if k == 0 {
 			sep.root = w
 			return sep
 		}
+		sep.p = p2
 		sep.added += k
 		if sep.added >= cutMaxAdded || round == cutMaxRounds || (cancelled != nil && cancelled()) {
-			break
-		}
-		p2, err := buildProb(rm)
-		if err != nil {
 			break
 		}
 		w.addRows(p2)
@@ -167,11 +168,13 @@ func separateRoot(rm *lp.Model, p *prob, cliques []*cutClique, cancelled func() 
 	return sep
 }
 
-// appendViolated appends to rm, as rows, the cliques not yet added that x
-// violates by more than cutMinViol, stopping after limit of them, and
-// returns how many it appended.
-func appendViolated(rm *lp.Model, cliques []*cutClique, x []float64, limit int64) int64 {
+// appendViolated returns p grown by one row per clique not yet added that x
+// violates by more than cutMinViol, stopping after limit of them, and how
+// many it appended. With none violated it returns p itself; otherwise p is
+// left as it was (the grown copy appends past p's lengths).
+func appendViolated(p *prob, cliques []*cutClique, x []float64, limit int64) (*prob, int64) {
 	var k int64
+	q := p
 	for _, c := range cliques {
 		if k >= limit {
 			break
@@ -184,15 +187,28 @@ func appendViolated(rm *lp.Model, cliques []*cutClique, x []float64, limit int64
 			act += x[j]
 		}
 		if act > c.rhs+cutMinViol {
-			terms := make([]lp.Term, len(c.cols))
-			for i, j := range c.cols {
-				terms[i] = lp.Term{Var: lp.Var(j), Coef: 1}
+			if q == p {
+				cp := *p
+				q = &cp
 			}
-			c.row = rm.AddConstr(terms, lp.LE, c.rhs, c.name)
+			c.row = q.m
+			// A column listed twice sums its coefficients, as lp.AddConstr
+			// would.
+			for i := 0; i < len(c.cols); {
+				j, coef := c.cols[i], 1.0
+				for i++; i < len(c.cols) && c.cols[i] == j; i++ {
+					coef++
+				}
+				q.rowCol = append(q.rowCol, int32(j))
+				q.rowVal = append(q.rowVal, coef)
+			}
+			q.closeRow(lp.LE, c.rhs)
+			q.m++
+			q.N++
 			k++
 		}
 	}
-	return k
+	return q, k
 }
 
 // activeCuts counts the added cuts tight at x (a reduced-space incumbent).

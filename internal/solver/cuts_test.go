@@ -23,7 +23,7 @@ func conflictModel(obj []float64, edges [][2]int) *lp.Model {
 	}
 	for _, e := range edges {
 		m.AddConstr([]lp.Term{{Var: lp.Var(e[0]), Coef: 1}, {Var: lp.Var(e[1]), Coef: 1}},
-			lp.LE, 1, "conflict")
+			lp.LE, 1)
 	}
 	return m
 }
@@ -45,7 +45,7 @@ func TestCliqueCutsSeparatedAtRoot(t *testing.T) {
 		}
 	}
 	m := conflictModel(obj, edges)
-	hints := &Hints{Cliques: []Clique{{Name: "all", Vars: cliqueVars, RHS: 1}}}
+	hints := &Hints{Cliques: []Clique{{Vars: cliqueVars, RHS: 1}}}
 	sol := solveWith(t, m, Options{Hints: hints})
 	checkOracle(t, "with cuts", conflictModel(obj, edges), sol)
 	if sol.Stats.CutsAdded == 0 {
@@ -88,7 +88,6 @@ func TestCliqueHintsAgreeRandom(t *testing.T) {
 				for k := j + 1; k < nv; k++ {
 					if adj[i*nv+j] && adj[i*nv+k] && adj[j*nv+k] {
 						cliques = append(cliques, Clique{
-							Name: "tri",
 							Vars: []lp.Var{lp.Var(i), lp.Var(j), lp.Var(k)},
 							RHS:  1,
 						})
@@ -132,10 +131,10 @@ func TestRemapCliquesFolding(t *testing.T) {
 		for v := 0; v < 4; v++ {
 			m.SetObjCoef(lp.Var(v), 1)
 		}
-		return presolve(m, 1e-6, true)
+		return mustPresolve(t, m, true)
 	}
 	clique := func(rhs int, vars ...lp.Var) *Hints {
-		return &Hints{Cliques: []Clique{{Name: "q", Vars: vars, RHS: rhs}}}
+		return &Hints{Cliques: []Clique{{Vars: vars, RHS: rhs}}}
 	}
 
 	// a fixed at 1: the clique loses a column and one unit of rhs.
@@ -170,9 +169,9 @@ func TestRemapCliquesFolding(t *testing.T) {
 	// Duplicates collapse; output order is deterministic.
 	ps = build(0, 1, 0, 1)
 	h := &Hints{Cliques: []Clique{
-		{Name: "q1", Vars: []lp.Var{2, 3, 0}, RHS: 1},
-		{Name: "q2", Vars: []lp.Var{0, 2, 3}, RHS: 1},
-		{Name: "q3", Vars: []lp.Var{1, 2, 3}, RHS: 1},
+		{Vars: []lp.Var{2, 3, 0}, RHS: 1},
+		{Vars: []lp.Var{0, 2, 3}, RHS: 1},
+		{Vars: []lp.Var{1, 2, 3}, RHS: 1},
 	}}
 	got, infeasible = remapCliques(h, ps)
 	if infeasible || len(got) != 2 {
@@ -190,8 +189,8 @@ func TestRemapCliquesNonBinary(t *testing.T) {
 	m.NewVar(0, 3, true, "g")
 	m.NewBinary("x")
 	m.NewBinary("y")
-	ps := presolve(m, 1e-6, true)
-	h := &Hints{Cliques: []Clique{{Name: "bad", Vars: []lp.Var{0, 1, 2}, RHS: 1}}}
+	ps := mustPresolve(t, m, true)
+	h := &Hints{Cliques: []Clique{{Vars: []lp.Var{0, 1, 2}, RHS: 1}}}
 	got, infeasible := remapCliques(h, ps)
 	if infeasible || len(got) != 0 {
 		t.Fatalf("clique over a [0,3] integer survived remap: %+v", got)
@@ -211,7 +210,7 @@ func TestCutsDisabled(t *testing.T) {
 			edges = append(edges, [2]int{i, j})
 		}
 	}
-	hints := &Hints{Cliques: []Clique{{Name: "all", Vars: vars, RHS: 1}}}
+	hints := &Hints{Cliques: []Clique{{Vars: vars, RHS: 1}}}
 	sol := solveWith(t, conflictModel(obj, edges), Options{Hints: hints, DisableCuts: true})
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-1) > 1e-6 {
 		t.Fatalf("optimum %v/%g, want optimal 1", sol.Status, sol.Obj)
@@ -250,7 +249,7 @@ func hintedConflictN(rng *rand.Rand, nv int) (*lp.Model, *Hints) {
 		for j := i + 1; j < nv; j++ {
 			for k := j + 1; k < nv; k++ {
 				if adj[i*nv+j] && adj[i*nv+k] && adj[j*nv+k] {
-					h.Cliques = append(h.Cliques, Clique{Name: "tri", Vars: []lp.Var{lp.Var(i), lp.Var(j), lp.Var(k)}, RHS: 1})
+					h.Cliques = append(h.Cliques, Clique{Vars: []lp.Var{lp.Var(i), lp.Var(j), lp.Var(k)}, RHS: 1})
 				}
 			}
 		}
@@ -273,7 +272,7 @@ func completeConflict(obj []float64, sizes ...int) (*lp.Model, *Hints) {
 	var pick func(from int, vars []lp.Var, size int)
 	pick = func(from int, vars []lp.Var, size int) {
 		if len(vars) == size {
-			h.Cliques = append(h.Cliques, Clique{Name: fmt.Sprintf("k%d", size), Vars: slices.Clone(vars), RHS: 1})
+			h.Cliques = append(h.Cliques, Clique{Vars: slices.Clone(vars), RHS: 1})
 			return
 		}
 		for v := from; v < k; v++ {
@@ -290,7 +289,7 @@ func completeConflict(obj []float64, sizes ...int) (*lp.Model, *Hints) {
 // root separation on a private presolved copy of m.
 func separateAsSolve(t *testing.T, m *lp.Model, h *Hints) separation {
 	t.Helper()
-	ps := presolve(m, 1e-6, true)
+	ps := mustPresolve(t, m, true)
 	if ps.infeasible {
 		t.Fatal("presolve proved the model infeasible")
 	}
@@ -298,11 +297,7 @@ func separateAsSolve(t *testing.T, m *lp.Model, h *Hints) separation {
 	if bad {
 		t.Fatal("hinted cliques proved the model infeasible")
 	}
-	p, err := buildProb(ps.m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return separateRoot(ps.m, p, cliques, nil)
+	return separateRoot(ps.p, cliques, nil)
 }
 
 // checkOptimalBasis requires w to hold an optimal basis: every basic value
@@ -353,8 +348,8 @@ func TestSeparateRootHandsOffSolvedRoot(t *testing.T) {
 		tag := fmt.Sprintf("trial %d", trial)
 		root := sep.root
 		p := root.p
-		if p.m != p.model.NumConstrs() {
-			t.Fatalf("%s: handed-off root has %d rows, the final model %d", tag, p.m, p.model.NumConstrs())
+		if p != sep.p || p.m != len(p.rhs) || len(p.rowPtr) != p.m+1 {
+			t.Fatalf("%s: handed-off root has %d rows, the final problem %d", tag, p.m, sep.p.m)
 		}
 		if root.iters != 0 || root.blandIters != 0 {
 			t.Fatalf("%s: handed-off root still holds %d iterations: they would be counted twice", tag, root.iters)
@@ -409,16 +404,13 @@ func TestSeparateRootNoHandoff(t *testing.T) {
 	}
 
 	m, hc := hintedConflict(rand.New(rand.NewSource(7)))
-	ps := presolve(m, 1e-6, true)
+	ps := mustPresolve(t, m, true)
 	cliques, _ := remapCliques(hc, ps)
-	p, err := buildProb(ps.m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sep := separateRoot(ps.m, p, cliques, func() bool { return true }); sep.root != nil || sep.added != 0 {
+	p := ps.p
+	if sep := separateRoot(p, cliques, func() bool { return true }); sep.root != nil || sep.added != 0 {
 		t.Fatalf("cancelled: added %d, root handed off %v", sep.added, sep.root != nil)
 	}
-	if sep := separateRoot(ps.m, p, nil, nil); sep.root != nil || sep.iters != 0 {
+	if sep := separateRoot(p, nil, nil); sep.root != nil || sep.iters != 0 {
 		t.Fatalf("no cliques: root handed off %v after %d iterations", sep.root != nil, sep.iters)
 	}
 }
@@ -494,7 +486,7 @@ func TestSeparationItersCounted(t *testing.T) {
 			edges = append(edges, [2]int{i, j})
 		}
 	}
-	h := &Hints{Cliques: []Clique{{Name: "all", Vars: all, RHS: 1}}}
+	h := &Hints{Cliques: []Clique{{Vars: all, RHS: 1}}}
 	sep := separateAsSolve(t, conflictModel(obj, edges), h)
 	if sep.added == 0 || sep.root == nil || sep.iters == 0 {
 		t.Fatalf("separation: added %d, converged %v, %d iterations", sep.added, sep.root != nil, sep.iters)

@@ -1,0 +1,81 @@
+package solver
+
+import (
+	"encoding/binary"
+	"io"
+	"math"
+
+	"regsat/internal/lp"
+)
+
+// PresolveModel runs the engine's model loading — presolve with the default
+// integrality tolerance, reductions on — and discards the result, for
+// benchmarks outside the package.
+func PresolveModel(m *lp.Model) error {
+	_, err := presolve(m, Options{}.withDefaults().IntTol, true)
+	return err
+}
+
+// WritePresolved renders what the engine loads for m — the presolved sparse
+// problem, its column map and fixed values, and the reduction counters —
+// to w in a fixed binary layout, for hashing.
+func WritePresolved(w io.Writer, m *lp.Model) error {
+	ps, err := presolve(m, Options{}.withDefaults().IntTol, true)
+	if err != nil {
+		return err
+	}
+	var b []byte
+	i64 := func(v int64) { b = binary.LittleEndian.AppendUint64(b, uint64(v)) }
+	f64 := func(v float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v)) }
+	flag := func(v bool) {
+		if v {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	i64(int64(ps.nOrig))
+	i64(ps.rows)
+	i64(ps.cols)
+	i64(ps.tightenings)
+	flag(ps.infeasible)
+	if ps.infeasible {
+		_, err = w.Write(b)
+		return err
+	}
+	p := ps.p
+	i64(int64(p.sense))
+	f64(p.objOffset)
+	i64(int64(p.n))
+	i64(int64(p.m))
+	flag(p.intObj)
+	for _, c := range ps.colMap {
+		i64(int64(c))
+	}
+	for _, v := range ps.fixed {
+		f64(v)
+	}
+	for _, k := range p.rowPtr {
+		i64(int64(k))
+	}
+	for _, c := range p.rowCol {
+		i64(int64(c))
+	}
+	for _, v := range p.rowVal {
+		f64(v)
+	}
+	for i := 0; i < p.m; i++ {
+		i64(int64(p.rel[i]))
+		f64(p.rhs[i])
+		f64(p.slackLo[i])
+		f64(p.slackHi[i])
+	}
+	for j := 0; j < p.n; j++ {
+		f64(p.rootLo[j])
+		f64(p.rootHi[j])
+		f64(p.cost[j])
+		flag(p.integer[j])
+	}
+	_, err = w.Write(b)
+	return err
+}

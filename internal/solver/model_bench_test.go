@@ -1,0 +1,101 @@
+package solver_test
+
+import (
+	"math/rand"
+	"os"
+	"testing"
+
+	"regsat/internal/ddg"
+	"regsat/internal/gen"
+	"regsat/internal/rs"
+	"regsat/internal/solver"
+)
+
+// genMixAnalyses returns the analyses of the first 48 graphs of the gen-mix
+// stream (the cold-ilp input mix of the root package's
+// BenchmarkExactILPGenMix): the five generator families in turn at their
+// default parameters on the superscalar machine, int and float values,
+// seeds drawn from seed 2004 — 96 register-type analyses.
+func genMixAnalyses(tb testing.TB) []*rs.Analysis {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(2004))
+	fams := gen.Families()
+	var ans []*rs.Analysis
+	for k := 0; k < 48; k++ {
+		f := fams[k%len(fams)]
+		d := f.Defaults
+		g, err := f.Generate(gen.Params{Seed: rng.Int63(), Machine: ddg.Superscalar,
+			Size: d.Size, Width: d.Width, Density: d.Density, Types: []ddg.RegType{ddg.Int, ddg.Float}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, t := range g.Types() {
+			an, err := rs.NewAnalysis(g, t)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			ans = append(ans, an)
+		}
+	}
+	return ans
+}
+
+// loadModel builds the reduced Section 3 model of an and loads it the way
+// a solve does: presolve writing the sparse problem.
+func loadModel(tb testing.TB, an *rs.Analysis) {
+	m, _, _, err := rs.BuildSaturationModel(an, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := solver.PresolveModel(m); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkSaturationModel is the model-building layer of a cold solve:
+// build the reduced Section 3 model, presolve it and load the sparse
+// problem, for each of the 96 gen-mix analyses (one op = all of them).
+// The analyses are built outside the timer.
+func BenchmarkSaturationModel(b *testing.B) {
+	ans := genMixAnalyses(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, an := range ans {
+			loadModel(b, an)
+		}
+	}
+}
+
+// maxLoadAllocs bounds the allocations of building and loading the
+// reduced Section 3 model of superscalar-spec-swim/float: 17 values, 311
+// variables, 773 rows, 2,062 nonzeros. The path measures 77 allocations
+// (go1.24, linux/amd64): amortized slice growth of the model's arenas plus a
+// fixed number per model. The bound leaves 30% headroom; allocating per row
+// or per variable again (this model made 6,569 allocations that way) fails
+// it by far.
+const maxLoadAllocs = 100
+
+// TestSaturationModelAllocs guards the allocation count of the model
+// building and loading path on one mid-size corpus graph.
+func TestSaturationModelAllocs(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/superscalar-spec-swim.ddg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ddg.ParseString(string(raw))
+	if err == nil {
+		err = g.Finalize()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := rs.NewAnalysis(g, ddg.Float)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadModel(t, an) // warm the analysis' memoized graph facts
+	if got := testing.AllocsPerRun(20, func() { loadModel(t, an) }); got > maxLoadAllocs {
+		t.Fatalf("building and loading the model allocates %.0f times, bound %d", got, maxLoadAllocs)
+	}
+}

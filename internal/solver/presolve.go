@@ -1,11 +1,12 @@
 package solver
 
 // Presolve for the sparse engine: a fixpoint of cheap, provably
-// equivalence-preserving reductions applied to a private copy of the model
+// equivalence-preserving reductions applied to one flat copy of the model
 // before branch and bound. The pass never touches the caller's lp.Model —
-// it re-emits a reduced model the solver owns (so the cut layer may later
-// append rows to it) together with a postsolve map that reconstructs the
-// full original solution vector. Callers therefore see unchanged semantics:
+// it writes the reduced problem straight into the engine's sparse form
+// (prob), which the solver owns (so the cut layer may later append rows to
+// it), together with a postsolve map that reconstructs the full original
+// solution vector. Callers therefore see unchanged semantics:
 // same optimum, same X length, same variable order.
 //
 // Reductions, iterated to a fixpoint (bounded pass count):
@@ -27,9 +28,8 @@ package solver
 // unsatisfiable empty rows, contradictory duplicate equations).
 
 import (
-	"encoding/binary"
+	"fmt"
 	"math"
-	"sort"
 
 	"regsat/internal/lp"
 )
@@ -43,7 +43,7 @@ const (
 
 // presolved is the outcome of one presolve run.
 type presolved struct {
-	m *lp.Model // reduced model, owned by the solver
+	p *prob // reduced problem, owned by the solver
 	// colMap maps original columns to reduced ones, -1 for eliminated
 	// columns whose value is in fixed.
 	colMap []int
@@ -82,36 +82,42 @@ func (ps *presolved) postsolve(x []float64) []float64 {
 	return out
 }
 
-// prow is presolve's mutable copy of one constraint.
+// prow is presolve's mutable view of one constraint: its live terms are
+// terms[start:end] of the presolve arena, in ascending column order.
 type prow struct {
-	terms []lp.Term
-	rel   lp.Rel
-	rhs   float64
-	name  string
-	dead  bool
+	start, end int
+	rel        lp.Rel
+	rhs        float64
+	hash       uint64 // duplicate-detection hash of the live terms and rel
+	dead       bool
 }
 
-// presolve runs the reduction fixpoint over m. With reductions false it
-// still produces an owned copy (identity mapping) so downstream stages may
-// mutate the result freely.
-func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
+// presolve runs the reduction fixpoint over m and writes the reduced
+// problem straight into sparse form (ps.p). With reductions false the
+// problem is an identity copy of m. It fails only when the reduced problem
+// has a cost-bearing column unbounded on its improving side or a free
+// column, which the dual simplex cannot cold-start.
+func presolve(m *lp.Model, intTol float64, reductions bool) (*presolved, error) {
 	n := m.NumVars()
 	ps := &presolved{nOrig: n, colMap: make([]int, n), fixed: make([]float64, n)}
 
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	integer := make([]bool, n)
-	fixedMask := make([]bool, n)
+	// One flat copy of the model: column bounds and flags, the term arena,
+	// and per-row headers into it.
+	bounds := make([]float64, 2*n)
+	lo, hi := bounds[:n:n], bounds[n:]
+	flags := make([]bool, 2*n)
+	integer, fixedMask := flags[:n:n], flags[n:]
 	for j := 0; j < n; j++ {
 		lo[j], hi[j] = m.Bounds(lp.Var(j))
 		integer[j] = m.IsInteger(lp.Var(j))
 	}
+	terms := make([]lp.Term, 0, m.NumNonzeros())
 	rows := make([]prow, m.NumConstrs())
 	for i := range rows {
-		terms, rel, rhs := m.Constr(i)
-		cp := make([]lp.Term, len(terms))
-		copy(cp, terms)
-		rows[i] = prow{terms: cp, rel: rel, rhs: rhs, name: m.ConstrName(i)}
+		ts, rel, rhs := m.Constr(i)
+		start := len(terms)
+		terms = append(terms, ts...)
+		rows[i] = prow{start: start, end: len(terms), rel: rel, rhs: rhs}
 	}
 
 	// roundInt snaps integer bounds to the integer lattice; returns false on
@@ -133,6 +139,7 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 		lo[j], hi[j] = v, v
 		ps.cols++
 	}
+	var table []int32 // duplicate-row hash table, reused across passes
 	if reductions {
 		for pass := 0; pass < presolveMaxPasses && !ps.infeasible; pass++ {
 			changed := false
@@ -143,15 +150,15 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 				if r.dead {
 					continue
 				}
-				kept := r.terms[:0]
-				for _, t := range r.terms {
+				kept := terms[r.start:r.start]
+				for _, t := range terms[r.start:r.end] {
 					if fixedMask[t.Var] {
 						r.rhs -= t.Coef * ps.fixed[t.Var]
 					} else {
 						kept = append(kept, t)
 					}
 				}
-				r.terms = kept
+				r.end = r.start + len(kept)
 			}
 
 			for i := range rows {
@@ -159,10 +166,11 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 				if r.dead || ps.infeasible {
 					continue
 				}
+				rt := terms[r.start:r.end]
 
 				// Activity bounds of the live terms.
 				minAct, maxAct := 0.0, 0.0
-				for _, t := range r.terms {
+				for _, t := range rt {
 					if t.Coef > 0 {
 						minAct += t.Coef * lo[t.Var]
 						maxAct += t.Coef * hi[t.Var]
@@ -211,8 +219,8 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 				}
 
 				// Singleton rows fold into a bound.
-				if len(r.terms) == 1 {
-					t := r.terms[0]
+				if len(rt) == 1 {
+					t := rt[0]
 					j := int(t.Var)
 					v := r.rhs / t.Coef
 					newLo, newHi := lo[j], hi[j]
@@ -243,7 +251,7 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 				propagate := func(le bool, rhs float64) {
 					// le: Σ terms ≤ rhs semantics (GE rows pass the negated
 					// view through this same path).
-					for _, t := range r.terms {
+					for _, t := range rt {
 						j := int(t.Var)
 						c := t.Coef
 						if !le {
@@ -251,7 +259,7 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 						}
 						var restMin float64
 						ok := true
-						for _, u := range r.terms {
+						for _, u := range rt {
 							if u.Var == t.Var {
 								continue
 							}
@@ -316,7 +324,7 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 					// updates above.
 					u := 0.0
 					finite := true
-					for _, t := range r.terms {
+					for _, t := range rt {
 						c := t.Coef
 						if !le {
 							c = -c
@@ -338,8 +346,8 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 						b = -b
 					}
 					if finite && u > b+tol {
-						for k := range r.terms {
-							t := &r.terms[k]
+						for k := range rt {
+							t := &rt[k]
 							j := int(t.Var)
 							if !integer[j] || lo[j] != 0 || hi[j] != 1 {
 								continue
@@ -377,13 +385,13 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 							}
 						}
 						// Dropped-to-zero coefficients leave the row.
-						kept := r.terms[:0]
-						for _, t := range r.terms {
+						kept := rt[:0]
+						for _, t := range rt {
 							if t.Coef != 0 {
 								kept = append(kept, t)
 							}
 						}
-						r.terms = kept
+						r.end = r.start + len(kept)
 					}
 				}
 			}
@@ -415,17 +423,32 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 			}
 
 			// Duplicate rows: identical live term vectors and relation keep
-			// only the tightest right-hand side.
-			seen := make(map[string]int)
-			var key []byte
+			// only the tightest right-hand side. Rows go into an
+			// open-addressing table by a 64-bit hash; a hit counts only
+			// after an exact comparison, so colliding rows are both kept.
+			if table == nil {
+				size := 4
+				for size < 2*len(rows) {
+					size *= 2
+				}
+				table = make([]int32, size)
+			}
+			for k := range table {
+				table[k] = -1
+			}
+			mask := uint64(len(table) - 1)
 			for i := range rows {
 				r := &rows[i]
-				if r.dead || len(r.terms) == 0 {
+				if r.dead || r.end == r.start {
 					continue
 				}
-				key = rowKey(key, r)
-				if prev, ok := seen[string(key)]; ok {
-					p := &rows[prev]
+				r.hash = rowHash(r.rel, terms[r.start:r.end])
+				slot := r.hash & mask
+				for ; table[slot] >= 0; slot = (slot + 1) & mask {
+					p := &rows[table[slot]]
+					if p.hash != r.hash || !sameRow(p, r, terms) {
+						continue
+					}
 					switch r.rel {
 					case lp.LE:
 						p.rhs = math.Min(p.rhs, r.rhs)
@@ -439,9 +462,11 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 					r.dead = true
 					ps.rows++
 					changed = true
-					continue
+					break
 				}
-				seen[string(key)] = i
+				if !r.dead {
+					table[slot] = int32(i)
+				}
 			}
 
 			if !changed {
@@ -451,66 +476,164 @@ func presolve(m *lp.Model, intTol float64, reductions bool) *presolved {
 	}
 
 	if ps.infeasible {
-		return ps
+		return ps, nil
 	}
+	p, err := emitProb(m, ps, lo, hi, integer, fixedMask, terms, rows)
+	if err != nil {
+		return nil, err
+	}
+	ps.p = p
+	return ps, nil
+}
 
-	// Re-emit the reduced model.
-	red := lp.NewModel(m.Name(), m.Sense())
+// emitProb writes the reduced problem in sparse form: the surviving columns
+// in original order (recording colMap), the live rows with columns fixed
+// since the last substitution sweep folded into their right-hand sides, the
+// internal-sense costs, and the objective offset including the fixed
+// columns' contribution. Errors name columns through the original model.
+func emitProb(m *lp.Model, ps *presolved, lo, hi []float64, integer, fixedMask []bool, terms []lp.Term, rows []prow) (*prob, error) {
+	n := 0
 	off := m.ObjOffset()
-	for j := 0; j < n; j++ {
+	for j := range ps.colMap {
 		if fixedMask[j] {
 			ps.colMap[j] = -1
 			off += m.ObjCoef(lp.Var(j)) * ps.fixed[j]
 			continue
 		}
-		ps.colMap[j] = int(red.NewVar(lo[j], hi[j], integer[j], m.VarName(lp.Var(j))))
+		ps.colMap[j] = n
+		n++
 	}
-	red.SetObjOffset(off)
-	for j := 0; j < n; j++ {
-		if c := ps.colMap[j]; c >= 0 {
-			if cf := m.ObjCoef(lp.Var(j)); cf != 0 {
-				red.SetObjCoef(lp.Var(c), cf)
-			}
-		}
-	}
+	nr, nnz := 0, 0
 	for i := range rows {
 		r := &rows[i]
 		if r.dead {
 			continue
 		}
-		terms := make([]lp.Term, 0, len(r.terms))
-		for _, t := range r.terms {
+		kept := terms[r.start:r.start]
+		for _, t := range terms[r.start:r.end] {
 			if fixedMask[t.Var] {
 				// A column fixed after the last substitution sweep.
 				r.rhs -= t.Coef * ps.fixed[t.Var]
-				continue
+			} else if t.Coef != 0 {
+				kept = append(kept, t)
 			}
-			terms = append(terms, lp.Term{Var: lp.Var(ps.colMap[t.Var]), Coef: t.Coef})
 		}
-		red.AddConstr(terms, r.rel, r.rhs, r.name)
+		r.end = r.start + len(kept)
+		nr++
+		nnz += len(kept)
 	}
-	ps.m = red
-	return ps
+
+	p := &prob{
+		sense:     m.Sense(),
+		objOffset: off,
+		n:         n,
+		m:         nr,
+		N:         n + nr,
+		rowPtr:    make([]int32, 1, nr+1),
+		rowCol:    make([]int32, 0, nnz),
+		rowVal:    make([]float64, 0, nnz),
+		rel:       make([]lp.Rel, 0, nr),
+		integer:   make([]bool, n),
+	}
+	// Arrays sharing one allocation are capped, so a grown copy's appended
+	// cut rows reallocate rather than run into the next array.
+	rowF := make([]float64, 3*nr)
+	p.rhs, p.slackLo, p.slackHi = rowF[:0:nr], rowF[nr:nr:2*nr], rowF[2*nr:2*nr:3*nr]
+	colF := make([]float64, 3*n)
+	p.cost, p.rootLo, p.rootHi = colF[:n:n], colF[n:2*n:2*n], colF[2*n:]
+	for i := range rows {
+		r := &rows[i]
+		if r.dead {
+			continue
+		}
+		for _, t := range terms[r.start:r.end] {
+			p.rowCol = append(p.rowCol, int32(ps.colMap[t.Var]))
+			p.rowVal = append(p.rowVal, t.Coef)
+		}
+		p.closeRow(r.rel, r.rhs)
+	}
+
+	maximize := p.sense == lp.Maximize
+	p.intObj = true
+	for j, c := range ps.colMap {
+		if c < 0 {
+			continue
+		}
+		// Every zero cost loads as +0 whatever its sign bit (−0 once
+		// negated for Maximize), so equal models load bit-identical.
+		cost := 0.0
+		if cf := m.ObjCoef(lp.Var(j)); cf != 0 {
+			cost = cf
+		}
+		if maximize {
+			cost = -cost
+		}
+		p.cost[c] = cost
+		p.rootLo[c], p.rootHi[c] = lo[j], hi[j]
+		p.integer[c] = integer[j]
+		if cost != 0 && (!integer[j] || cost != math.Trunc(cost)) {
+			p.intObj = false
+		}
+		// A dual-feasible cold start needs a finite bound on the side the
+		// reduced-cost sign demands. Every variable of the paper's models is
+		// bounded by the schedule horizon, so only hand-built models get here.
+		switch {
+		case cost > spxDualTol && math.IsInf(lo[j], 0):
+			return nil, unboundedVarError(m, j, "lower")
+		case cost < -spxDualTol && math.IsInf(hi[j], 0):
+			return nil, unboundedVarError(m, j, "upper")
+		case math.IsInf(lo[j], 0) && math.IsInf(hi[j], 0):
+			return nil, fmt.Errorf("solver: model %s: variable %s is free (no finite bound)",
+				m.Name(), m.VarName(lp.Var(j)))
+		}
+	}
+	return p, nil
 }
 
-// rowKey canonicalizes a row's live terms and relation for duplicate
-// detection into buf (reused across rows). Terms are already in ascending
-// variable order (lp.AddConstr compacts them that way) but presolve's
-// in-place filtering preserves any order, so sort defensively. The key is
-// fixed-width binary — the relation byte, then 8 bytes of variable and 8 of
-// coefficient bits per term — so two rows share a key only when equal.
-func rowKey(buf []byte, r *prow) []byte {
-	terms := r.terms
-	if !sort.SliceIsSorted(terms, func(a, b int) bool { return terms[a].Var < terms[b].Var }) {
-		cp := make([]lp.Term, len(terms))
-		copy(cp, terms)
-		sort.Slice(cp, func(a, b int) bool { return cp[a].Var < cp[b].Var })
-		terms = cp
+// unboundedVarError reports a cost-bearing variable whose bound on the
+// objective's improving side ("lower" or "upper") is infinite.
+func unboundedVarError(m *lp.Model, j int, side string) error {
+	v := lp.Var(j)
+	return fmt.Errorf("solver: model %s: variable %s has objective coefficient %g but no finite %s bound",
+		m.Name(), m.VarName(v), m.ObjCoef(v), side)
+}
+
+// testHookRowHash, when set, replaces every duplicate-detection hash. Tests
+// use it to force collisions; it is nil in production.
+var testHookRowHash func(h uint64) uint64
+
+// rowHash is a 64-bit hash of a row's relation and live terms (column and
+// coefficient bits). Each word is folded in by a multiply and a high-to-low
+// xor-shift, so coefficients that differ only in high bits (the sign, the
+// exponent) still spread over the bits the table indexes by.
+func rowHash(rel lp.Rel, ts []lp.Term) uint64 {
+	const k = 0x9e3779b97f4a7c15
+	h := uint64(rel) + 1
+	mix := func(w uint64) {
+		h = (h ^ w) * k
+		h ^= h >> 32
 	}
-	buf = append(buf[:0], byte(r.rel))
-	for _, t := range terms {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Var))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.Coef))
+	for _, t := range ts {
+		mix(uint64(t.Var))
+		mix(math.Float64bits(t.Coef))
 	}
-	return buf
+	if testHookRowHash != nil {
+		h = testHookRowHash(h)
+	}
+	return h
+}
+
+// sameRow reports whether rows a and b have the same relation and the same
+// live terms, coefficients compared bit for bit.
+func sameRow(a, b *prow, terms []lp.Term) bool {
+	if a.rel != b.rel || a.end-a.start != b.end-b.start {
+		return false
+	}
+	at, bt := terms[a.start:a.end], terms[b.start:b.end]
+	for k := range at {
+		if at[k].Var != bt[k].Var || math.Float64bits(at[k].Coef) != math.Float64bits(bt[k].Coef) {
+			return false
+		}
+	}
+	return true
 }

@@ -4,11 +4,60 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"regsat/internal/lp"
 	"regsat/internal/solver/solvertest"
 )
+
+// mustPresolve runs presolve over m and fails the test on an error.
+func mustPresolve(t testing.TB, m *lp.Model, reductions bool) *presolved {
+	t.Helper()
+	ps, err := presolve(m, 1e-6, reductions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
+// buildProb is the sparse form of m as the engine loads it without
+// reductions: an identity presolve.
+func buildProb(m *lp.Model) (*prob, error) {
+	ps, err := presolve(m, 1e-6, false)
+	if err != nil {
+		return nil, err
+	}
+	return ps.p, nil
+}
+
+// probModel turns p back into an lp.Model with the same columns, rows,
+// model-sense objective and offset, for solvertest.BruteForce.
+func probModel(p *prob) *lp.Model {
+	m := lp.NewModel("prob", p.sense)
+	for j := 0; j < p.n; j++ {
+		v := m.NewVar(p.rootLo[j], p.rootHi[j], p.integer[j], "x")
+		c := p.cost[j]
+		if p.sense == lp.Maximize {
+			c = -c
+		}
+		m.SetObjCoef(v, c)
+	}
+	m.SetObjOffset(p.objOffset)
+	for i := 0; i < p.m; i++ {
+		m.AddConstr(probRow(p, i), p.rel[i], p.rhs[i])
+	}
+	return m
+}
+
+// probRow returns row i of p as terms.
+func probRow(p *prob, i int) []lp.Term {
+	var terms []lp.Term
+	for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
+		terms = append(terms, lp.Term{Var: lp.Var(p.rowCol[k]), Coef: p.rowVal[k]})
+	}
+	return terms
+}
 
 // checkSatisfies asserts that x is a feasible integer assignment of m.
 func checkSatisfies(t *testing.T, m *lp.Model, x []float64, tag string) {
@@ -96,22 +145,22 @@ func TestPresolveFixedVariable(t *testing.T) {
 	y := m.NewVar(0, 5, true, "y")
 	m.SetObjCoef(x, 3)
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 6, "c")
-	ps := presolve(m, 1e-6, true)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 6)
+	ps := mustPresolve(t, m, true)
 	if ps.infeasible {
 		t.Fatal("feasible model presolved to infeasible")
 	}
 	if ps.colMap[0] != -1 || ps.fixed[0] != 2 {
 		t.Fatalf("x not eliminated at 2: colMap=%v fixed=%v", ps.colMap, ps.fixed)
 	}
-	if ps.m.NumVars() != 1 || ps.m.NumConstrs() != 0 {
-		t.Fatalf("reduced model has %d vars, %d rows; want 1, 0", ps.m.NumVars(), ps.m.NumConstrs())
+	if ps.p.n != 1 || ps.p.m != 0 {
+		t.Fatalf("reduced problem has %d columns, %d rows; want 1, 0", ps.p.n, ps.p.m)
 	}
-	if off := ps.m.ObjOffset(); off != 6 {
+	if off := ps.p.objOffset; off != 6 {
 		t.Fatalf("objective offset %g, want 6 (3·x at x=2)", off)
 	}
 	// The substituted row y ≤ 4 folded into y's upper bound.
-	if _, hi := ps.m.Bounds(0); hi != 4 {
+	if hi := ps.p.rootHi[0]; hi != 4 {
 		t.Fatalf("y's bound not tightened to 4 (hi=%g)", hi)
 	}
 	if ps.cols != 1 || ps.rows != 1 {
@@ -128,9 +177,9 @@ func TestPresolveFixedVariable(t *testing.T) {
 func TestPresolveInfeasibleBounds(t *testing.T) {
 	m := lp.NewModel("inf", lp.Minimize)
 	x := m.NewVar(0, 5, true, "x")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.GE, 3, "ge")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 2, "le")
-	ps := presolve(m, 1e-6, true)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.GE, 3)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 2)
+	ps := mustPresolve(t, m, true)
 	if !ps.infeasible {
 		t.Fatal("x ≥ 3 ∧ x ≤ 2 not detected infeasible")
 	}
@@ -145,16 +194,16 @@ func TestPresolveDuplicateRows(t *testing.T) {
 	y := m.NewVar(0, 10, true, "y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 5, "loose")
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 3, "tight")
-	ps := presolve(m, 1e-6, true)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 5)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 3)
+	ps := mustPresolve(t, m, true)
 	if ps.infeasible {
 		t.Fatal("feasible model presolved to infeasible")
 	}
 	if ps.rows < 1 {
 		t.Fatalf("duplicate row not merged (rows removed: %d)", ps.rows)
 	}
-	sol := solvertest.BruteForce(ps.m)
+	sol := solvertest.BruteForce(probModel(ps.p))
 	if !sol.Found || math.Abs(sol.Obj-3) > 1e-6 {
 		t.Fatalf("reduced model optimum found=%v obj=%g, want 3", sol.Found, sol.Obj)
 	}
@@ -169,15 +218,15 @@ func TestPresolveCoefficientTightening(t *testing.T) {
 	y := m.NewBinary("y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 1)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 3}, {Var: y, Coef: 2}}, lp.LE, 4, "c")
-	ps := presolve(m, 1e-6, true)
+	m.AddConstr([]lp.Term{{Var: x, Coef: 3}, {Var: y, Coef: 2}}, lp.LE, 4)
+	ps := mustPresolve(t, m, true)
 	if ps.infeasible {
 		t.Fatal("feasible model presolved to infeasible")
 	}
-	if ps.m.NumConstrs() != 1 {
-		t.Fatalf("reduced model has %d rows, want 1", ps.m.NumConstrs())
+	if ps.p.m != 1 {
+		t.Fatalf("reduced problem has %d rows, want 1", ps.p.m)
 	}
-	terms, rel, rhs := ps.m.Constr(0)
+	terms, rel, rhs := probRow(ps.p, 0), ps.p.rel[0], ps.p.rhs[0]
 	if rel != lp.LE || rhs != 1 || len(terms) != 2 || terms[0].Coef != 1 || terms[1].Coef != 1 {
 		t.Fatalf("tightened row is %v %v %g, want x + y ≤ 1", terms, rel, rhs)
 	}
@@ -190,20 +239,31 @@ func TestPresolveCoefficientTightening(t *testing.T) {
 	}
 }
 
-// TestPresolveDisabled: with reductions off the pass still re-emits an
-// owned identity copy — same dimensions, identity column map.
+// TestPresolveDisabled: with reductions off the pass still emits an owned
+// identity copy — same dimensions and rows, identity column map — that the
+// cut layer may grow without touching the caller's model.
 func TestPresolveDisabled(t *testing.T) {
 	m := knapsack()
-	ps := presolve(m, 1e-6, false)
+	ps := mustPresolve(t, m, false)
 	if ps.infeasible {
 		t.Fatal("identity presolve reported infeasible")
 	}
-	if ps.m == m {
-		t.Fatal("identity presolve returned the caller's model, not a copy")
-	}
-	if ps.m.NumVars() != m.NumVars() || ps.m.NumConstrs() != m.NumConstrs() {
+	p := ps.p
+	if p.n != m.NumVars() || p.m != m.NumConstrs() {
 		t.Fatalf("identity copy changed dimensions: %dx%d vs %dx%d",
-			ps.m.NumVars(), ps.m.NumConstrs(), m.NumVars(), m.NumConstrs())
+			p.n, p.m, m.NumVars(), m.NumConstrs())
+	}
+	for i := 0; i < p.m; i++ {
+		terms, rel, rhs := m.Constr(i)
+		if got := probRow(p, i); !slices.Equal(got, terms) || p.rel[i] != rel || p.rhs[i] != rhs {
+			t.Fatalf("row %d copied as %v %v %g, model has %v %v %g", i, got, p.rel[i], p.rhs[i], terms, rel, rhs)
+		}
+	}
+	want, _, _ := m.Constr(0)
+	want = slices.Clone(want)
+	p.rowVal[p.rowPtr[0]] = 99
+	if got, _, _ := m.Constr(0); !slices.Equal(got, want) {
+		t.Fatal("identity presolve shares row storage with the caller's model")
 	}
 	for j := range ps.colMap {
 		if ps.colMap[j] != j {
@@ -223,7 +283,7 @@ func TestPresolveStatsSurface(t *testing.T) {
 	y := m.NewVar(0, 9, true, "y")
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 2)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 8, "c")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 8)
 	sol := solveWith(t, m, Options{})
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-13) > 1e-6 {
 		t.Fatalf("optimum %v/%g, want optimal 13", sol.Status, sol.Obj)
@@ -233,5 +293,44 @@ func TestPresolveStatsSurface(t *testing.T) {
 	}
 	if sol.Stats.PresolveCols == 0 {
 		t.Fatalf("fixed column not counted in stats: %+v", sol.Stats)
+	}
+}
+
+// TestPresolveHashCollisionKeepsRows: with every duplicate-detection hash
+// forced equal, two different rows must both survive, while a true
+// duplicate still merges into its first occurrence with the tightest
+// right-hand side.
+func TestPresolveHashCollisionKeepsRows(t *testing.T) {
+	build := func() *lp.Model {
+		m := lp.NewModel("collide", lp.Maximize)
+		x := m.NewVar(0, 10, true, "x")
+		y := m.NewVar(0, 10, true, "y")
+		m.SetObjCoef(x, 1)
+		m.SetObjCoef(y, 1)
+		m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 5)
+		m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 2}}, lp.LE, 6)
+		m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.GE, 1)
+		m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 4)
+		return m
+	}
+	rows := func(ps *presolved) []string {
+		var out []string
+		for i := 0; i < ps.p.m; i++ {
+			out = append(out, fmt.Sprint(probRow(ps.p, i), ps.p.rel[i], ps.p.rhs[i]))
+		}
+		return out
+	}
+	want := rows(mustPresolve(t, build(), true))
+	if len(want) != 3 {
+		t.Fatalf("reference presolve kept rows %v; want three (the x + y ≤ 4 duplicate merged)", want)
+	}
+	defer func() { testHookRowHash = nil }()
+	testHookRowHash = func(uint64) uint64 { return 42 }
+	ps := mustPresolve(t, build(), true)
+	if got := rows(ps); !slices.Equal(got, want) {
+		t.Fatalf("with colliding hashes presolve kept rows %v, want %v", got, want)
+	}
+	if ps.rows != 1 {
+		t.Fatalf("with colliding hashes %d rows removed, want 1", ps.rows)
 	}
 }

@@ -23,7 +23,7 @@ func bigKnapsack() *lp.Model {
 		m.SetObjCoef(x, float64(3+rng.Intn(12)))
 		terms = append(terms, lp.Term{Var: x, Coef: float64(2 + rng.Intn(9))})
 	}
-	m.AddConstr(terms, lp.LE, 27, "cap")
+	m.AddConstr(terms, lp.LE, 27)
 	return m
 }
 

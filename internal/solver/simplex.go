@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -44,14 +43,17 @@ const (
 	spBasic
 )
 
-// prob is the immutable sparse form of one lp.Model, shared by every worker
+// prob is the sparse form of one presolved model, shared by every worker
 // of a solve: CSR constraint rows over the structural columns, internal
 // minimization costs, slack bounds per row, and root variable bounds.
+// Presolve writes it; root cut separation derives grown copies by
+// appending rows (appendViolated); the search treats it as immutable.
 type prob struct {
-	model *lp.Model
-	n     int // structural columns
-	m     int // rows
-	N     int // n + m total columns (slack j of row i is n+i)
+	sense     lp.Sense // the model's optimization direction
+	objOffset float64  // model-sense constant added to every objective value
+	n         int      // structural columns
+	m         int      // rows
+	N         int      // n + m total columns (slack j of row i is n+i)
 
 	rowPtr []int32
 	rowCol []int32
@@ -66,99 +68,37 @@ type prob struct {
 	intObj           bool      // objective integral over integer variables
 }
 
-func buildProb(m *lp.Model) (*prob, error) {
-	p := &prob{
-		model: m,
-		n:     m.NumVars(),
-		m:     m.NumConstrs(),
+// closeRow ends the row whose terms were just appended to rowCol/rowVal,
+// recording its relation, right-hand side and slack bounds.
+func (p *prob) closeRow(rel lp.Rel, rhs float64) {
+	p.rowPtr = append(p.rowPtr, int32(len(p.rowCol)))
+	p.rhs = append(p.rhs, rhs)
+	p.rel = append(p.rel, rel)
+	switch rel {
+	case lp.LE:
+		p.slackLo, p.slackHi = append(p.slackLo, 0), append(p.slackHi, math.Inf(1))
+	case lp.GE:
+		p.slackLo, p.slackHi = append(p.slackLo, math.Inf(-1)), append(p.slackHi, 0)
+	default: // EQ
+		p.slackLo, p.slackHi = append(p.slackLo, 0), append(p.slackHi, 0)
 	}
-	p.N = p.n + p.m
-	p.rowPtr = make([]int32, p.m+1)
-	p.rhs = make([]float64, p.m)
-	p.rel = make([]lp.Rel, p.m)
-	p.slackLo = make([]float64, p.m)
-	p.slackHi = make([]float64, p.m)
-	nnz := 0
-	for i := 0; i < p.m; i++ {
-		terms, _, _ := m.Constr(i)
-		nnz += len(terms)
-	}
-	p.rowCol = make([]int32, 0, nnz)
-	p.rowVal = make([]float64, 0, nnz)
-	for i := 0; i < p.m; i++ {
-		terms, rel, rhs := m.Constr(i)
-		for _, t := range terms {
-			p.rowCol = append(p.rowCol, int32(t.Var))
-			p.rowVal = append(p.rowVal, t.Coef)
-		}
-		p.rowPtr[i+1] = int32(len(p.rowCol))
-		p.rhs[i] = rhs
-		p.rel[i] = rel
-		switch rel {
-		case lp.LE:
-			p.slackLo[i], p.slackHi[i] = 0, math.Inf(1)
-		case lp.GE:
-			p.slackLo[i], p.slackHi[i] = math.Inf(-1), 0
-		default: // EQ
-			p.slackLo[i], p.slackHi[i] = 0, 0
-		}
-	}
-	p.cost = make([]float64, p.n)
-	p.rootLo = make([]float64, p.n)
-	p.rootHi = make([]float64, p.n)
-	p.integer = make([]bool, p.n)
-	maximize := m.Sense() == lp.Maximize
-	p.intObj = true
-	for j := 0; j < p.n; j++ {
-		c := m.ObjCoef(lp.Var(j))
-		if maximize {
-			c = -c
-		}
-		p.cost[j] = c
-		p.rootLo[j], p.rootHi[j] = m.Bounds(lp.Var(j))
-		p.integer[j] = m.IsInteger(lp.Var(j))
-		if c != 0 && (!p.integer[j] || c != math.Trunc(c)) {
-			p.intObj = false
-		}
-		// A dual-feasible cold start needs a finite bound on the side the
-		// reduced-cost sign demands. Every variable of the paper's models is
-		// bounded by the schedule horizon, so only hand-built models get here.
-		switch lo, hi := p.rootLo[j], p.rootHi[j]; {
-		case c > spxDualTol && math.IsInf(lo, 0):
-			return nil, unboundedVarError(m, j, "lower")
-		case c < -spxDualTol && math.IsInf(hi, 0):
-			return nil, unboundedVarError(m, j, "upper")
-		case math.IsInf(lo, 0) && math.IsInf(hi, 0):
-			return nil, fmt.Errorf("solver: model %s: variable %s is free (no finite bound)",
-				m.Name(), m.VarName(lp.Var(j)))
-		}
-	}
-	return p, nil
-}
-
-// unboundedVarError reports a cost-bearing variable whose bound on the
-// objective's improving side ("lower" or "upper") is infinite.
-func unboundedVarError(m *lp.Model, j int, side string) error {
-	v := lp.Var(j)
-	return fmt.Errorf("solver: model %s: variable %s has objective coefficient %g but no finite %s bound",
-		m.Name(), m.VarName(v), m.ObjCoef(v), side)
 }
 
 // internalObj converts a model-sense objective value to the internal
 // minimization sense (and back — the map is an involution up to the offset).
 func (p *prob) internalObj(ext float64) float64 {
-	if p.model.Sense() == lp.Maximize {
-		return -(ext - p.model.ObjOffset())
+	if p.sense == lp.Maximize {
+		return -(ext - p.objOffset)
 	}
-	return ext - p.model.ObjOffset()
+	return ext - p.objOffset
 }
 
 // externalObj converts an internal minimization value to model sense.
 func (p *prob) externalObj(internal float64) float64 {
-	if p.model.Sense() == lp.Maximize {
-		return -internal + p.model.ObjOffset()
+	if p.sense == lp.Maximize {
+		return -internal + p.objOffset
 	}
-	return internal + p.model.ObjOffset()
+	return internal + p.objOffset
 }
 
 // spx is one worker's reusable dual-simplex state. All slices are sized once
@@ -305,8 +245,8 @@ func (s *spx) reset(lo, hi []float64) {
 	}
 	// Nonbasic structural columns start on the bound their reduced-cost sign
 	// demands (cost > 0 → lower, cost < 0 → upper); zero-cost columns take
-	// the finite bound nearest zero. buildProb guarantees the needed side is
-	// finite.
+	// the finite bound nearest zero. Presolve (emitProb) guarantees the
+	// needed side is finite.
 	for j := 0; j < p.n; j++ {
 		c := p.cost[j]
 		s.d[j] = c

@@ -211,7 +211,7 @@ func randomBoundedLP(rng *rand.Rand) *lp.Model {
 		case 1, 2, 3, 4:
 			rel = lp.GE
 		}
-		m.AddConstr(terms, rel, float64(rng.Intn(15)-4), "c")
+		m.AddConstr(terms, rel, float64(rng.Intn(15)-4))
 	}
 	return m
 }
@@ -356,12 +356,9 @@ func checkTableauPoint(t *testing.T, tag string, w *spx) {
 func TestAddRowsKeepsTableauPoint(t *testing.T) {
 	extended := 0
 	run := func(tag string, m *lp.Model, h *Hints) {
-		ps := presolve(m, 1e-6, true)
+		ps := mustPresolve(t, m, true)
 		cliques, _ := remapCliques(h, ps)
-		p, err := buildProb(ps.m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := ps.p
 		w := newSpx(p)
 		defer releaseSpx(w)
 		w.reset(p.rootLo, p.rootHi)
@@ -371,13 +368,11 @@ func TestAddRowsKeepsTableauPoint(t *testing.T) {
 				t.Fatalf("%s: %v", tag, st)
 			}
 			checkTableauPoint(t, tag, w)
-			if appendViolated(ps.m, cliques, w.solution(), math.MaxInt64) == 0 {
+			p2, k := appendViolated(p, cliques, w.solution(), math.MaxInt64)
+			if k == 0 {
 				return
 			}
-			p2, err := buildProb(ps.m)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p = p2
 			d := slices.Clone(w.d)
 			w.addRows(p2)
 			extended++

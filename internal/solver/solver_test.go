@@ -49,7 +49,7 @@ func knapsack() *lp.Model {
 		m.SetObjCoef(x, v[i])
 		terms = append(terms, lp.Term{Var: x, Coef: w[i]})
 	}
-	m.AddConstr(terms, lp.LE, 13, "cap")
+	m.AddConstr(terms, lp.LE, 13)
 	return m
 }
 
@@ -91,7 +91,7 @@ func randomMILP(rng *rand.Rand) *lp.Model {
 			continue
 		}
 		rel := []lp.Rel{lp.LE, lp.GE, lp.EQ}[rng.Intn(3)]
-		m.AddConstr(terms, rel, float64(rng.Intn(9)-2), "c")
+		m.AddConstr(terms, rel, float64(rng.Intn(9)-2))
 	}
 	return m
 }
@@ -122,7 +122,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	y := m.NewVar(0, 10, false, "y")
 	m.SetObjCoef(x, 2)
 	m.SetObjCoef(y, 3)
-	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 2}}, lp.LE, 7.5, "c")
+	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 2}}, lp.LE, 7.5)
 	sol := solveWith(t, m, Options{})
 	if sol.Status != lp.StatusOptimal {
 		t.Fatalf("status %v", sol.Status)
@@ -161,7 +161,7 @@ func TestNodeLimitReportsInterval(t *testing.T) {
 		m.SetObjCoef(x, float64(1+rng.Intn(9)))
 		terms = append(terms, lp.Term{Var: x, Coef: float64(2 + rng.Intn(5))})
 	}
-	m.AddConstr(terms, lp.LE, 23, "cap")
+	m.AddConstr(terms, lp.LE, 23)
 	sol := solveWith(t, m, Options{MaxNodes: 3})
 	if !sol.Capped {
 		t.Fatalf("3-node solve of an 18-item knapsack not capped (status %v)", sol.Status)
@@ -192,13 +192,13 @@ func TestContextCancellation(t *testing.T) {
 			m.SetObjCoef(x, float64(1+rng.Intn(50)))
 			terms = append(terms, lp.Term{Var: x, Coef: float64(1 + rng.Intn(40))})
 		}
-		m.AddConstr(terms, lp.LE, 300, "cap")
+		m.AddConstr(terms, lp.LE, 300)
 		for i := 0; i < 30; i++ {
 			a, c := lp.Var(rng.Intn(40)), lp.Var(rng.Intn(40))
 			if a == c {
 				continue
 			}
-			m.AddConstr([]lp.Term{{Var: a, Coef: 1}, {Var: c, Coef: 1}}, lp.LE, 1, "conflict")
+			m.AddConstr([]lp.Term{{Var: a, Coef: 1}, {Var: c, Coef: 1}}, lp.LE, 1)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already cancelled: the solve must return immediately
@@ -256,7 +256,7 @@ func TestWarmStartsHappen(t *testing.T) {
 		m.SetObjCoef(x, float64(3+rng.Intn(9)))
 		terms = append(terms, lp.Term{Var: x, Coef: float64(2 + rng.Intn(7))})
 	}
-	m.AddConstr(terms, lp.LE, 31, "cap")
+	m.AddConstr(terms, lp.LE, 31)
 	sol := solveWith(t, m, Options{})
 	if sol.Status != lp.StatusOptimal {
 		t.Fatalf("status %v", sol.Status)
@@ -270,8 +270,8 @@ func TestInfeasibleModel(t *testing.T) {
 	for _, opt := range []Options{{}, {DisablePresolve: true, DisableCuts: true}} {
 		m := lp.NewModel("inf", lp.Minimize)
 		x := m.NewVar(0, 5, true, "x")
-		m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.GE, 3, "ge")
-		m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 2, "le")
+		m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.GE, 3)
+		m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 2)
 		sol := solveWith(t, m, opt)
 		if sol.Status != lp.StatusInfeasible {
 			t.Fatalf("%+v: status %v, want infeasible", opt, sol.Status)

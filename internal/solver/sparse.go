@@ -39,9 +39,12 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 	// iteration.
 	span := obs.FromContext(ctx)
 
-	// Presolve works on a private copy, so the reduced model rm is owned by
-	// this solve: the cut layer may append rows to it freely.
-	ps := presolve(m, opt.IntTol, !opt.DisablePresolve)
+	// Presolve works on a private copy and writes the reduced problem p in
+	// sparse form; it is owned by this solve, so the cut layer may grow it.
+	ps, err := presolve(m, opt.IntTol, !opt.DisablePresolve)
+	if err != nil {
+		return nil, err
+	}
 	span.Event("presolve",
 		obs.Int("rows", ps.rows), obs.Int("cols", ps.cols),
 		obs.Int("tightenings", ps.tightenings), obs.Bool("infeasible", ps.infeasible))
@@ -54,7 +57,7 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 	if ps.infeasible {
 		return infeasible()
 	}
-	rm := ps.m
+	p := ps.p
 
 	var cliques []*cutClique
 	if !opt.DisableCuts {
@@ -63,11 +66,6 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 		if bad {
 			return infeasible()
 		}
-	}
-
-	p, err := buildProb(rm)
-	if err != nil {
-		return nil, err
 	}
 
 	var deadline time.Time
@@ -80,21 +78,12 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 
 	var sep separation
 	if len(cliques) > 0 {
-		sep = separateRoot(rm, p, cliques, cancelled)
+		// Separation appends its cut rows to a grown copy of p; when it
+		// converged, sep.root is the solved root LP of exactly that problem.
+		sep = separateRoot(p, cliques, cancelled)
+		p = sep.p
 		span.Event("cuts.separated", obs.Int("added", sep.added), obs.Int("cliques", int64(len(cliques))),
 			obs.Int("rounds", sep.rounds), obs.Int("iters", sep.iters))
-		switch {
-		case sep.root != nil:
-			// Separation converged: its last round solved the root LP of
-			// exactly the model being searched, on that model's sparse form.
-			p = sep.root.p
-		case sep.added > 0:
-			// The matrix grew; rebuild the shared sparse form. Cut rows add
-			// no variables, so sparse eligibility cannot change.
-			if p, err = buildProb(rm); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	// An explicit Parallel is honored as given (oversubscription is just
@@ -146,7 +135,7 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 		xr := sol.X
 		if xr == nil {
 			// Presolve fixed every variable: the reduced assignment is empty.
-			xr = make([]float64, rm.NumVars())
+			xr = make([]float64, p.n)
 		}
 		sol.Stats.CutsActive = activeCuts(cliques, xr)
 		sol.X = ps.postsolve(xr)
