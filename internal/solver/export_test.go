@@ -79,3 +79,40 @@ func WritePresolved(w io.Writer, m *lp.Model) error {
 	_, err = w.Write(b)
 	return err
 }
+
+// RootLP is the root LP relaxation of a presolved model, for benchmarks
+// and tests outside the package.
+type RootLP struct{ p *prob }
+
+// NewRootLP presolves m as a solve does (default integrality tolerance,
+// reductions on).
+func NewRootLP(m *lp.Model) (*RootLP, error) {
+	ps, err := presolve(m, Options{}.withDefaults().IntTol, true)
+	if err != nil {
+		return nil, err
+	}
+	return &RootLP{p: ps.p}, nil
+}
+
+// Size returns the presolved problem's rows and structural columns.
+func (r *RootLP) Size() (rows, cols int) { return r.p.m, r.p.n }
+
+// Solve solves the root LP cold on a pooled tableau and returns the
+// simplex iterations it took and whether it reached an optimum.
+func (r *RootLP) Solve() (iters int64, optimal bool) {
+	w := newSpx(r.p)
+	defer releaseSpx(w)
+	w.reset(r.p.rootLo, r.p.rootHi)
+	st := w.dual(math.Inf(1))
+	return w.iters, st == spxOptimal
+}
+
+// TableauFloats drains the tableau pool, builds the root tableau on fresh
+// storage and returns the number of floats its tableau storage holds.
+func (r *RootLP) TableauFloats() int {
+	drainSpxPool()
+	w := newSpx(r.p)
+	defer releaseSpx(w)
+	w.reset(r.p.rootLo, r.p.rootHi)
+	return cap(w.tab)
+}

@@ -67,6 +67,78 @@ func BenchmarkSaturationModel(b *testing.B) {
 	}
 }
 
+// livL7Float returns the reduced Section 3 model of
+// superscalar-liv-l7/float, one of the largest of the committed corpus
+// (2,307 rows and 889 columns after presolve).
+func livL7Float(tb testing.TB) *solver.RootLP {
+	tb.Helper()
+	an := corpusAnalysis(tb, "superscalar-liv-l7.ddg", ddg.Float)
+	m, _, _, err := rs.BuildSaturationModel(an, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := solver.NewRootLP(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// BenchmarkRootLPLarge solves the root LP relaxation of the reduced
+// Section 3 model of superscalar-liv-l7/float cold, presolve outside the
+// timer, and reports the time per simplex iteration: the dual simplex's
+// cost on a large tableau.
+func BenchmarkRootLPLarge(b *testing.B) {
+	r := livL7Float(b)
+	var iters int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k, ok := r.Solve()
+		if !ok {
+			b.Fatal("root LP not solved to optimality")
+		}
+		iters += k
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters), "ns/simplex-iter")
+	b.ReportMetric(float64(iters)/float64(b.N), "simplex-iters/op")
+}
+
+// TestTableauHoldsOnlyNonbasicColumns pins the tableau's memory: for the
+// reduced Section 3 model of superscalar-liv-l7/float, fresh tableau
+// storage is exactly one float per row and structural column. The full
+// tableau, with the m slack columns and a right-hand side, held
+// m × (n+m+1): about 59 MB for this model.
+func TestTableauHoldsOnlyNonbasicColumns(t *testing.T) {
+	r := livL7Float(t)
+	m, n := r.Size()
+	if got := r.TableauFloats(); got != m*n {
+		t.Fatalf("the %d × %d tableau holds %d floats, want %d", m, n, got, m*n)
+	}
+}
+
+// corpusAnalysis parses a graph of the committed corpus and analyzes one
+// register type of it.
+func corpusAnalysis(tb testing.TB, file string, typ ddg.RegType) *rs.Analysis {
+	tb.Helper()
+	raw, err := os.ReadFile("../../testdata/" + file)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := ddg.ParseString(string(raw))
+	if err == nil {
+		err = g.Finalize()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	an, err := rs.NewAnalysis(g, typ)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return an
+}
+
 // maxLoadAllocs bounds the allocations of building and loading the
 // reduced Section 3 model of superscalar-spec-swim/float: 17 values, 311
 // variables, 773 rows, 2,062 nonzeros. The path measures 77 allocations
@@ -79,21 +151,7 @@ const maxLoadAllocs = 100
 // TestSaturationModelAllocs guards the allocation count of the model
 // building and loading path on one mid-size corpus graph.
 func TestSaturationModelAllocs(t *testing.T) {
-	raw, err := os.ReadFile("../../testdata/superscalar-spec-swim.ddg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ddg.ParseString(string(raw))
-	if err == nil {
-		err = g.Finalize()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := rs.NewAnalysis(g, ddg.Float)
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := corpusAnalysis(t, "superscalar-spec-swim.ddg", ddg.Float)
 	loadModel(t, an) // warm the analysis' memoized graph facts
 	if got := testing.AllocsPerRun(20, func() { loadModel(t, an) }); got > maxLoadAllocs {
 		t.Fatalf("building and loading the model allocates %.0f times, bound %d", got, maxLoadAllocs)

@@ -25,17 +25,21 @@ func drainSpxPool() {
 // tableau: NaN in the float slices, out-of-range values in the index and
 // status slices. Anything read before being written again shows.
 func poison(s *spx) {
-	for _, b := range [][]float64{s.tab, s.lo, s.hi, s.xval, s.xB, s.d, s.dweight} {
+	for _, b := range [][]float64{s.tab, s.diag, s.lo, s.hi, s.xval, s.xB, s.d, s.dweight, s.score} {
 		b = b[:cap(b)]
 		for i := range b {
 			b[i] = math.NaN()
 		}
 	}
-	for _, b := range [][]int32{s.basis, s.rowOf, s.nz} {
+	for _, b := range [][]int32{s.col, s.slot, s.basis, s.rowOf, s.nz, s.rows} {
 		b = b[:cap(b)]
 		for i := range b {
 			b[i] = math.MaxInt32
 		}
+	}
+	c := s.cand[:cap(s.cand)]
+	for i := range c {
+		c[i] = math.MaxUint64
 	}
 	st := s.status[:cap(s.status)]
 	for i := range st {

@@ -50,10 +50,7 @@ func forceIterLimit(w *spx, on bool) {
 func dropRows(w *spx) {
 	p := w.p
 	for i := 0; i < p.m; i++ {
-		r := w.row(i)
-		for j := 0; j < p.n; j++ {
-			r[j] = 0
-		}
+		clear(w.row(i))
 		w.xB[i] = p.rhs[i]
 	}
 }

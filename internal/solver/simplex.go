@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"regsat/internal/lp"
@@ -103,11 +104,23 @@ func (p *prob) externalObj(internal float64) float64 {
 
 // spx is one worker's reusable dual-simplex state. All slices are sized once
 // and reused across node solves, so a dive allocates nothing.
+//
+// The tableau is kept condensed (Tucker form): one row per basic column and
+// one column, a "slot", per nonbasic column, m × n instead of the full
+// m × (N+1). The full tableau's basic columns are unit vectors and carry no
+// information, except the diagonal entry (≈1 after rounding), which diag
+// keeps so that a pivot computes the leaving column's new entries with the
+// same floating-point operations as on the full tableau. It has no
+// right-hand-side column either: xB carries the basic values. Every entry
+// equals the full tableau's entry in the slot's column, and every pivot is
+// the one the full tableau would make.
 type spx struct {
-	p      *prob
-	stride int // N+1: tableau row length, rhs in the last column
+	p *prob
 
-	tab    []float64 // m × stride, row-major
+	tab    []float64 // m × n, row-major: row i over the slots
+	diag   []float64 // length m: full-tableau entry of row i in its own basic column
+	col    []int32   // length n: the nonbasic column in each slot
+	slot   []int32   // length N: slot of each nonbasic column, −1 if basic
 	lo, hi []float64 // length N (structural then slack)
 	basis  []int32   // length m: column basic in each row
 	rowOf  []int32   // length N: row a column is basic in, −1 if nonbasic
@@ -120,9 +133,14 @@ type spx struct {
 	// framework is reset to all-ones on every tableau rebuild (reset), so a
 	// refactorization doubles as the periodic devex reference reset.
 	dweight []float64
-	// nz lists the nonzero columns (rhs included) of the scaled pivot row of
-	// the current pivot: the elimination touches only those.
-	nz []int32
+	score   []float64 // length m: devex scores during dual (see there)
+	// Per-pivot scratch: nz lists the nonzero slots of the pivot row (the
+	// elimination touches only those), cand the ratio test's eligible slots
+	// keyed column<<32 | slot, and rows the rows with a nonzero entry in
+	// the entering column.
+	nz   []int32
+	cand []uint64
+	rows []int32
 	// probe hosts the iteration-capped strong-branching probes, which must
 	// not disturb this tableau's basis mid-dive. Allocated on first use.
 	probe *spx
@@ -144,11 +162,12 @@ var spxPool = sync.Pool{New: func() any { return new(spx) }}
 // every element before use.
 func newSpx(p *prob) *spx {
 	s := spxPool.Get().(*spx)
-	stride := p.N + 1
 	*s = spx{
 		p:       p,
-		stride:  stride,
-		tab:     resize(s.tab, p.m*stride),
+		tab:     resize(s.tab, p.m*p.n),
+		diag:    resize(s.diag, p.m),
+		col:     resize(s.col, p.n),
+		slot:    resize(s.slot, p.N),
 		lo:      resize(s.lo, p.N),
 		hi:      resize(s.hi, p.N),
 		basis:   resize(s.basis, p.m),
@@ -158,7 +177,10 @@ func newSpx(p *prob) *spx {
 		xB:      resize(s.xB, p.m),
 		d:       resize(s.d, p.N),
 		dweight: resize(s.dweight, p.m),
-		nz:      resize(s.nz, stride)[:0],
+		score:   resize(s.score, p.m),
+		nz:      resize(s.nz, p.n)[:0],
+		cand:    resize(s.cand, p.n)[:0],
+		rows:    resize(s.rows, p.m)[:0],
 	}
 	return s
 }
@@ -193,6 +215,9 @@ func releaseSpx(s *spx) {
 // probe solves that must not disturb the worker's live basis.
 func (s *spx) copyFrom(src *spx) {
 	copy(s.tab, src.tab)
+	copy(s.diag, src.diag)
+	copy(s.col, src.col)
+	copy(s.slot, src.slot)
 	copy(s.lo, src.lo)
 	copy(s.hi, src.hi)
 	copy(s.basis, src.basis)
@@ -212,33 +237,31 @@ func (s *spx) solution() []float64 {
 	return x
 }
 
-func (s *spx) row(i int) []float64 { return s.tab[i*s.stride : (i+1)*s.stride] }
+func (s *spx) row(i int) []float64 { return s.tab[i*s.p.n : (i+1)*s.p.n] }
 
 // reset rebuilds the tableau from the sparse matrix under the given
-// structural bounds and installs the dual-feasible all-slack basis.
+// structural bounds and installs the dual-feasible all-slack basis: the
+// structural columns are nonbasic, column j in slot j.
 func (s *spx) reset(lo, hi []float64) {
 	p := s.p
 	copy(s.lo[:p.n], lo)
 	copy(s.hi[:p.n], hi)
 	copy(s.lo[p.n:], p.slackLo)
 	copy(s.hi[p.n:], p.slackHi)
-	for i := range s.tab {
-		s.tab[i] = 0
-	}
+	clear(s.tab)
 	for i := 0; i < p.m; i++ {
 		r := s.row(i)
 		for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
 			r[p.rowCol[k]] = p.rowVal[k]
 		}
-		r[p.n+i] = 1
-		r[p.N] = p.rhs[i]
+		s.diag[i] = 1
 		s.basis[i] = int32(p.n + i)
-		s.xB[i] = p.rhs[i]
 	}
-	for j := 0; j < p.N; j++ {
-		s.rowOf[j] = -1
+	for j := 0; j < p.n; j++ {
+		s.col[j], s.slot[j], s.rowOf[j] = int32(j), int32(j), -1
 	}
 	for i := 0; i < p.m; i++ {
+		s.slot[p.n+i] = -1
 		s.rowOf[p.n+i] = int32(i)
 		s.status[p.n+i] = spBasic
 		s.xval[p.n+i] = 0
@@ -284,22 +307,21 @@ func (s *spx) reset(lo, hi []float64) {
 
 // addRows extends s, a tableau over the leading rows of p2 (same columns,
 // p2 only appends rows), to all of p2's rows while keeping its basis. The
-// old rows are copied into the wider stride with zero entries in the new
-// slack columns. Each new row is rewritten in terms of the current basis by
-// eliminating its basic structural columns, and its slack becomes basic at
-// rhs − a·x. Reduced costs do not change, so the basis stays dual feasible
-// and dual resumes from where the last solve stopped. The replaced storage
-// goes back to the pool.
+// new slack columns become basic, so the nonbasic columns, and with them
+// the slots, stay as they are: the old rows are copied verbatim. Each new
+// row is rewritten in terms of the current basis by eliminating its basic
+// structural columns, and its slack becomes basic at rhs − a·x. Reduced
+// costs do not change, so the basis stays dual feasible and dual resumes
+// from where the last solve stopped. The replaced storage goes back to the
+// pool.
 func (s *spx) addRows(p2 *prob) {
 	p := s.p
 	t := newSpx(p2)
-	N, N2 := p.N, p2.N
-	for i := 0; i < p.m; i++ {
-		src, dst := s.row(i), t.row(i)
-		copy(dst, src[:N])
-		clear(dst[N:N2])
-		dst[N2] = src[N]
-	}
+	N := p.N
+	copy(t.tab, s.tab)
+	copy(t.diag, s.diag)
+	copy(t.col, s.col)
+	copy(t.slot, s.slot)
 	copy(t.lo, s.lo)
 	copy(t.hi, s.hi)
 	copy(t.lo[N:], p2.slackLo[p.m:])
@@ -318,22 +340,20 @@ func (s *spx) addRows(p2 *prob) {
 		for k := p2.rowPtr[i]; k < p2.rowPtr[i+1]; k++ {
 			j, a := p2.rowCol[k], p2.rowVal[k]
 			act += a * s.value(int(j))
-			r[j] += a
 			if b := s.rowOf[j]; b >= 0 {
-				for c, v := range t.row(int(b)) {
+				for c, v := range s.row(int(b)) {
 					if v != 0 {
 						r[c] -= a * v
 					}
 				}
-				// Row b is exactly zero in every other basic column, so
-				// only j's own entry can keep a rounding residue.
-				r[j] = 0
+			} else {
+				r[s.slot[j]] += a
 			}
 		}
-		r[N2] += p2.rhs[i]
 		slack := p2.n + i
-		r[slack] = 1
+		t.diag[i] = 1
 		t.basis[i] = int32(slack)
+		t.slot[slack] = -1
 		t.rowOf[slack] = int32(i)
 		t.status[slack] = spBasic
 		t.xval[slack] = 0
@@ -362,8 +382,9 @@ func (s *spx) applyBound(j int, lo, hi float64) {
 		return
 	}
 	delta := nv - v
+	n, sl := s.p.n, int(s.slot[j])
 	for i := 0; i < s.p.m; i++ {
-		if a := s.tab[i*s.stride+j]; a != 0 {
+		if a := s.tab[i*n+sl]; a != 0 {
 			s.xB[i] -= a * delta
 		}
 	}
@@ -404,9 +425,18 @@ func (s *spx) extract(x []float64) {
 // sense; +inf disables the check).
 func (s *spx) dual(pruneTarget float64) spxStatus {
 	p := s.p
+	n := p.n
 	iterCap := spxIterCap
 	if s.iterLimit > 0 && s.iterLimit < iterCap {
 		iterCap = s.iterLimit
+	}
+	// score caches each row's devex score, its squared bound violation over
+	// its reference weight (0 when feasible). A pivot changes the basic
+	// value and the weight of only the pivot row and the rows it
+	// eliminates, so only those are priced again.
+	score := s.score
+	for i := range score {
+		s.price(i)
 	}
 	for iter := 0; ; iter++ {
 		s.iters++
@@ -426,67 +456,73 @@ func (s *spx) dual(pruneTarget float64) spxStatus {
 			s.blandIters++
 		}
 
-		// Leaving row: devex pricing — maximize squared violation over the
-		// row's reference weight — or the violated row with the smallest
-		// basic column under the anti-cycling rule.
-		r, tooLow := -1, false
-		best := 0.0
-		for i := 0; i < p.m; i++ {
-			b := s.basis[i]
-			v := s.xB[i]
-			var viol float64
-			var low bool
-			if lim := s.lo[b]; v < lim-spxFeasTol {
-				viol, low = lim-v, true
-			} else if lim := s.hi[b]; v > lim+spxFeasTol {
-				viol, low = v-lim, false
-			} else {
-				continue
-			}
-			if bland {
-				if r < 0 || b < s.basis[r] {
-					r, tooLow = i, low
+		// Leaving row: devex pricing — the largest score — or the violated
+		// row with the smallest basic column under the anti-cycling rule.
+		r := -1
+		if bland {
+			for i := 0; i < p.m; i++ {
+				if viol, _ := s.violation(i); viol > 0 && (r < 0 || s.basis[i] < s.basis[r]) {
+					r = i
 				}
-			} else if score := viol * viol / s.dweight[i]; score > best {
-				r, tooLow, best = i, low, score
+			}
+		} else {
+			best := 0.0
+			for i, sc := range score {
+				if sc > best {
+					r, best = i, sc
+				}
 			}
 		}
 		if r < 0 {
 			return spxOptimal
 		}
+		_, tooLow := s.violation(r)
 		b := s.basis[r]
 		row := s.row(r)
 
-		// Dual ratio test over the eligible nonbasic columns: entering q
-		// minimizes |d_q|/|α_rq| so every reduced cost keeps its sign.
-		q := -1
-		bestRatio, bestAbs := math.Inf(1), 0.0
-		for j := 0; j < p.N; j++ {
-			st := s.status[j]
-			if st == spBasic || s.lo[j] == s.hi[j] {
+		// One pass over the pivot row collects its nonzero slots and the
+		// eligible entering candidates: nonbasic columns whose reduced cost
+		// keeps its sign as x_q moves the leaving column toward its bound.
+		// The candidates are sorted by column, so the ratio test sees them
+		// in the order of a scan over the full row and breaks ties the same.
+		nz, cand := s.nz[:0], s.cand[:0]
+		for j, a := range row {
+			if a == 0 {
 				continue
 			}
-			a := row[j]
-			if a > -spxPivTol && a < spxPivTol {
+			nz = append(nz, int32(j))
+			c := s.col[j]
+			if a > -spxPivTol && a < spxPivTol || s.lo[c] == s.hi[c] {
 				continue
 			}
+			st := s.status[c]
 			var ok bool
 			if tooLow {
 				ok = (st == spAtLower && a < 0) || (st == spAtUpper && a > 0)
 			} else {
 				ok = (st == spAtLower && a > 0) || (st == spAtUpper && a < 0)
 			}
-			if !ok {
-				continue
+			if ok {
+				cand = append(cand, uint64(c)<<32|uint64(j))
 			}
-			abs := math.Abs(a)
+		}
+		slices.Sort(cand)
+		s.cand = cand
+
+		// Dual ratio test: entering q minimizes |d_q|/|α_rq| so every
+		// reduced cost keeps its sign.
+		q, sq := -1, -1
+		bestRatio, bestAbs := math.Inf(1), 0.0
+		for _, key := range cand {
+			j, sl := int(key>>32), int(uint32(key))
+			abs := math.Abs(row[sl])
 			ratio := math.Abs(s.d[j]) / abs
 			if bland {
 				if ratio < bestRatio-1e-12 || (ratio < bestRatio+1e-12 && (q < 0 || j < q)) {
-					q, bestRatio = j, math.Min(ratio, bestRatio)
+					q, sq, bestRatio = j, sl, math.Min(ratio, bestRatio)
 				}
 			} else if ratio < bestRatio-1e-12 || (ratio < bestRatio+1e-12 && abs > bestAbs) {
-				q, bestRatio, bestAbs = j, math.Min(ratio, bestRatio), abs
+				q, sq, bestRatio, bestAbs = j, sl, math.Min(ratio, bestRatio), abs
 			}
 		}
 		if q < 0 {
@@ -495,24 +531,29 @@ func (s *spx) dual(pruneTarget float64) spxStatus {
 		}
 
 		// Step: move x_q so the leaving column lands exactly on its violated
-		// bound, updating every basic value.
+		// bound, updating every basic value. The rows with a nonzero entry
+		// in the entering column are the ones the elimination updates.
 		target := s.hi[b]
 		if tooLow {
 			target = s.lo[b]
 		}
-		arq := row[q]
+		arq := row[sq]
 		t := (s.xB[r] - target) / arq
+		rows := s.rows[:0]
 		for i := 0; i < p.m; i++ {
 			if i == r {
 				continue
 			}
-			if a := s.tab[i*s.stride+q]; a != 0 {
+			if a := s.tab[i*n+sq]; a != 0 {
 				s.xB[i] -= a * t
+				rows = append(rows, int32(i))
 			}
 		}
+		s.rows = rows
 		newQ := s.xval[q] + t
 
-		// Basis exchange bookkeeping.
+		// Basis exchange bookkeeping: the leaving column takes the entering
+		// column's slot.
 		if tooLow {
 			s.status[b] = spAtLower
 		} else {
@@ -524,39 +565,43 @@ func (s *spx) dual(pruneTarget float64) spxStatus {
 		s.rowOf[q] = int32(r)
 		s.status[q] = spBasic
 		s.xB[r] = newQ
+		s.col[sq], s.slot[b], s.slot[q] = b, int32(sq), -1
 
-		// Pivot the tableau (rhs column included) and the reduced costs,
-		// propagating the devex reference weights: with pivot α_rq and
-		// entering multipliers α_iq, γ_i ← max(γ_i, (α_iq/α_rq)²·γ_r) and
-		// γ_r ← max(γ_r/α_rq², 1).
-		// Only the pivot row's nonzero columns change in the other rows, so
-		// they are collected once and every row update runs over that list:
-		// the same floating-point operations as a full-row sweep that skips
-		// zeros, at a cost proportional to the row's nonzeros.
+		// Pivot the tableau and the reduced costs, propagating the devex
+		// reference weights: with pivot α_rq and entering multipliers α_iq,
+		// γ_i ← max(γ_i, (α_iq/α_rq)²·γ_r) and γ_r ← max(γ_r/α_rq², 1).
+		// The pivot row is scaled by 1/α_rq. In slot sq its entry for q,
+		// α_rq/α_rq, becomes the row's diagonal, and the leaving column's
+		// entry is its old diagonal, scaled. Every other row with f = α_iq ≠ 0
+		// loses f times the pivot row over the row's nonzero slots, and its
+		// entry for the leaving column, zero before, becomes 0 − f·α'_rb.
+		// These are the operations a zero-skipping sweep over the full
+		// tableau makes, so every entry stays equal to the full tableau's.
 		inv := 1.0 / arq
-		gr := s.dweight[r]
-		wmax := 0.0
-		nz := s.nz[:0]
-		for j := 0; j <= p.N; j++ {
+		k := 0
+		for _, j := range nz {
+			if int(j) == sq {
+				continue
+			}
 			row[j] *= inv
 			if row[j] != 0 {
-				nz = append(nz, int32(j))
+				nz[k] = j
+				k++
 			}
 		}
+		nz = nz[:k]
 		s.nz = nz
-		for i := 0; i < p.m; i++ {
-			if i == r {
-				continue
-			}
-			ri := s.row(i)
-			f := ri[q]
-			if f == 0 {
-				continue
-			}
+		s.diag[r], row[sq] = arq*inv, s.diag[r]*inv
+		pb := row[sq]
+		gr := s.dweight[r]
+		wmax := 0.0
+		for _, i := range rows {
+			ri := s.row(int(i))
+			f := ri[sq]
 			for _, j := range nz {
 				ri[j] -= f * row[j]
 			}
-			ri[q] = 0
+			ri[sq] = 0 - f*pb
 			m := f * inv
 			if w := m * m * gr; w > s.dweight[i] {
 				s.dweight[i] = w
@@ -572,16 +617,49 @@ func (s *spx) dual(pruneTarget float64) spxStatus {
 			for i := range s.dweight {
 				s.dweight[i] = 1
 			}
+			for i := range score {
+				s.price(i)
+			}
+		} else {
+			for _, i := range rows {
+				s.price(int(i))
+			}
+			s.price(r)
 		}
 		if f := s.d[q]; f != 0 {
 			for _, j := range nz {
-				if int(j) < p.N {
-					s.d[j] -= f * row[j]
-				}
+				s.d[s.col[j]] -= f * row[j]
+			}
+			if pb != 0 {
+				s.d[b] -= f * pb
 			}
 			s.d[q] = 0
 		}
 		s.pivots++
+	}
+}
+
+// violation returns how far row i's basic value lies outside its column's
+// bounds, 0 within the feasibility tolerance, and whether it lies below.
+func (s *spx) violation(i int) (viol float64, low bool) {
+	b, v := s.basis[i], s.xB[i]
+	if lim := s.lo[b]; v < lim-spxFeasTol {
+		return lim - v, true
+	}
+	if lim := s.hi[b]; v > lim+spxFeasTol {
+		return v - lim, false
+	}
+	return 0, false
+}
+
+// price sets row i's devex score: its squared violation over its
+// reference weight, or 0 when the row is feasible.
+func (s *spx) price(i int) {
+	viol, _ := s.violation(i)
+	if viol > 0 {
+		s.score[i] = viol * viol / s.dweight[i]
+	} else {
+		s.score[i] = 0
 	}
 }
 
