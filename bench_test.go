@@ -7,7 +7,6 @@ package regsat
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -241,9 +240,8 @@ var largeTreeInstances = []struct {
 }{{969, ddg.Int}, {194, ddg.Int}, {1384, ddg.Float}} // 101, 98 and 89 nodes
 
 // BenchmarkMILPLargeTree measures the tree search where it has work to do:
-// the three largest-tree instances of the gen-mix stream, solved with a
-// sequential and a 2-worker search. One op solves all three. Metrics:
-// branch-and-bound nodes and simplex iterations per op.
+// the three largest-tree instances of the gen-mix stream. One op solves all
+// three. Metrics: branch-and-bound nodes and simplex iterations per op.
 func BenchmarkMILPLargeTree(b *testing.B) {
 	last := 0
 	for _, in := range largeTreeInstances {
@@ -262,24 +260,21 @@ func BenchmarkMILPLargeTree(b *testing.B) {
 			ans = append(ans, an)
 		}
 	})
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("parallel=%d", workers), func(b *testing.B) {
-			opt := solver.Options{MaxNodes: 10000, Parallel: workers}
-			var iters, nodes int64
-			for i := 0; i < b.N; i++ {
-				for _, an := range ans {
-					res, err := rs.ExactILP(context.Background(), an, true, opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					iters += res.Stats.SimplexIters
-					nodes += res.Stats.Nodes
-				}
+	opt := solver.Options{MaxNodes: 10000}
+	var iters, nodes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, an := range ans {
+			res, err := rs.ExactILP(context.Background(), an, true, opt)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(nodes)/float64(b.N), "bb-nodes/op")
-			b.ReportMetric(float64(iters)/float64(b.N), "simplex-iters/op")
-		})
+			iters += res.Stats.SimplexIters
+			nodes += res.Stats.Nodes
+		}
 	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "bb-nodes/op")
+	b.ReportMetric(float64(iters)/float64(b.N), "simplex-iters/op")
 }
 
 func loadBenchGraph(path string) (*ddg.Graph, error) {

@@ -89,8 +89,6 @@ type SolverOptions struct {
 	MaxNodes int `json:"maxNodes,omitempty"`
 	// TimeLimitMs caps solve wall time (0 = none).
 	TimeLimitMs int64 `json:"timeLimitMs,omitempty"`
-	// Parallel is the tree-search worker count (0 = 1, sequential).
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // ReduceSpec asks for reduction below a register budget.
@@ -195,8 +193,14 @@ type RSOutcome struct {
 }
 
 // CyclicOutcome is one register type's periodic saturation: the RS(k)
-// sequence over unrolled windows, its converged per-iteration delta and
+// sequence over unrolled windows, its per-iteration delta estimate and
 // Fekete slope bound, and the optional exact periodic certificate.
+//
+// PerIter is an estimate, not a proven value: the sweep stops after the
+// last Stable deltas RS(k) − RS(k−1) were equal (Converged) and reports
+// that delta, a heuristic stop that a longer window could still contradict.
+// Only Slope, the Fekete bound min_k RS(k)/k, is proven: it bounds the
+// asymptotic per-iteration saturation from above.
 type CyclicOutcome struct {
 	Windows   []int   `json:"windows"`
 	PerIter   int     `json:"perIter"`
@@ -244,7 +248,6 @@ type SolverStats struct {
 	ColdStarts   int64 `json:"coldStarts"`
 	Fallbacks    int64 `json:"fallbacks"`
 	Incumbents   int64 `json:"incumbents"`
-	Workers      int   `json:"workers"`
 	DurationNs   int64 `json:"durationNs"`
 	// Presolve/cut/branching accounting of the engine (presolve counters
 	// are zero when presolve is disabled).

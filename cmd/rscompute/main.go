@@ -133,9 +133,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			if *stats && r.SolverStats != nil {
 				st := r.SolverStats
-				fmt.Fprintf(stdout, "    solver: %d nodes, %d simplex iters, warm-start %.0f%% (%d warm / %d cold), %d incumbents, %d fallbacks, %d workers, %v\n",
+				fmt.Fprintf(stdout, "    solver: %d nodes, %d simplex iters, warm-start %.0f%% (%d warm / %d cold), %d incumbents, %d fallbacks, %v\n",
 					st.Nodes, st.SimplexIters, 100*st.WarmRate(), st.WarmStarts, st.ColdStarts,
-					st.Incumbents, st.Fallbacks, st.Workers, st.Duration.Round(time.Microsecond))
+					st.Incumbents, st.Fallbacks, st.Duration.Round(time.Microsecond))
 				fmt.Fprintf(stdout, "    presolve: %d rows, %d cols removed, %d tightenings; cuts: %d added, %d active; branching: %d probes, %d reliable vars\n",
 					st.PresolveRows, st.PresolveCols, st.PresolveTightenings,
 					st.CutsAdded, st.CutsActive, st.BranchProbes, st.ReliableVars)

@@ -77,9 +77,11 @@ type Result struct {
 	// is non-decreasing (monotonicity) and subadditive, so Windows[k]/k
 	// converges to the true per-iteration saturation (Fekete).
 	Windows []int `json:"windows"`
-	// PerIter is the converged per-iteration RS contribution Δ: the last
-	// stable difference RS(k) − RS(k−1). When Converged is false it is the
-	// last observed delta, a best-effort estimate.
+	// PerIter estimates the per-iteration RS contribution Δ: the last
+	// stable difference RS(k) − RS(k−1). Convergence is a heuristic stop
+	// (equal deltas, not a proof), so it is an estimate even when Converged
+	// is true; when Converged is false it is the last observed delta. Only
+	// Slope is proven.
 	PerIter int `json:"perIter"`
 	// Converged reports that the last `stable` deltas were identical.
 	Converged bool `json:"converged"`

@@ -12,33 +12,26 @@ import (
 	"regsat/internal/solver/solvertest"
 )
 
-// solve runs the model through the MILP engine, sequential and with a
-// 2-worker tree search, requires each to prove the brute-force optimum, and
-// returns the sequential solution — so each linearization test doubles as
-// a differential test of the solving layer.
+// solve runs the model through the MILP engine, requires it to prove the
+// brute-force optimum, and returns the solution — so each linearization test
+// doubles as a differential test of the solving layer.
 func solve(t *testing.T, m *lp.Model) *solver.Solution {
 	t.Helper()
 	ref := solvertest.BruteForce(m)
 	if !ref.Found {
 		t.Fatalf("brute force finds no feasible point")
 	}
-	var first *solver.Solution
-	for _, workers := range []int{1, 2} {
-		sol, err := solver.Solve(context.Background(), m, solver.Options{Parallel: workers})
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", workers, err)
-		}
-		if sol.Status != lp.StatusOptimal {
-			t.Fatalf("parallel=%d: status=%v, want optimal", workers, sol.Status)
-		}
-		if math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-			t.Fatalf("parallel=%d: obj=%g, brute force=%g", workers, sol.Obj, ref.Obj)
-		}
-		if first == nil {
-			first = sol
-		}
+	sol, err := solver.Solve(context.Background(), m, solver.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return first
+	if sol.Status != lp.StatusOptimal {
+		t.Fatalf("status=%v, want optimal", sol.Status)
+	}
+	if math.Abs(sol.Obj-ref.Obj) > 1e-6 {
+		t.Fatalf("obj=%g, brute force=%g", sol.Obj, ref.Obj)
+	}
+	return sol
 }
 
 func TestExprAlgebra(t *testing.T) {

@@ -80,7 +80,6 @@ func wireSolver(o client.SolverOptions) solver.Options {
 	return solver.Options{
 		MaxNodes:  o.MaxNodes,
 		TimeLimit: time.Duration(o.TimeLimitMs) * time.Millisecond,
-		Parallel:  o.Parallel,
 	}
 }
 
@@ -340,7 +339,6 @@ func solverToWire(st *solver.Stats) *client.SolverStats {
 		ColdStarts:          st.ColdStarts,
 		Fallbacks:           st.Fallbacks,
 		Incumbents:          st.Incumbents,
-		Workers:             st.Workers,
 		DurationNs:          int64(st.Duration),
 		PresolveRows:        st.PresolveRows,
 		PresolveCols:        st.PresolveCols,

@@ -2,8 +2,15 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"io/fs"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -464,6 +471,108 @@ func TestServiceSolverBackendNames(t *testing.T) {
 		if !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), `"sparse"`) {
 			t.Fatalf("backend %q: want a 400 naming \"sparse\", got: %v", backend, err)
 		}
+	}
+}
+
+// TestServiceSolverParallelIgnored: the solver's tree search is sequential,
+// and the wire no longer carries its worker count. Requests from older
+// clients still send "solver":{"parallel":N} and stores written by earlier
+// releases hold "solverStats":{"workers":N}; both must keep working. The
+// field is ignored: the request answers 200 with the items of the same
+// request without it, served from the same cache entries, and a restarted
+// daemon serves the old records as L2 hits.
+func TestServiceSolverParallelIgnored(t *testing.T) {
+	dir := t.TempDir()
+	const plain = `{"corpus":["superscalar-fig2.ddg","vliw-liv-l3.ddg"],"options":{"method":"ilp"}}`
+	const withParallel = `{"corpus":["superscalar-fig2.ddg","vliw-liv-l3.ddg"],"options":{"method":"ilp","solver":{"parallel":4}}}`
+	post := func(url, body string) *client.AnalyzeResponse {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/analyze", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("status %d: %s", resp.StatusCode, msg)
+		}
+		var out client.AnalyzeResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return &out
+	}
+	// items drops what differs between a computed and a cached answer.
+	items := func(r *client.AnalyzeResponse) []client.Item {
+		out := append([]client.Item(nil), r.Items...)
+		for i := range out {
+			out[i].CacheHit, out[i].ElapsedMs = false, 0
+		}
+		return out
+	}
+	daemon := func() (string, func()) {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Store: st, CorpusRoot: corpusRoot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(s.Handler())
+		return hs.URL, hs.Close
+	}
+
+	url, stop := daemon()
+	want := post(url, plain)
+	if len(want.Items) != 2 || want.Stats.Computed == 0 {
+		t.Fatalf("first request: %d items, stats %+v", len(want.Items), want.Stats)
+	}
+	for _, it := range want.Items {
+		if it.Error != "" || it.RS["float"] == nil || it.RS["float"].SolverStats == nil {
+			t.Fatalf("%s: %+v, want an analyzed float result with solver stats", it.Name, it)
+		}
+	}
+	got := post(url, withParallel)
+	if got.Stats.Computed != 0 {
+		t.Fatalf("parallel changed the cache key: stats %+v", got.Stats)
+	}
+	if !reflect.DeepEqual(items(got), items(want)) {
+		t.Fatalf("items with parallel differ:\n%+v\nwant\n%+v", items(got), items(want))
+	}
+	stop()
+
+	// Rewrite the stored records the way an earlier release wrote them.
+	rewritten := 0
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		old := strings.Replace(string(raw), `"solverStats":{`, `"solverStats":{"workers":4,`, 1)
+		if old == string(raw) {
+			return nil
+		}
+		rewritten++
+		return os.WriteFile(path, []byte(old), 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rewritten == 0 {
+		t.Fatal("no stored record carries solver stats")
+	}
+	url, stop = daemon()
+	defer stop()
+	got = post(url, withParallel)
+	if got.Stats.Computed != 0 || got.Stats.L2Hits == 0 {
+		t.Fatalf("records with workers not served from the store: stats %+v", got.Stats)
+	}
+	if !reflect.DeepEqual(items(got), items(want)) {
+		t.Fatalf("items from old records differ:\n%+v\nwant\n%+v", items(got), items(want))
 	}
 }
 

@@ -59,7 +59,7 @@ func TestCliqueCutsSeparatedAtRoot(t *testing.T) {
 // TestCliqueHintsAgreeRandom is the cut-validity property test: on random
 // conflict graphs every triangle yields a valid clique (its three pairwise
 // rows enforce it), so hinting the triangles must never change the proven
-// optimum of any backend, only the work to reach it.
+// optimum, only the work to reach it.
 func TestCliqueHintsAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	trials := 60
@@ -96,22 +96,20 @@ func TestCliqueHintsAgreeRandom(t *testing.T) {
 			}
 		}
 		hints := &Hints{Cliques: cliques}
-		for _, workers := range []int{1, 3} {
-			sol := solveWith(t, conflictModel(obj, edges), Options{Hints: hints, Parallel: workers})
-			checkOracle(t, fmt.Sprintf("trial %d parallel=%d with %d hinted triangles", trial, workers, len(cliques)),
-				conflictModel(obj, edges), sol)
-			// The incumbent must satisfy every hinted clique (they are valid
-			// inequalities of the model).
-			if sol.Feasible() && !sol.AtCutoff {
-				for _, c := range cliques {
-					sum := 0.0
-					for _, v := range c.Vars {
-						sum += sol.X[v]
-					}
-					if sum > float64(c.RHS)+1e-6 {
-						t.Fatalf("trial %d parallel=%d: incumbent violates hinted clique %v: Σ=%g > %d",
-							trial, workers, c.Vars, sum, c.RHS)
-					}
+		sol := solveWith(t, conflictModel(obj, edges), Options{Hints: hints})
+		checkOracle(t, fmt.Sprintf("trial %d with %d hinted triangles", trial, len(cliques)),
+			conflictModel(obj, edges), sol)
+		// The incumbent must satisfy every hinted clique (they are valid
+		// inequalities of the model).
+		if sol.Feasible() && !sol.AtCutoff {
+			for _, c := range cliques {
+				sum := 0.0
+				for _, v := range c.Vars {
+					sum += sol.X[v]
+				}
+				if sum > float64(c.RHS)+1e-6 {
+					t.Fatalf("trial %d: incumbent violates hinted clique %v: Σ=%g > %d",
+						trial, c.Vars, sum, c.RHS)
 				}
 			}
 		}

@@ -8,11 +8,10 @@ import (
 	"regsat/internal/lp"
 )
 
-// PresolveModel runs the engine's model loading — presolve with the default
-// integrality tolerance, reductions on — and discards the result, for
-// benchmarks outside the package.
+// PresolveModel runs the engine's model loading — presolve with reductions
+// on — and discards the result, for benchmarks outside the package.
 func PresolveModel(m *lp.Model) error {
-	_, err := presolve(m, Options{}.withDefaults().IntTol, true)
+	_, err := presolve(m, true)
 	return err
 }
 
@@ -20,7 +19,7 @@ func PresolveModel(m *lp.Model) error {
 // problem, its column map and fixed values, and the reduction counters —
 // to w in a fixed binary layout, for hashing.
 func WritePresolved(w io.Writer, m *lp.Model) error {
-	ps, err := presolve(m, Options{}.withDefaults().IntTol, true)
+	ps, err := presolve(m, true)
 	if err != nil {
 		return err
 	}
@@ -84,10 +83,9 @@ func WritePresolved(w io.Writer, m *lp.Model) error {
 // and tests outside the package.
 type RootLP struct{ p *prob }
 
-// NewRootLP presolves m as a solve does (default integrality tolerance,
-// reductions on).
+// NewRootLP presolves m as a solve does (reductions on).
 func NewRootLP(m *lp.Model) (*RootLP, error) {
-	ps, err := presolve(m, Options{}.withDefaults().IntTol, true)
+	ps, err := presolve(m, true)
 	if err != nil {
 		return nil, err
 	}

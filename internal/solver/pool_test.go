@@ -101,9 +101,8 @@ func TestPooledTableauNoStaleData(t *testing.T) {
 }
 
 // TestPooledTableauConcurrentSolves solves models of different sizes on
-// several goroutines at once, sequential and 2-worker searches mixed, so
-// tableaux of one solve are recycled into another while both run. Every
-// answer is checked against brute force.
+// several goroutines at once, so tableaux of one solve are recycled into
+// another while both run. Every answer is checked against brute force.
 func TestPooledTableauConcurrentSolves(t *testing.T) {
 	type input struct {
 		hintedModel
@@ -135,7 +134,7 @@ func TestPooledTableauConcurrentSolves(t *testing.T) {
 			for k := range in {
 				i := (k*3 + g) % len(in)
 				tag := fmt.Sprintf("goroutine %d model %d", g, i)
-				sol, err := Solve(context.Background(), in[i].m, Options{Hints: in[i].h, Parallel: 1 + g%2})
+				sol, err := Solve(context.Background(), in[i].m, Options{Hints: in[i].h})
 				if err != nil {
 					t.Errorf("%s: %v", tag, err)
 					return

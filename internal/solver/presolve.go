@@ -97,7 +97,7 @@ type prow struct {
 // problem is an identity copy of m. It fails only when the reduced problem
 // has a cost-bearing column unbounded on its improving side or a free
 // column, which the dual simplex cannot cold-start.
-func presolve(m *lp.Model, intTol float64, reductions bool) (*presolved, error) {
+func presolve(m *lp.Model, reductions bool) (*presolved, error) {
 	n := m.NumVars()
 	ps := &presolved{nOrig: n, colMap: make([]int, n), fixed: make([]float64, n)}
 

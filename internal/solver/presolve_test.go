@@ -14,7 +14,7 @@ import (
 // mustPresolve runs presolve over m and fails the test on an error.
 func mustPresolve(t testing.TB, m *lp.Model, reductions bool) *presolved {
 	t.Helper()
-	ps, err := presolve(m, 1e-6, reductions)
+	ps, err := presolve(m, reductions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func mustPresolve(t testing.TB, m *lp.Model, reductions bool) *presolved {
 // buildProb is the sparse form of m as the engine loads it without
 // reductions: an identity presolve.
 func buildProb(m *lp.Model) (*prob, error) {
-	ps, err := presolve(m, 1e-6, false)
+	ps, err := presolve(m, false)
 	if err != nil {
 		return nil, err
 	}

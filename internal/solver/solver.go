@@ -4,11 +4,10 @@
 //
 // The engine (sparse.go) combines presolve, hint-derived clique cuts, sparse
 // constraint storage, a dual-simplex reoptimizer, best-bound node selection
-// with single-bound deltas, warm-started dives from the parent basis,
-// incumbent/cutoff seeding, and an optional parallel tree search with a
-// shared atomic incumbent. Consumers receive uniform Solution/Stats
-// reporting, including the proven dual bound and optimality gap when a
-// search limit is hit.
+// with single-bound deltas, warm-started dives from the parent basis, and
+// incumbent/cutoff seeding, in one sequential tree search. Consumers receive
+// uniform Solution/Stats reporting, including the proven dual bound and
+// optimality gap when a search limit is hit.
 package solver
 
 import (
@@ -21,6 +20,10 @@ import (
 	"regsat/internal/obs"
 )
 
+// intTol is the integrality tolerance: an integer variable within intTol of
+// an integer counts as integral, and presolve rounds integer bounds with it.
+const intTol = 1e-6
+
 // Options configures one MILP solve.
 type Options struct {
 	// MaxNodes caps the number of explored branch-and-bound nodes
@@ -28,10 +31,6 @@ type Options struct {
 	MaxNodes int
 	// TimeLimit caps wall time (0 = none).
 	TimeLimit time.Duration
-	// IntTol is the integrality tolerance (0 = default 1e-6).
-	IntTol float64
-	// Parallel is the tree-search worker count (0 = 1: a sequential search).
-	Parallel int
 	// Cutoff seeds the search with the objective value of a solution known
 	// to be achievable (model sense): subtrees that cannot match it are
 	// pruned before any incumbent is found. The saturation MILP is seeded
@@ -63,9 +62,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
 	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
-	}
 	return o
 }
 
@@ -73,8 +69,10 @@ func (o Options) withDefaults() Options {
 func CutoffAt(v float64) *float64 { return &v }
 
 // Key renders the solve-determining fields for cache keys. The leading
-// "sparse|" names the engine; it is kept so that keys persisted in result
-// stores by releases that selected among several engines stay valid.
+// "sparse|" named the engine, and the fixed "i1e-06|p0|" segments rendered
+// the integrality tolerance and the tree-search worker count, when those
+// were options; all three are kept so that keys persisted in result stores
+// by earlier releases stay valid.
 func (o Options) Key() string {
 	o = o.withDefaults()
 	cut := "-"
@@ -84,8 +82,7 @@ func (o Options) Key() string {
 			cut += "!"
 		}
 	}
-	key := fmt.Sprintf("sparse|n%d|t%s|i%g|p%d|c%s",
-		o.MaxNodes, o.TimeLimit, o.IntTol, o.Parallel, cut)
+	key := fmt.Sprintf("sparse|n%d|t%s|i1e-06|p0|c%s", o.MaxNodes, o.TimeLimit, cut)
 	// The debug switches are appended only when set so that keys for default
 	// options — the ones persisted in result stores — stay stable across
 	// releases. Hints are deliberately excluded: they change solve speed,
@@ -123,8 +120,6 @@ type Stats struct {
 	Fallbacks int64 `json:"fallbacks"`
 	// Incumbents counts incumbent improvements.
 	Incumbents int64 `json:"incumbents"`
-	// Workers is the tree-search worker count used.
-	Workers int `json:"workers"`
 	// Duration is the wall time of the solve, in nanoseconds on the wire.
 	Duration time.Duration `json:"durationNs"`
 	// PresolveRows and PresolveCols count constraints and variables the
@@ -166,9 +161,6 @@ func (s *Stats) Add(other Stats) {
 	s.ColdStarts += other.ColdStarts
 	s.Fallbacks += other.Fallbacks
 	s.Incumbents += other.Incumbents
-	if other.Workers > s.Workers {
-		s.Workers = other.Workers
-	}
 	s.Duration += other.Duration
 	s.PresolveRows += other.PresolveRows
 	s.PresolveCols += other.PresolveCols

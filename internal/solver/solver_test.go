@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -53,17 +52,14 @@ func knapsack() *lp.Model {
 	return m
 }
 
-// TestKnapsackAllBackends solves the knapsack sequentially and with a
-// 4-worker tree search; both must prove the brute-force optimum with a
-// closed interval.
+// TestKnapsackAllBackends solves the knapsack; the engine must prove the
+// brute-force optimum with a closed interval.
 func TestKnapsackAllBackends(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		m := knapsack()
-		sol := solveWith(t, m, Options{Parallel: workers})
-		checkOracle(t, fmt.Sprintf("parallel=%d", workers), m, sol)
-		if sol.Gap != 0 || sol.Bound != sol.Obj {
-			t.Fatalf("parallel=%d: optimal solve reported bound %g gap %g", workers, sol.Bound, sol.Gap)
-		}
+	m := knapsack()
+	sol := solveWith(t, m, Options{})
+	checkOracle(t, "knapsack", m, sol)
+	if sol.Gap != 0 || sol.Bound != sol.Obj {
+		t.Fatalf("optimal solve reported bound %g gap %g", sol.Bound, sol.Gap)
 	}
 }
 
@@ -96,9 +92,9 @@ func randomMILP(rng *rand.Rand) *lp.Model {
 	return m
 }
 
-// TestBackendsAgreeRandom cross-validates the engine, sequential and with a
-// 3-worker tree search, against brute-force enumeration on hundreds of
-// random integer programs, including infeasible ones.
+// TestBackendsAgreeRandom cross-validates the engine against brute-force
+// enumeration on hundreds of random integer programs, including infeasible
+// ones.
 func TestBackendsAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(2004))
 	trials := 400
@@ -107,10 +103,7 @@ func TestBackendsAgreeRandom(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		m := randomMILP(rng)
-		for _, workers := range []int{1, 3} {
-			sol := solveWith(t, m, Options{Parallel: workers})
-			checkOracle(t, fmt.Sprintf("trial %d parallel=%d", trial, workers), m, sol)
-		}
+		checkOracle(t, fmt.Sprintf("trial %d", trial), m, solveWith(t, m, Options{}))
 	}
 }
 
@@ -183,66 +176,35 @@ func TestNodeLimitReportsInterval(t *testing.T) {
 // TestContextCancellation: cancelling the context interrupts an in-flight
 // solve promptly and surfaces the context error.
 func TestContextCancellation(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(42))
-		m := lp.NewModel("slow", lp.Maximize)
-		var terms []lp.Term
-		for i := 0; i < 40; i++ {
-			x := m.NewBinary("x")
-			m.SetObjCoef(x, float64(1+rng.Intn(50)))
-			terms = append(terms, lp.Term{Var: x, Coef: float64(1 + rng.Intn(40))})
-		}
-		m.AddConstr(terms, lp.LE, 300)
-		for i := 0; i < 30; i++ {
-			a, c := lp.Var(rng.Intn(40)), lp.Var(rng.Intn(40))
-			if a == c {
-				continue
-			}
-			m.AddConstr([]lp.Term{{Var: a, Coef: 1}, {Var: c, Coef: 1}}, lp.LE, 1)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel() // already cancelled: the solve must return immediately
-		start := time.Now()
-		sol, err := Solve(ctx, m, Options{Parallel: workers, MaxNodes: 10_000_000})
-		if err == nil {
-			t.Fatalf("parallel=%d: cancelled solve returned no error", workers)
-		}
-		if sol == nil {
-			t.Fatalf("parallel=%d: cancelled solve returned nil solution", workers)
-		}
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("parallel=%d: cancelled solve took %v", workers, elapsed)
-		}
+	rng := rand.New(rand.NewSource(42))
+	m := lp.NewModel("slow", lp.Maximize)
+	var terms []lp.Term
+	for i := 0; i < 40; i++ {
+		x := m.NewBinary("x")
+		m.SetObjCoef(x, float64(1+rng.Intn(50)))
+		terms = append(terms, lp.Term{Var: x, Coef: float64(1 + rng.Intn(40))})
 	}
-}
-
-// TestParallelTreeSearchRace exercises the shared-incumbent tree search from
-// many goroutines at once; run under -race this is the satellite race test.
-func TestParallelTreeSearchRace(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for trial := 0; trial < 8; trial++ {
-				m := randomMILP(rng)
-				ref := solvertest.BruteForce(m)
-				sol, err := Solve(context.Background(), m, Options{Parallel: 4})
-				if err != nil {
-					t.Errorf("parallel: %v", err)
-					return
-				}
-				if (ref.Found && (sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-ref.Obj) > 1e-6)) ||
-					(!ref.Found && sol.Status != lp.StatusInfeasible) {
-					t.Errorf("seed %d trial %d: parallel %v/%g, brute force found=%v obj=%g",
-						seed, trial, sol.Status, sol.Obj, ref.Found, ref.Obj)
-					return
-				}
-			}
-		}(int64(g))
+	m.AddConstr(terms, lp.LE, 300)
+	for i := 0; i < 30; i++ {
+		a, c := lp.Var(rng.Intn(40)), lp.Var(rng.Intn(40))
+		if a == c {
+			continue
+		}
+		m.AddConstr([]lp.Term{{Var: a, Coef: 1}, {Var: c, Coef: 1}}, lp.LE, 1)
 	}
-	wg.Wait()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // already cancelled: the solve must return immediately
+	start := time.Now()
+	sol, err := Solve(ctx, m, Options{MaxNodes: 10_000_000})
+	if err == nil {
+		t.Fatal("cancelled solve returned no error")
+	}
+	if sol == nil {
+		t.Fatal("cancelled solve returned nil solution")
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("cancelled solve took %v", elapsed)
+	}
 }
 
 // TestWarmStartsHappen: on a model needing real branching, the sparse engine

@@ -6,8 +6,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"regsat/internal/lp"
@@ -18,15 +16,14 @@ import (
 // clique cuts separated at the root, sparse constraint storage, a
 // dual-simplex reoptimizer with devex pricing, best-bound node selection with
 // single-bound deltas, warm-started dives from the parent basis, pseudo-cost
-// branching with reliability initialization, incumbent/cutoff seeding, and a
-// parallel tree search sharing an atomic incumbent.
+// branching with reliability initialization, and incumbent/cutoff seeding.
 //
-// Node processing is organized as dives: a worker pops the best-bound open
+// Node processing is organized as dives: the search pops the best-bound open
 // node, solves it from a cold (all-slack, dual-feasible) start — or, for the
 // root, adopts the tableau converged cut separation already solved — then keeps
 // descending into one child per branching — reusing the tableau and basis it
 // already holds, which makes the child solve a handful of dual pivots — while
-// the sibling goes onto the shared best-bound queue as a {variable, bound}
+// the sibling goes onto the best-bound queue as a {variable, bound}
 // delta against its parent chain. Numerical trouble at a node (the iteration
 // cap, or an integer point failing the check against the exact rows) rebuilds
 // the tableau once from the sparse matrix and re-solves the node; a node
@@ -41,7 +38,7 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 
 	// Presolve works on a private copy and writes the reduced problem p in
 	// sparse form; it is owned by this solve, so the cut layer may grow it.
-	ps, err := presolve(m, opt.IntTol, !opt.DisablePresolve)
+	ps, err := presolve(m, !opt.DisablePresolve)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +47,6 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 		obs.Int("tightenings", ps.tightenings), obs.Bool("infeasible", ps.infeasible))
 	infeasible := func() (*Solution, error) {
 		sol := &Solution{Status: lp.StatusInfeasible, Stats: ps.stats()}
-		sol.Stats.Workers = 1
 		sol.Stats.Duration = time.Since(start)
 		return sol, ctx.Err()
 	}
@@ -86,10 +82,6 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 			obs.Int("rounds", sep.rounds), obs.Int("iters", sep.iters))
 	}
 
-	// An explicit Parallel is honored as given (oversubscription is just
-	// goroutines).
-	workers := max(opt.Parallel, 1)
-
 	s := &searcher{
 		p:         p,
 		opt:       opt,
@@ -100,11 +92,10 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 		root:      sep.root,
 		openBound: math.Inf(1),
 		cutoff:    math.Inf(1),
+		incObj:    math.Inf(1),
+		iters:     sep.iters,
+		bland:     sep.blandIters,
 	}
-	s.cond = sync.NewCond(&s.mu)
-	s.incObj.Store(math.Float64bits(math.Inf(1)))
-	s.iters.Store(sep.iters)
-	s.bland.Store(sep.blandIters)
 	s.pcDownSum = make([]float64, p.n)
 	s.pcUpSum = make([]float64, p.n)
 	s.pcDownN = make([]int32, p.n)
@@ -114,19 +105,9 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 		s.exclusiveCutoff = opt.ExclusiveCutoff
 	}
 	heap.Push(&s.open, &qnode{vr: -1, bound: math.Inf(-1)})
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			s.worker()
-		}()
-	}
-	wg.Wait()
+	s.run()
 
 	sol := s.finish()
-	sol.Stats.Workers = workers
 	sol.Stats.PresolveRows = ps.rows
 	sol.Stats.PresolveCols = ps.cols
 	sol.Stats.PresolveTightenings = ps.tightenings
@@ -191,50 +172,36 @@ type searcher struct {
 	ctx  context.Context
 	span *obs.Span // solve span for search events; nil when untraced
 
-	// deadline, cutoff, exclusiveCutoff, and cliqueIx are fixed before
-	// workers start and read lock-free on the per-node hot path, so they
-	// live above the mutex: mu guards only the fields below it.
 	deadline        time.Time
 	cutoff          float64 // internal sense; +inf when unseeded
 	exclusiveCutoff bool
 	cliqueIx        *cliqueIndex
-	// root is the root LP already solved by cut separation, or nil. Only
-	// the one worker that pops the root node reads it, and it takes
-	// ownership: the tableau is released when that worker exits.
+	// root is the root LP already solved by cut separation, or nil. The
+	// search adopts it when it pops the root node.
 	root *spx
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	open     nodeHeap
-	active   int  // workers currently diving
-	stopped  bool // a limit fired; drain and report the interval
-	limitHit bool
-	// stoppedFlag mirrors stopped for the lock-free per-node fast path.
-	stoppedFlag atomic.Bool
-	openBound   float64   // min bound over abandoned subtrees (internal)
-	incX        []float64 // incumbent assignment (model variables, snapped)
+	open      nodeHeap
+	stopped   bool // a limit fired; drain and report the interval
+	limitHit  bool
+	openBound float64   // min bound over abandoned subtrees (internal)
+	incObj    float64   // internal incumbent objective; +inf when none
+	incX      []float64 // incumbent assignment (model variables, snapped)
 
-	// pcMu guards the pseudo-cost statistics: per-variable sums and counts
-	// of LP degradation per unit of fractionality removed, by direction.
-	pcMu      sync.Mutex
+	// Pseudo-cost statistics: per-variable sums and counts of LP degradation
+	// per unit of fractionality removed, by direction.
 	pcDownSum []float64
 	pcUpSum   []float64
 	pcDownN   []int32
 	pcUpN     []int32
 
-	incObj    atomic.Uint64 // math.Float64bits of the internal incumbent obj
-	nodes     atomic.Int64
-	iters     atomic.Int64
-	warm      atomic.Int64
-	cold      atomic.Int64
-	recovered atomic.Int64
-	incumb    atomic.Int64
-	probes    atomic.Int64
-	bland     atomic.Int64
-}
-
-func (s *searcher) incumbentObj() float64 {
-	return math.Float64frombits(s.incObj.Load())
+	nodes     int64
+	iters     int64
+	warm      int64
+	cold      int64
+	recovered int64
+	incumb    int64
+	probes    int64
+	bland     int64
 }
 
 // pruneTarget is the internal objective above which a subtree provably
@@ -248,7 +215,7 @@ func (s *searcher) pruneTarget() float64 {
 	if s.p.intObj {
 		step = 1 - 1e-6
 	}
-	t := s.incumbentObj()
+	t := s.incObj
 	if !math.IsInf(t, 1) {
 		t -= step
 	}
@@ -268,83 +235,50 @@ func (s *searcher) cancelled() bool {
 	return s.ctx.Err() != nil || (!s.deadline.IsZero() && time.Now().After(s.deadline))
 }
 
-// shouldStop flips the searcher into drain mode when a limit fires. The
-// fast path is lock-free (it runs once per node on every worker); the mutex
-// is taken only to flip into drain mode.
+// shouldStop flips the searcher into drain mode when a limit fires.
 func (s *searcher) shouldStop() bool {
-	if s.stoppedFlag.Load() {
+	if s.stopped {
 		return true
 	}
-	if s.nodes.Load() < int64(s.opt.MaxNodes) && !s.cancelled() {
+	if s.nodes < int64(s.opt.MaxNodes) && !s.cancelled() {
 		return false
 	}
-	s.mu.Lock()
 	s.stopped = true
-	s.stoppedFlag.Store(true)
 	s.limitHit = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
 	return true
 }
 
-// pop hands out the best open node, pruning stale entries, and blocks while
-// other workers may still produce work. It returns nil when the search is
-// over (exhausted or stopped).
+// pop hands out the best open node, pruning stale entries. It returns nil
+// when the search is over (exhausted or stopped).
 func (s *searcher) pop() *qnode {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stopped {
-			// Drain: the abandoned open nodes define the proven interval.
-			for _, nd := range s.open {
-				if nd.bound < s.openBound {
-					s.openBound = nd.bound
-				}
+	if s.stopped {
+		// Drain: the abandoned open nodes define the proven interval.
+		for _, nd := range s.open {
+			if nd.bound < s.openBound {
+				s.openBound = nd.bound
 			}
-			s.open = nil
-			s.cond.Broadcast()
-			return nil
 		}
-		for len(s.open) > 0 {
-			nd := heap.Pop(&s.open).(*qnode)
-			if nd.bound > s.pruneTarget() {
-				continue // exact prune: a better solution is known elsewhere
-			}
-			s.active++
-			return nd
-		}
-		if s.active == 0 {
-			s.cond.Broadcast()
-			return nil
-		}
-		s.cond.Wait()
+		s.open = nil
+		return nil
 	}
+	for len(s.open) > 0 {
+		nd := heap.Pop(&s.open).(*qnode)
+		if nd.bound > s.pruneTarget() {
+			continue // exact prune: a better solution is known elsewhere
+		}
+		return nd
+	}
+	return nil
 }
 
-func (s *searcher) done() {
-	s.mu.Lock()
-	s.active--
-	if s.active == 0 && len(s.open) == 0 {
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-func (s *searcher) push(nd *qnode) {
-	s.mu.Lock()
-	heap.Push(&s.open, nd)
-	s.cond.Signal()
-	s.mu.Unlock()
-}
+func (s *searcher) push(nd *qnode) { heap.Push(&s.open, nd) }
 
 // abandon records the bound of a subtree dropped because of a limit.
 func (s *searcher) abandon(bound float64) {
-	s.mu.Lock()
 	if bound < s.openBound {
 		s.openBound = bound
 	}
 	s.limitHit = true
-	s.mu.Unlock()
 }
 
 // updateIncumbent installs a verified integer solution if it improves.
@@ -355,22 +289,19 @@ func (s *searcher) updateIncumbent(objInternal float64, x []float64) {
 	if s.exclusiveCutoff && objInternal > s.cutoff+1e-7 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if objInternal < s.incumbentObj()-1e-9 {
-		s.incObj.Store(math.Float64bits(objInternal))
+	if objInternal < s.incObj-1e-9 {
+		s.incObj = objInternal
 		s.incX = append(s.incX[:0], x...)
-		s.incumb.Add(1)
+		s.incumb++
 		s.span.Event("incumbent",
 			obs.Str("obj", strconv.FormatFloat(objInternal, 'g', 10, 64)),
-			obs.Int("nodes", s.nodes.Load()))
+			obs.Int("nodes", s.nodes))
 	}
 }
 
 // pcUpdate records one observed LP degradation per unit of fractionality for
 // branching variable j in the given direction.
 func (s *searcher) pcUpdate(j int, up bool, perUnit float64) {
-	s.pcMu.Lock()
 	if up {
 		s.pcUpSum[j] += perUnit
 		s.pcUpN[j]++
@@ -378,23 +309,18 @@ func (s *searcher) pcUpdate(j int, up bool, perUnit float64) {
 		s.pcDownSum[j] += perUnit
 		s.pcDownN[j]++
 	}
-	s.pcMu.Unlock()
 }
 
 // pcCounts returns the observation counts of variable j.
 func (s *searcher) pcCounts(j int) (down, up int32) {
-	s.pcMu.Lock()
-	down, up = s.pcDownN[j], s.pcUpN[j]
-	s.pcMu.Unlock()
-	return down, up
+	return s.pcDownN[j], s.pcUpN[j]
 }
 
-// flushIters folds a worker tableau's iteration counters into the shared
-// totals.
+// flushIters folds a tableau's iteration counters into the search totals.
 func (s *searcher) flushIters(w *spx) {
-	s.iters.Add(w.iters)
+	s.iters += w.iters
 	w.iters = 0
-	s.bland.Add(w.blandIters)
+	s.bland += w.blandIters
 	w.blandIters = 0
 }
 
@@ -419,9 +345,10 @@ func (s *searcher) boundsOf(nd *qnode, lo, hi []float64, path []*qnode) []*qnode
 	return path
 }
 
-func (s *searcher) worker() {
+// run processes open nodes until the queue is exhausted or a limit fires.
+func (s *searcher) run() {
 	p := s.p
-	var w *spx // the worker's tableau, allocated on its first cold start
+	var w *spx // the search's tableau, allocated on its first cold start
 	lo := make([]float64, p.n)
 	hi := make([]float64, p.n)
 	var path []*qnode
@@ -447,10 +374,9 @@ func (s *searcher) worker() {
 				w.cancel = s.cancelled
 			}
 			w.reset(lo, hi)
-			s.cold.Add(1)
+			s.cold++
 		}
 		s.dive(w, nd, false)
-		s.done()
 	}
 }
 
@@ -475,13 +401,13 @@ func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 			return
 		}
 		if warm {
-			s.warm.Add(1)
+			s.warm++
 		}
 		if testHookNodeSolve != nil {
 			testHookNodeSolve(w, nd, retried)
 		}
 		st := w.dual(s.pruneTarget())
-		s.nodes.Add(1)
+		s.nodes++
 		s.flushIters(w)
 		switch st {
 		case spxInfeasible:
@@ -526,7 +452,7 @@ func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 			}
 			fl := math.Floor(x[j])
 			f := x[j] - fl
-			if math.Min(f, 1-f) > s.opt.IntTol {
+			if math.Min(f, 1-f) > intTol {
 				cands = append(cands, brCand{j: j, f: f, floor: fl})
 			}
 		}
@@ -594,7 +520,7 @@ func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 			s.span.Event("refactor", obs.Int("pivots", int64(w.pivots)))
 			w.applyBoundOnlyStore(diveNd)
 			w.reset(w.lo[:p.n], w.hi[:p.n])
-			s.cold.Add(1)
+			s.cold++
 			warm = false
 		} else {
 			w.applyBound(diveNd.vr, diveNd.lo, diveNd.hi)
@@ -607,8 +533,8 @@ func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 	}
 }
 
-// testHookNodeSolve, when set, runs right before every node solve of a
-// worker tableau (retry reports a re-solve after recovery). Tests use it to
+// testHookNodeSolve, when set, runs right before every node solve of the
+// search tableau (retry reports a re-solve after recovery). Tests use it to
 // inject numerical trouble; it is nil in production.
 var testHookNodeSolve func(w *spx, nd *qnode, retry bool)
 
@@ -626,10 +552,10 @@ func (s *searcher) recoverNode(w *spx, nd *qnode, retried *bool, cause string) b
 		return false
 	}
 	*retried = true
-	s.recovered.Add(1)
+	s.recovered++
 	s.span.Event("recover", obs.Str("cause", cause), obs.Bool("abandoned", false))
 	w.reset(w.lo[:s.p.n], w.hi[:s.p.n])
-	s.cold.Add(1)
+	s.cold++
 	return true
 }
 
@@ -716,7 +642,7 @@ func (s *searcher) probeDir(w *spx, j int, lo, hi, prune float64) probeOutcome {
 	scratch.copyFrom(w)
 	scratch.applyBound(j, lo, hi)
 	st := scratch.dual(prune)
-	s.probes.Add(1)
+	s.probes++
 	s.flushIters(scratch)
 	switch st {
 	case spxInfeasible, spxCutoff:
@@ -738,8 +664,6 @@ func (s *searcher) probeDir(w *spx, j int, lo, hi, prune float64) probeOutcome {
 // most-fractional selection on a cold start. The dive follows the direction
 // with the smaller estimated degradation.
 func (s *searcher) selectBranch(cands []brCand) (branch int, f float64, diveUp bool) {
-	s.pcMu.Lock()
-	defer s.pcMu.Unlock()
 	const eps = 1e-6
 	branch, f = cands[0].j, cands[0].f
 	bestScore := math.Inf(-1)
@@ -801,33 +725,27 @@ func (w *spx) applyBoundOnlyStore(nd *qnode) {
 	w.lo[nd.vr], w.hi[nd.vr] = nd.lo, nd.hi
 }
 
-// finish assembles the Solution from the search state. Workers have joined
-// by the time it runs, but it reads mu-guarded fields (limitHit,
-// openBound, incX), so it takes the — by now uncontended — lock anyway.
+// finish assembles the Solution from the search state.
 func (s *searcher) finish() *Solution {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	p := s.p
 	sol := &Solution{
 		Stats: Stats{
-			Nodes:        s.nodes.Load(),
-			SimplexIters: s.iters.Load(),
-			WarmStarts:   s.warm.Load(),
-			ColdStarts:   s.cold.Load(),
-			Fallbacks:    s.recovered.Load(),
-			Incumbents:   s.incumb.Load(),
-			BranchProbes: s.probes.Load(),
-			BlandIters:   s.bland.Load(),
+			Nodes:        s.nodes,
+			SimplexIters: s.iters,
+			WarmStarts:   s.warm,
+			ColdStarts:   s.cold,
+			Fallbacks:    s.recovered,
+			Incumbents:   s.incumb,
+			BranchProbes: s.probes,
+			BlandIters:   s.bland,
 		},
 	}
-	s.pcMu.Lock()
 	for j := 0; j < p.n; j++ {
 		if s.pcDownN[j] > 0 && s.pcUpN[j] > 0 {
 			sol.Stats.ReliableVars++
 		}
 	}
-	s.pcMu.Unlock()
-	inc := s.incumbentObj()
+	inc := s.incObj
 	haveInc := !math.IsInf(inc, 1)
 	if !haveInc && s.exclusiveCutoff {
 		// Nothing beat the caller's held solution: its objective stands as
