@@ -120,6 +120,10 @@ type Result struct {
 	// Loop is the item's cyclic kernel when the input carried the `loop`
 	// flag; such items populate Cyclic instead of RS.
 	Loop *cyclic.Loop
+	// Fingerprint is the structural hash the memo keyed the item on
+	// (Fingerprint(Graph), or Loop.Fingerprint()); "" when the item failed
+	// before it was hashed.
+	Fingerprint string
 	// RS maps each analyzed register type to its saturation result. When the
 	// batch contains structurally identical graphs, duplicates share one
 	// *rs.Result — treat results as immutable.
@@ -127,7 +131,8 @@ type Result struct {
 	// ComputedRS marks the types whose RS result this item actually
 	// computed, as opposed to served from the memo or the L2 cache — the
 	// hook for consumers (the analysis daemon's metrics) that must count
-	// each solve exactly once, not once per cache hit.
+	// each solve exactly once, not once per cache hit. It is nil when the
+	// item computed nothing.
 	ComputedRS map[ddg.RegType]bool
 	// Reductions maps each reduced type to its reduction result (only types
 	// whose saturation exceeded the budget appear).
@@ -139,7 +144,8 @@ type Result struct {
 	// saturation result. Structural twins share one *cyclic.Result — treat
 	// results as immutable.
 	Cyclic map[ddg.RegType]*cyclic.Result
-	// ComputedCyclic mirrors ComputedRS for loop items.
+	// ComputedCyclic mirrors ComputedRS for loop items (nil when nothing
+	// was computed).
 	ComputedCyclic map[ddg.RegType]bool
 	// CacheHit reports that every RS computation of this item was served
 	// from the memo.
@@ -155,6 +161,9 @@ type Result struct {
 type Engine struct {
 	opts Options
 	memo *memo
+	// rsKey and cyclicKey render opts.RS and opts.Cyclic for the memo's
+	// slot keys once, instead of once per item and type.
+	rsKey, cyclicKey string
 }
 
 // New creates an engine. The zero Options value analyzes every type with
@@ -174,7 +183,12 @@ func New(opts Options) *Engine {
 		}
 		opts.Reduce = &r
 	}
-	return &Engine{opts: opts, memo: newMemo(opts.CacheSize, opts.L2)}
+	return &Engine{
+		opts:      opts,
+		memo:      newMemo(opts.CacheSize, opts.L2),
+		rsKey:     rsOptionsKey(opts.RS),
+		cyclicKey: opts.Cyclic.Key(),
+	}
 }
 
 // WithOptions returns an engine running under different analysis options
@@ -351,29 +365,32 @@ func (e *Engine) process(ctx context.Context, wk work) (res Result) {
 		}
 	}
 	res.Graph = g
+	res.Fingerprint = Fingerprint(g)
+	ent := e.memo.lookup(res.Fingerprint)
 	types := e.opts.Types
 	if len(types) == 0 {
-		types = g.Types()
+		types = ent.writtenTypes(g.Types)
 	}
-	ent := e.memo.lookup(Fingerprint(g))
 	res.RS = make(map[ddg.RegType]*rs.Result, len(types))
-	res.ComputedRS = make(map[ddg.RegType]bool, len(types))
 	allCached := true
 	for _, t := range types {
-		if !writes(g, t) {
+		if len(e.opts.Types) > 0 && !writes(g, t) {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			res.Err = err
 			return res
 		}
-		r, hit, err := ent.result(ctx, e.memo, g, t, e.opts.RS)
+		r, hit, err := ent.result(ctx, e.memo, g, t, e.opts.RS, e.rsKey)
 		if err != nil {
 			res.Err = fmt.Errorf("%s/%s: %w", wk.item.Name, t, err)
 			return res
 		}
 		if !hit {
 			allCached = false
+			if res.ComputedRS == nil {
+				res.ComputedRS = make(map[ddg.RegType]bool, len(types))
+			}
 			res.ComputedRS[t] = true
 		}
 		res.RS[t] = r
@@ -410,29 +427,32 @@ func (e *Engine) processLoop(ctx context.Context, wk work, res Result) Result {
 		return res
 	}
 	res.Loop = l
+	res.Fingerprint = l.Fingerprint()
+	ent := e.memo.lookup(res.Fingerprint)
 	types := e.opts.Types
 	if len(types) == 0 {
-		types = l.Types()
+		types = ent.writtenTypes(l.Types)
 	}
-	ent := e.memo.lookup(l.Fingerprint())
 	res.Cyclic = make(map[ddg.RegType]*cyclic.Result, len(types))
-	res.ComputedCyclic = make(map[ddg.RegType]bool, len(types))
 	allCached := true
 	for _, t := range types {
-		if !loopWrites(l, t) {
+		if len(e.opts.Types) > 0 && !loopWrites(l, t) {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			res.Err = err
 			return res
 		}
-		r, hit, err := ent.cyclicResult(ctx, e.memo, l, t, e.opts.Cyclic)
+		r, hit, err := ent.cyclicResult(ctx, e.memo, l, t, e.opts.Cyclic, e.cyclicKey)
 		if err != nil {
 			res.Err = fmt.Errorf("%s/%s: %w", wk.item.Name, t, err)
 			return res
 		}
 		if !hit {
 			allCached = false
+			if res.ComputedCyclic == nil {
+				res.ComputedCyclic = make(map[ddg.RegType]bool, len(types))
+			}
 			res.ComputedCyclic[t] = true
 		}
 		res.Cyclic[t] = r

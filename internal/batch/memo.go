@@ -58,16 +58,29 @@ func newMemo(capacity int, l2 ResultCache) *memo {
 type entry struct {
 	fp string
 
+	typesOnce sync.Once
+	types     []ddg.RegType
+
 	snapOnce sync.Once
 	snap     *ir.Snapshot
 	snapErr  error
 
 	mu       sync.Mutex
 	analyses map[ddg.RegType]*analysisSlot
-	results  map[string]*resultSlot
+	results  map[slotKey]*resultSlot
 	reduces  map[string]*reduceSlot
-	cyclics  map[string]*cyclicSlot
+	cyclics  map[slotKey]*cyclicSlot
 }
+
+// slotKey names one result of an entry: a register type under an options
+// key (rsOptionsKey or cyclic.Options.Key). The L2 cache's key is the two
+// joined by "|", built only on a memo miss.
+type slotKey struct {
+	t    ddg.RegType
+	opts string
+}
+
+func (k slotKey) String() string { return string(k.t) + "|" + k.opts }
 
 type analysisSlot struct {
 	once sync.Once
@@ -134,9 +147,9 @@ func (m *memo) lookup(fp string) *entry {
 	e := &entry{
 		fp:       fp,
 		analyses: make(map[ddg.RegType]*analysisSlot),
-		results:  make(map[string]*resultSlot),
+		results:  make(map[slotKey]*resultSlot),
 		reduces:  make(map[string]*reduceSlot),
-		cyclics:  make(map[string]*cyclicSlot),
+		cyclics:  make(map[slotKey]*cyclicSlot),
 	}
 	m.entries[fp] = m.order.PushFront(e)
 	for len(m.entries) > m.cap {
@@ -145,6 +158,15 @@ func (m *memo) lookup(fp string) *entry {
 		m.order.Remove(oldest)
 	}
 	return e
+}
+
+// writtenTypes returns the sorted register types the entry's structure
+// writes, computing them once per structure with compute (the first
+// graph's or loop's Types): the fingerprint covers every node's written
+// types, so all structural twins write the same ones.
+func (e *entry) writtenTypes(compute func() []ddg.RegType) []ddg.RegType {
+	e.typesOnce.Do(func() { e.types = compute() })
+	return e.types
 }
 
 // snapshot returns the entry's interned ir.Snapshot, building it from g on
@@ -187,14 +209,14 @@ func (e *entry) analysis(ctx context.Context, g *ddg.Graph, t ddg.RegType) (*rs.
 }
 
 // result returns the memoized RS result for (t, opts), computing it on first
-// use. The second return reports whether the result was served from cache —
+// use; optsKey is rsOptionsKey(opts), rendered once per engine. The second return reports whether the result was served from cache —
 // the in-memory slot or, when the engine has one, the L2 result cache (an
 // L2 load seeds the slot, so the disk is read at most once per key). The
 // context reaches all the way into an in-flight MILP solve, so batch
 // cancellation interrupts it instead of waiting the solve out; interrupted
 // computations are not memoized.
-func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType, opts rs.Options) (*rs.Result, bool, error) {
-	key := string(t) + "|" + rsOptionsKey(opts)
+func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType, opts rs.Options, optsKey string) (*rs.Result, bool, error) {
+	key := slotKey{t, optsKey}
 	e.mu.Lock()
 	slot, ok := e.results[key]
 	if !ok {
@@ -208,7 +230,7 @@ func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType
 		defer sp.End()
 		if m.l2 != nil {
 			_, lsp := obs.StartSpan(cctx, "l2.get")
-			r, ok := m.l2.Get(e.fp, g, t, key)
+			r, ok := m.l2.Get(e.fp, g, t, key.String())
 			lsp.End()
 			if ok {
 				fromL2 = true
@@ -224,7 +246,7 @@ func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType
 		r, cerr := rs.ComputeWithAnalysis(cctx, an, opts)
 		if cerr == nil && m.l2 != nil {
 			_, psp := obs.StartSpan(cctx, "l2.put")
-			m.l2.Put(e.fp, t, key, r)
+			m.l2.Put(e.fp, t, key.String(), r)
 			psp.End()
 		}
 		return r, cerr
@@ -267,12 +289,13 @@ func (s *cyclicSlot) get(compute func() (*cyclic.Result, error)) (*cyclic.Result
 }
 
 // cyclicResult returns the memoized periodic analysis for (t, opts),
-// computing it on first use. Cyclic results carry no witness schedules (the
+// computing it on first use; optsKey is opts.Key(), rendered once per
+// engine. Cyclic results carry no witness schedules (the
 // window engine forces SkipWitness), so — unlike acyclic RS results — an L2
 // hit needs no per-graph materialization and the L2 hook is the narrower
 // CyclicCache interface, type-asserted from the engine's ResultCache.
-func (e *entry) cyclicResult(ctx context.Context, m *memo, l *cyclic.Loop, t ddg.RegType, opts cyclic.Options) (*cyclic.Result, bool, error) {
-	key := string(t) + "|" + opts.Key()
+func (e *entry) cyclicResult(ctx context.Context, m *memo, l *cyclic.Loop, t ddg.RegType, opts cyclic.Options, optsKey string) (*cyclic.Result, bool, error) {
+	key := slotKey{t, optsKey}
 	e.mu.Lock()
 	slot, ok := e.cyclics[key]
 	if !ok {
@@ -287,7 +310,7 @@ func (e *entry) cyclicResult(ctx context.Context, m *memo, l *cyclic.Loop, t ddg
 		defer sp.End()
 		if l2 != nil {
 			_, lsp := obs.StartSpan(cctx, "l2.get")
-			r, ok := l2.GetCyclic(e.fp, t, key)
+			r, ok := l2.GetCyclic(e.fp, t, key.String())
 			lsp.End()
 			if ok {
 				fromL2 = true
@@ -299,7 +322,7 @@ func (e *entry) cyclicResult(ctx context.Context, m *memo, l *cyclic.Loop, t ddg
 		r, cerr := cyclic.Analyze(cctx, l, t, opts)
 		if cerr == nil && l2 != nil {
 			_, psp := obs.StartSpan(cctx, "l2.put")
-			l2.PutCyclic(e.fp, t, key, r)
+			l2.PutCyclic(e.fp, t, key.String(), r)
 			psp.End()
 		}
 		return r, cerr

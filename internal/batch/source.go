@@ -107,16 +107,20 @@ func (s *fileSource) Next() (Item, bool) {
 	return it, true
 }
 
-// loadFile parses and finalizes one .ddg file, dispatching on the `loop`
-// header flag: loop kernels load as cyclic Loops, everything else as acyclic
-// graphs. Errors are not prefixed with the path: the Item.Name / Result.Name
-// reported alongside already carries it.
+// loadFile parses and finalizes one .ddg file (loadText). Errors are not
+// prefixed with the path: the Item.Name / Result.Name reported alongside
+// already carries it.
 func loadFile(path string) Item {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return Item{Err: err}
 	}
-	text := string(raw)
+	return loadText(string(raw))
+}
+
+// loadText parses one .ddg text, dispatching on the `loop` header flag: loop
+// kernels load as cyclic Loops, everything else as finalized acyclic graphs.
+func loadText(text string) Item {
 	if cyclic.Detect(text) {
 		l, err := cyclic.ParseString(text)
 		if err != nil {

@@ -19,11 +19,9 @@
 package cyclic
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"regsat/internal/ddg"
 )
@@ -73,7 +71,6 @@ func (l *Loop) AddNode(name, op string, latency int64) int {
 		Name:    name,
 		Op:      op,
 		Latency: latency,
-		Writes:  map[ddg.RegType]int64{},
 	})
 	return len(l.nodes) - 1
 }
@@ -83,6 +80,9 @@ func (l *Loop) AddNode(name, op string, latency int64) int {
 func (l *Loop) SetWrites(id int, t ddg.RegType, dw int64) {
 	if dw != 0 && !l.Machine.HasOffsets() {
 		panic(fmt.Sprintf("cyclic: writing offset δw on a superscalar machine (node %s)", l.nodes[id].Name))
+	}
+	if l.nodes[id].Writes == nil {
+		l.nodes[id].Writes = map[ddg.RegType]int64{}
 	}
 	l.nodes[id].Writes[t] = dw
 }
@@ -148,7 +148,7 @@ func (l *Loop) Types() []ddg.RegType {
 	for t := range seen {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -170,9 +170,8 @@ func (l *Loop) Clone() *Loop {
 		edges: append([]Edge(nil), l.edges...)}
 	for i, n := range l.nodes {
 		c.nodes[i] = n
-		c.nodes[i].Writes = make(map[ddg.RegType]int64, len(n.Writes))
-		for t, dw := range n.Writes {
-			c.nodes[i].Writes[t] = dw
+		if n.Writes != nil {
+			c.nodes[i].Writes = maps.Clone(n.Writes)
 		}
 	}
 	return c
@@ -244,19 +243,31 @@ func (l *Loop) Validate() error {
 // zeroDistanceCycle topologically sorts the subgraph of distance-0 edges and
 // returns the name of a node on a cycle, or "" when acyclic.
 func (l *Loop) zeroDistanceCycle() string {
-	indeg := make([]int, len(l.nodes))
-	succ := make([][]int, len(l.nodes))
+	n := len(l.nodes)
+	// Flat CSR of the distance-0 successors, degrees counted two slots
+	// ahead so the fill leaves succ[off[u]:off[u+1]] holding u's.
+	off := make([]int32, n+2)
+	indeg := make([]int32, n)
 	for _, e := range l.edges {
-		if e.Dist != 0 {
-			continue
+		if e.Dist == 0 {
+			off[e.From+2]++
+			indeg[e.To]++
 		}
-		succ[e.From] = append(succ[e.From], e.To)
-		indeg[e.To]++
 	}
-	queue := make([]int, 0, len(l.nodes))
+	for u := 2; u < n+2; u++ {
+		off[u] += off[u-1]
+	}
+	succ := make([]int32, off[n+1])
+	for _, e := range l.edges {
+		if e.Dist == 0 {
+			succ[off[e.From+1]] = int32(e.To)
+			off[e.From+1]++
+		}
+	}
+	queue := make([]int32, 0, n)
 	for i, d := range indeg {
 		if d == 0 {
-			queue = append(queue, i)
+			queue = append(queue, int32(i))
 		}
 	}
 	seen := 0
@@ -264,14 +275,14 @@ func (l *Loop) zeroDistanceCycle() string {
 		u := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, v := range succ[u] {
+		for _, v := range succ[off[u]:off[u+1]] {
 			indeg[v]--
 			if indeg[v] == 0 {
 				queue = append(queue, v)
 			}
 		}
 	}
-	if seen == len(l.nodes) {
+	if seen == n {
 		return ""
 	}
 	for i, d := range indeg {
@@ -345,40 +356,22 @@ func (l *Loop) Body() *ddg.Graph {
 // cyclic fingerprint space is disjoint from the acyclic one: a loop and any
 // flat DDG can never share a cache entry.
 func (l *Loop) Fingerprint() string {
-	h := sha256.New()
-	h.Write([]byte("cyclic\x00"))
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	writeInt(int64(l.Machine))
-	writeInt(int64(len(l.nodes)))
+	var arr [2048]byte // the encoding of a loop of a few dozen nodes
+	b := append(arr[:0], "cyclic\x00"...)
+	b = ddg.AppendInt(b, int64(l.Machine))
+	b = ddg.AppendInt(b, int64(len(l.nodes)))
 	for i := range l.nodes {
-		n := &l.nodes[i]
-		writeInt(n.Latency)
-		writeInt(n.DelayR)
-		types := make([]string, 0, len(n.Writes))
-		for t := range n.Writes {
-			types = append(types, string(t))
-		}
-		sort.Strings(types)
-		writeInt(int64(len(types)))
-		for _, t := range types {
-			h.Write([]byte(t))
-			h.Write([]byte{0})
-			writeInt(n.Writes[ddg.RegType(t)])
-		}
+		b = ddg.AppendNodeKey(b, &l.nodes[i])
 	}
-	writeInt(int64(len(l.edges)))
+	b = ddg.AppendInt(b, int64(len(l.edges)))
 	for _, e := range l.edges {
-		writeInt(int64(e.From))
-		writeInt(int64(e.To))
-		writeInt(e.Latency)
-		writeInt(int64(e.Kind))
-		h.Write([]byte(e.Type))
-		h.Write([]byte{0})
-		writeInt(e.Dist)
+		b = ddg.AppendInt(b, int64(e.From))
+		b = ddg.AppendInt(b, int64(e.To))
+		b = ddg.AppendInt(b, e.Latency)
+		b = ddg.AppendInt(b, int64(e.Kind))
+		b = append(b, e.Type...)
+		b = append(b, 0)
+		b = ddg.AppendInt(b, e.Dist)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return ddg.HexSum(b)
 }

@@ -193,3 +193,32 @@ func TestZeroProjectionAndCarried(t *testing.T) {
 		t.Fatalf("projection kept carried edges: %+v", p.Edges())
 	}
 }
+
+// TestLongLines is the loop format's long-line regression: a 70 KB quoted
+// name round-trips and a malformed 70 KB line fails with a located
+// *ddg.ParseError.
+func TestLongLines(t *testing.T) {
+	name := strings.Repeat(`ab "c" d `, 70_000/9)
+	l := New(name, ddg.Superscalar)
+	a := l.AddNode(strings.Repeat("a", 70_000), "ld", 2)
+	l.SetWrites(a, ddg.Float, 0)
+	l.AddFlowEdge(a, a, ddg.Float, 1)
+	text := l.Format()
+	back, err := ParseString(text)
+	if err != nil {
+		t.Fatalf("70 KB names do not parse back: %v", err)
+	}
+	if back.Name != name || back.Format() != text || back.Fingerprint() != l.Fingerprint() {
+		t.Fatal("70 KB names changed across Format → ParseString")
+	}
+
+	bad := "ddg t loop\nnode a lat=1 writes=float\nedge a a flow float " + strings.Repeat("y", 70_000) + "\n"
+	_, err = ParseString(bad)
+	var perr *ddg.ParseError
+	if !errors.As(err, &perr) {
+		t.Fatalf("malformed long line: got %v, want a *ddg.ParseError", err)
+	}
+	if perr.Line != 3 || perr.Col != 21 || !strings.HasPrefix(perr.Msg, "bad flow edge attribute") {
+		t.Fatalf("malformed long line: got %+v, want line 3, column 21, bad flow edge attribute", *perr)
+	}
+}

@@ -1,7 +1,6 @@
 package cyclic
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -30,22 +29,19 @@ import (
 // directive is a ddg header carrying the `loop` flag. Loaders use it to
 // route a .ddg file to this parser or the flat one.
 func Detect(text string) bool {
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !strings.HasPrefix(line, "ddg") {
-			return false
-		}
-		fields := strings.Fields(line)
-		for _, f := range fields[1:] {
-			if f == "loop" {
-				return true
-			}
-		}
+	var lx ddg.Lexer
+	lx.Reset(text)
+	if !lx.Next() {
 		return false
+	}
+	fields := lx.Fields()
+	if !strings.HasPrefix(fields[0], "ddg") {
+		return false
+	}
+	for _, f := range fields[1:] {
+		if f == "loop" {
+			return true
+		}
 	}
 	return false
 }
@@ -58,223 +54,91 @@ func errLine(format string, args ...any) *ddg.ParseError {
 	return &ddg.ParseError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// locate stamps the error with its line and, when the offending token is
-// known, the token's 1-based column in the original (untrimmed) line.
-func locate(err *ddg.ParseError, lineNo int, raw string) *ddg.ParseError {
-	err.Line = lineNo
-	if err.Token != "" {
-		err.Col = columnOf(raw, err.Token)
-	}
-	return err
-}
-
-// columnOf finds the token's 1-based byte column, preferring whole-field
-// matches (mirrors the flat parser's locator).
-func columnOf(raw, token string) int {
-	isSpace := func(b byte) bool { return b == ' ' || b == '\t' }
-	for from := 0; from+len(token) <= len(raw); {
-		i := strings.Index(raw[from:], token)
-		if i < 0 {
-			break
-		}
-		start := from + i
-		end := start + len(token)
-		if (start == 0 || isSpace(raw[start-1])) && (end == len(raw) || isSpace(raw[end])) {
-			return start + 1
-		}
-		from = start + 1
-	}
-	if i := strings.Index(raw, token); i >= 0 {
-		return i + 1
-	}
-	return 0
-}
-
-// Parse reads a loop in the textual format. The result is not validated —
-// call Validate (the analyses do) — but structural panics of the builder API
-// (unknown nodes, bad offsets) are caught and reported as parse errors.
+// Parse reads a loop in the textual format.
 func Parse(r io.Reader) (*Loop, error) {
-	sc := bufio.NewScanner(r)
-	var l *Loop
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Text()
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		var err *ddg.ParseError
-		switch fields[0] {
-		case "ddg":
-			if l != nil {
-				err = errTok(fields[0], "duplicate ddg directive")
-				break
-			}
-			l, err = parseHeader(strings.TrimSpace(line[len("ddg"):]))
-		case "node":
-			if l == nil {
-				err = errTok(fields[0], "node before ddg directive")
-				break
-			}
-			err = parseNode(l, fields[1:])
-		case "edge":
-			if l == nil {
-				err = errTok(fields[0], "edge before ddg directive")
-				break
-			}
-			err = parseEdge(l, fields[1:])
-		default:
-			err = errTok(fields[0], "unknown directive %q", fields[0])
-		}
-		if err != nil {
-			return nil, locate(err, lineNo, raw)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	text, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	if l == nil {
+	return ParseString(string(text))
+}
+
+// ParseString parses a loop in the textual format in one pass over s, with
+// the flat parser's lexer; names and types are substrings of s. The result
+// is not validated — call Validate (the analyses do).
+func ParseString(s string) (*Loop, error) {
+	p := parser{src: s}
+	p.lx.Reset(s)
+	for p.lx.Next() {
+		if err := p.directive(p.lx.Fields()); err != nil {
+			return nil, p.lx.Locate(err)
+		}
+	}
+	if p.l == nil {
 		return nil, fmt.Errorf("no ddg directive found")
 	}
-	return l, nil
+	return p.l, nil
 }
 
-// ParseString is Parse over a string.
-func ParseString(s string) (*Loop, error) {
-	return Parse(strings.NewReader(s))
+// parser is the state of one ParseString call.
+type parser struct {
+	src   string
+	lx    ddg.Lexer
+	l     *Loop
+	names ddg.NameIndex
 }
 
-func parseHeader(rest string) (*Loop, *ddg.ParseError) {
-	if rest == "" {
-		return nil, errLine("ddg directive needs a name")
-	}
-	var name string
-	var attrs []string
-	if strings.HasPrefix(rest, `"`) {
-		q, err := strconv.QuotedPrefix(rest)
+func (p *parser) directive(fields []string) *ddg.ParseError {
+	switch fields[0] {
+	case "ddg":
+		if p.l != nil {
+			return errTok(fields[0], "duplicate ddg directive")
+		}
+		name, machine, loop, err := ddg.ParseHeader(p.lx.Tail(), true)
 		if err != nil {
-			return nil, errLine("bad quoted ddg name %s", rest)
+			return err
 		}
-		name, err = strconv.Unquote(q)
-		if err != nil {
-			return nil, errLine("bad quoted ddg name %s", q)
+		if !loop {
+			return errLine("cyclic parser needs the loop flag on the ddg directive")
 		}
-		attrs = strings.Fields(rest[len(q):])
-	} else {
-		fs := strings.Fields(rest)
-		name = fs[0]
-		attrs = fs[1:]
+		p.l = New(name, machine)
+		nodes, edges := ddg.SizeHint(p.src)
+		p.l.nodes = make([]ddg.Node, 0, nodes)
+		p.l.edges = make([]Edge, 0, edges)
+		return nil
+	case "node":
+		if p.l == nil {
+			return errTok(fields[0], "node before ddg directive")
+		}
+		fields = fields[1:]
+		if len(fields) < 1 {
+			return errLine("node needs a name")
+		}
+		l := p.l
+		name := fields[0]
+		if p.names.Find(l.nodes, name) >= 0 {
+			return errTok(name, "duplicate node %q", name)
+		}
+		id := l.AddNode(name, "op", 0)
+		p.names.Add(l.nodes, id)
+		return ddg.ParseNodeAttrs(&l.nodes[id], fields[1:], l.Machine)
+	case "edge":
+		if p.l == nil {
+			return errTok(fields[0], "edge before ddg directive")
+		}
+		return p.edge(fields[1:])
+	default:
+		return errTok(fields[0], "unknown directive %q", fields[0])
 	}
-	machine := ddg.Superscalar
-	loop := false
-	for _, f := range attrs {
-		if f == "loop" {
-			loop = true
-			continue
-		}
-		k, v, ok := strings.Cut(f, "=")
-		if !ok || k != "machine" {
-			return nil, errTok(f, "bad ddg attribute %q", f)
-		}
-		switch v {
-		case "superscalar":
-			machine = ddg.Superscalar
-		case "vliw":
-			machine = ddg.VLIW
-		case "epic":
-			machine = ddg.EPIC
-		default:
-			return nil, errTok(f, "unknown machine %q", v)
-		}
-	}
-	if !loop {
-		return nil, errLine("cyclic parser needs the loop flag on the ddg directive")
-	}
-	return New(name, machine), nil
 }
 
-func parseNode(l *Loop, fields []string) *ddg.ParseError {
-	if len(fields) < 1 {
-		return errLine("node needs a name")
-	}
-	name := fields[0]
-	if l.NodeByName(name) >= 0 {
-		return errTok(name, "duplicate node %q", name)
-	}
-	op := "op"
-	var lat, dr int64
-	type writeSpec struct {
-		t  ddg.RegType
-		dw int64
-	}
-	var writes []writeSpec
-	for _, f := range fields[1:] {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			return errTok(f, "bad node attribute %q", f)
-		}
-		switch k {
-		case "op":
-			op = v
-		case "lat":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return errTok(f, "bad lat %q", v)
-			}
-			if n < 0 {
-				return errTok(f, "node latency must be non-negative, got %d", n)
-			}
-			lat = n
-		case "dr":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return errTok(f, "bad dr %q", v)
-			}
-			if n != 0 && !l.Machine.HasOffsets() {
-				return errTok(f, "reading offset dr on a superscalar machine")
-			}
-			dr = n
-		case "writes":
-			for _, spec := range strings.Split(v, ",") {
-				tname, dws, has := strings.Cut(spec, ":")
-				if tname == "" {
-					return errTok(f, "empty register type in %q", v)
-				}
-				var dw int64
-				if has {
-					n, err := strconv.ParseInt(dws, 10, 64)
-					if err != nil {
-						return errTok(spec, "bad δw in %q", spec)
-					}
-					if n != 0 && !l.Machine.HasOffsets() {
-						return errTok(spec, "writing offset δw on a superscalar machine")
-					}
-					dw = n
-				}
-				writes = append(writes, writeSpec{ddg.RegType(tname), dw})
-			}
-		default:
-			return errTok(f, "unknown node attribute %q", k)
-		}
-	}
-	id := l.AddNode(name, op, lat)
-	if dr != 0 {
-		l.SetReadDelay(id, dr)
-	}
-	for _, w := range writes {
-		l.SetWrites(id, w.t, w.dw)
-	}
-	return nil
-}
-
-func parseEdge(l *Loop, fields []string) *ddg.ParseError {
+func (p *parser) edge(fields []string) *ddg.ParseError {
 	if len(fields) < 3 {
 		return errLine("edge needs: from to kind …")
 	}
-	from := l.NodeByName(fields[0])
-	to := l.NodeByName(fields[1])
+	l := p.l
+	from := p.names.Find(l.nodes, fields[0])
+	to := p.names.Find(l.nodes, fields[1])
 	if from < 0 {
 		return errTok(fields[0], "edge references unknown node %q", fields[0])
 	}

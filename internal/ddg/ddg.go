@@ -8,6 +8,8 @@ package ddg
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"regsat/internal/graph"
@@ -78,7 +80,8 @@ type Node struct {
 	Latency int64  // execution latency, default latency of its flow edges
 	// Writes maps each register type the node defines to its writing offset
 	// δw (cycles after issue at which the result register is written). A
-	// node defines at most one value per type (model restriction, §2).
+	// node defines at most one value per type (model restriction, §2). It
+	// is nil on a node that writes nothing.
 	Writes map[RegType]int64
 	// DelayR is the reading offset δr: operands are read DelayR cycles
 	// after issue. Zero on superscalar and EPIC reads at issue.
@@ -114,6 +117,12 @@ type Graph struct {
 	bottom int // index of ⊥, or -1 before Finalize
 
 	finalized bool
+	// critical is the critical path length, computed by Finalize and Extend
+	// and never later, so graphs shared across goroutines are only read;
+	// hasCritical is false before Finalize and on an Extend that closed a
+	// cycle.
+	critical    int64
+	hasCritical bool
 }
 
 // New creates an empty DDG for the given machine kind.
@@ -133,7 +142,6 @@ func (g *Graph) AddNode(name, op string, latency int64) int {
 		Name:    name,
 		Op:      op,
 		Latency: latency,
-		Writes:  map[RegType]int64{},
 	})
 	return len(g.nodes) - 1
 }
@@ -144,6 +152,9 @@ func (g *Graph) SetWrites(u int, t RegType, dw int64) {
 	g.mustBeMutable()
 	if !g.Machine.HasOffsets() && dw != 0 {
 		panic(fmt.Sprintf("ddg: node %s: superscalar machines have δw = 0", g.nodes[u].Name))
+	}
+	if g.nodes[u].Writes == nil {
+		g.nodes[u].Writes = map[RegType]int64{}
 	}
 	g.nodes[u].Writes[t] = dw
 }
@@ -235,7 +246,7 @@ func (g *Graph) Types() []RegType {
 	for t := range set {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -269,7 +280,9 @@ func (g *Graph) Cons(u int, t RegType) []int {
 // Finalize appends the bottom node ⊥ (unless already present), connecting
 // every exit value to it with a flow edge and every other node to it with a
 // serial edge of latency equal to the source's latency, then validates the
-// graph. After Finalize the graph is immutable through this API.
+// graph and records its critical path. After Finalize the graph is
+// immutable through this API. It runs in O(n + m) (times the log of the
+// types one node writes).
 func (g *Graph) Finalize() error {
 	if g.finalized {
 		return nil
@@ -279,32 +292,55 @@ func (g *Graph) Finalize() error {
 	}
 	bot := g.AddNode("_bot", "bottom", 0)
 	g.bottom = bot
-	// Exit values: values with no consumer get a flow edge to ⊥.
+	// Exit values — values with no consumer — get a flow edge to ⊥, in
+	// sorted type order per node; every other node gets a serial arc to ⊥
+	// (latency = source latency). One pass over the edges marks the
+	// consumed values: consumed[at[u]+i] is the i-th sorted type of u.
+	at := make([]int32, bot+1)
 	for u := 0; u < bot; u++ {
+		at[u+1] = at[u] + int32(len(g.nodes[u].Writes))
+	}
+	types := make([]RegType, at[bot])
+	marks := make([]bool, int(at[bot])+bot)
+	consumed, exits := marks[:at[bot]], marks[at[bot]:]
+	for u := 0; u < bot; u++ {
+		ts := types[at[u]:at[u+1]]
+		i := 0
 		for t := range g.nodes[u].Writes {
-			if len(g.Cons(u, t)) == 0 {
-				g.AddFlowEdgeLatency(u, bot, t, g.nodes[u].Latency)
+			ts[i] = t
+			i++
+		}
+		slices.Sort(ts)
+	}
+	for _, e := range g.edges {
+		if e.Kind != Flow {
+			continue
+		}
+		ts := types[at[e.From]:at[e.From+1]]
+		if i, ok := slices.BinarySearch(ts, e.Type); ok {
+			consumed[int(at[e.From])+i] = true
+		}
+	}
+	for u := 0; u < bot; u++ {
+		for i := at[u]; i < at[u+1]; i++ {
+			if !consumed[i] {
+				g.AddFlowEdgeLatency(u, bot, types[i], g.nodes[u].Latency)
+				exits[u] = true
 			}
 		}
 	}
-	// Serial arc from every other node to ⊥ (latency = source latency),
-	// skipping nodes that already reach ⊥ directly via the flow edges above.
-	direct := make([]bool, bot)
-	for _, e := range g.edges {
-		if e.To == bot {
-			direct[e.From] = true
-		}
-	}
 	for u := 0; u < bot; u++ {
-		if !direct[u] {
+		if !exits[u] {
 			g.AddSerialEdge(u, bot, g.nodes[u].Latency)
 		}
 	}
 	g.finalized = true
-	if err := g.Validate(); err != nil {
+	cp, err := g.validate()
+	if err != nil {
 		g.finalized = false
 		return err
 	}
+	g.critical, g.hasCritical = cp, true
 	return nil
 }
 
@@ -313,18 +349,27 @@ func (g *Graph) Finalize() error {
 // are positive; superscalar machines carry no offsets; the bottom node (when
 // present) is the unique sink and reachable from every node.
 func (g *Graph) Validate() error {
-	dg := g.ToDigraph()
-	if _, err := dg.TopoSort(); err != nil {
-		return fmt.Errorf("ddg %s: %w", g.Name, err)
+	_, err := g.validate()
+	return err
+}
+
+// validate is Validate, also returning the critical path that its
+// acyclicity check computes on the way.
+func (g *Graph) validate() (int64, error) {
+	cp, ok := g.longestPath()
+	if !ok {
+		// Name the cycle exactly as the digraph's topological sort does.
+		_, err := g.ToDigraph().TopoSort()
+		return 0, fmt.Errorf("ddg %s: %w", g.Name, err)
 	}
 	for _, e := range g.edges {
 		if e.Kind == Flow {
 			if !g.nodes[e.From].WritesType(e.Type) {
-				return fmt.Errorf("ddg %s: flow edge %s→%s type %s from non-writer",
+				return 0, fmt.Errorf("ddg %s: flow edge %s→%s type %s from non-writer",
 					g.Name, g.nodes[e.From].Name, g.nodes[e.To].Name, e.Type)
 			}
 			if e.Latency < 1 {
-				return fmt.Errorf("ddg %s: flow edge %s→%s has latency %d < 1",
+				return 0, fmt.Errorf("ddg %s: flow edge %s→%s has latency %d < 1",
 					g.Name, g.nodes[e.From].Name, g.nodes[e.To].Name, e.Latency)
 			}
 		}
@@ -332,11 +377,11 @@ func (g *Graph) Validate() error {
 	if !g.Machine.HasOffsets() {
 		for i := range g.nodes {
 			if g.nodes[i].DelayR != 0 {
-				return fmt.Errorf("ddg %s: node %s has δr ≠ 0 on superscalar", g.Name, g.nodes[i].Name)
+				return 0, fmt.Errorf("ddg %s: node %s has δr ≠ 0 on superscalar", g.Name, g.nodes[i].Name)
 			}
 			for t, dw := range g.nodes[i].Writes {
 				if dw != 0 {
-					return fmt.Errorf("ddg %s: node %s has δw(%s) ≠ 0 on superscalar", g.Name, g.nodes[i].Name, t)
+					return 0, fmt.Errorf("ddg %s: node %s has δw(%s) ≠ 0 on superscalar", g.Name, g.nodes[i].Name, t)
 				}
 			}
 		}
@@ -344,7 +389,7 @@ func (g *Graph) Validate() error {
 	if g.finalized {
 		bot := g.bottom
 		if g.nodes[bot].Name != "_bot" {
-			return fmt.Errorf("ddg %s: bottom node corrupted", g.Name)
+			return 0, fmt.Errorf("ddg %s: bottom node corrupted", g.Name)
 		}
 		reach := make([]bool, len(g.nodes))
 		for _, e := range g.edges {
@@ -352,16 +397,69 @@ func (g *Graph) Validate() error {
 				reach[e.From] = true
 			}
 			if e.From == bot {
-				return fmt.Errorf("ddg %s: bottom node has outgoing edge", g.Name)
+				return 0, fmt.Errorf("ddg %s: bottom node has outgoing edge", g.Name)
 			}
 		}
 		for u := 0; u < bot; u++ {
 			if !reach[u] {
-				return fmt.Errorf("ddg %s: node %s has no edge to ⊥", g.Name, g.nodes[u].Name)
+				return 0, fmt.Errorf("ddg %s: node %s has no edge to ⊥", g.Name, g.nodes[u].Name)
 			}
 		}
 	}
-	return nil
+	return cp, nil
+}
+
+// longestPath sorts the graph topologically (Kahn's algorithm over a flat
+// CSR of the edges, in any valid order) and computes the critical path in
+// the same pass: the longest path weight over all node pairs, at least 0,
+// as graph.Digraph.CriticalPath defines it. ok is false when the graph has
+// a cycle.
+func (g *Graph) longestPath() (length int64, ok bool) {
+	n, m := len(g.nodes), len(g.edges)
+	// One int32 arena: a counting sort of the edge indices by source
+	// (degrees counted two slots ahead, so the fill leaves
+	// succ[off[u]:off[u+1]] holding u's out-edges), in-degrees and the
+	// queue.
+	arena := make([]int32, (n+2)+n+m+n)
+	off, indeg := arena[:n+2], arena[n+2:2*n+2]
+	succ, queue := arena[2*n+2:2*n+2+m], arena[2*n+2+m:2*n+2+m:len(arena)]
+	for _, e := range g.edges {
+		if uint(e.From) >= uint(n) || uint(e.To) >= uint(n) {
+			return 0, false // the caller's digraph fallback reports it
+		}
+		off[e.From+2]++
+		indeg[e.To]++
+	}
+	for u := 2; u < n+2; u++ {
+		off[u] += off[u-1]
+	}
+	for i, e := range g.edges {
+		succ[off[e.From+1]] = int32(i)
+		off[e.From+1]++
+	}
+	dist := make([]int64, n)
+	for u := 0; u < n; u++ {
+		if indeg[u] == 0 {
+			queue = append(queue, int32(u))
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du := dist[u]
+		if du > length {
+			length = du
+		}
+		for _, ei := range succ[off[u]:off[u+1]] {
+			e := &g.edges[ei]
+			if d := du + e.Latency; d > dist[e.To] {
+				dist[e.To] = d
+			}
+			if indeg[e.To]--; indeg[e.To] == 0 {
+				queue = append(queue, int32(e.To))
+			}
+		}
+	}
+	return length, len(queue) == n
 }
 
 // ToDigraph converts the DDG to a weighted digraph over the same node IDs
@@ -388,21 +486,23 @@ func (g *Graph) Horizon() int64 {
 	return total + int64(len(g.nodes))
 }
 
-// Clone returns a deep copy of the graph (same finalized state).
+// Clone returns a deep copy of the graph (same finalized state and
+// critical path).
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		Name:      g.Name,
-		Machine:   g.Machine,
-		nodes:     make([]Node, len(g.nodes)),
-		edges:     append([]Edge(nil), g.edges...),
-		bottom:    g.bottom,
-		finalized: g.finalized,
+		Name:        g.Name,
+		Machine:     g.Machine,
+		nodes:       make([]Node, len(g.nodes)),
+		edges:       append([]Edge(nil), g.edges...),
+		bottom:      g.bottom,
+		finalized:   g.finalized,
+		critical:    g.critical,
+		hasCritical: g.hasCritical,
 	}
 	for i := range g.nodes {
 		c.nodes[i] = g.nodes[i]
-		c.nodes[i].Writes = make(map[RegType]int64, len(g.nodes[i].Writes))
-		for t, dw := range g.nodes[i].Writes {
-			c.nodes[i].Writes[t] = dw
+		if g.nodes[i].Writes != nil {
+			c.nodes[i].Writes = maps.Clone(g.nodes[i].Writes)
 		}
 	}
 	return c
@@ -410,10 +510,16 @@ func (g *Graph) Clone() *Graph {
 
 // CriticalPath returns the critical path length of the DDG (the longest
 // path weight; on a finalized graph this ends at ⊥ and therefore includes
-// the final operation latencies).
+// the final operation latencies). A finalized graph answers from the value
+// Finalize recorded; any other graph is measured now, and a cyclic one
+// panics.
 func (g *Graph) CriticalPath() int64 {
-	length, _, _, err := g.ToDigraph().CriticalPath()
-	if err != nil {
+	if g.hasCritical {
+		return g.critical
+	}
+	length, ok := g.longestPath()
+	if !ok {
+		_, err := g.ToDigraph().TopoSort()
 		panic(fmt.Sprintf("ddg %s: %v", g.Name, err))
 	}
 	return length
@@ -434,6 +540,9 @@ func (g *Graph) Extend(arcs []SerialArc) *Graph {
 	c := g.Clone()
 	for _, a := range arcs {
 		c.edges = append(c.edges, Edge{From: a.From, To: a.To, Latency: a.Latency, Kind: Serial})
+	}
+	if c.finalized {
+		c.critical, c.hasCritical = c.longestPath()
 	}
 	return c
 }

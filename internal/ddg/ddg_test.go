@@ -2,8 +2,10 @@ package ddg
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -415,4 +417,88 @@ func TestParseErrorPositions(t *testing.T) {
 			t.Fatalf("%q: message %q lacks position prefix", tc.src, err.Error())
 		}
 	}
+}
+
+// TestLongLines: lines over bufio.Scanner's 64 KiB token limit parse like
+// any other. A 70 KB quoted graph name (spaces and quotes included)
+// survives Format → ParseString, and a malformed 70 KB line fails with a
+// located *ParseError instead of a bare "token too long".
+func TestLongLines(t *testing.T) {
+	name := strings.Repeat(`ab "c" d `, 70_000/9)
+	g := New(name, VLIW)
+	a := g.AddNode("a", "ld", 2)
+	g.SetWrites(a, Float, 1)
+	b := g.AddNode(strings.Repeat("b", 70_000), "st", 1)
+	g.AddFlowEdge(a, b, Float)
+	text := g.Format()
+	back, err := ParseString(text)
+	if err != nil {
+		t.Fatalf("70 KB names do not parse back: %v", err)
+	}
+	if back.Name != name || back.Format() != text {
+		t.Fatal("70 KB names changed across Format → ParseString")
+	}
+
+	bad := "ddg t\nnode a lat=1 " + strings.Repeat("x", 70_000) + "\n"
+	_, err = ParseString(bad)
+	var perr *ParseError
+	if !errors.As(err, &perr) {
+		t.Fatalf("malformed long line: got %v, want a *ParseError", err)
+	}
+	if perr.Line != 2 || perr.Col != 14 || !strings.HasPrefix(perr.Msg, "bad node attribute") {
+		t.Fatalf("malformed long line: got %+v, want line 2, column 14, bad node attribute", *perr)
+	}
+}
+
+// TestSharedGraphConcurrentReads: a finalized graph is only read after
+// Finalize — its critical path included — so workers may share it. Run
+// under -race.
+func TestSharedGraphConcurrentReads(t *testing.T) {
+	g := buildSmall(t)
+	want := g.CriticalPath()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got := g.CriticalPath(); got != want {
+					t.Errorf("critical path %d, want %d", got, want)
+					return
+				}
+				if got := g.Clone().CriticalPath(); got != want {
+					t.Errorf("clone's critical path %d, want %d", got, want)
+					return
+				}
+				ext := g.Extend([]SerialArc{{From: 0, To: 3, Latency: 100}})
+				if got := ext.CriticalPath(); got != 101 {
+					t.Errorf("extended critical path %d, want 101", got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestExtendRecomputesCriticalPath: Extend measures the extended graph's
+// critical path instead of copying the original's, and an extension that
+// closes a cycle fails Validate and panics on CriticalPath as before.
+func TestExtendRecomputesCriticalPath(t *testing.T) {
+	g := buildSmall(t)
+	ext := g.Extend([]SerialArc{{From: 1, To: 2, Latency: 3}})
+	// a(2) → b(3) → c(3) → d(1) → ⊥.
+	if cp := ext.CriticalPath(); cp != 9 || g.CriticalPath() != 6 {
+		t.Fatalf("critical paths: extension %d (want 9), original %d (want 6)", cp, g.CriticalPath())
+	}
+	cyc := g.Extend([]SerialArc{{From: 3, To: 0, Latency: 1}})
+	if err := cyc.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("cyclic extension: Validate = %v, want a cycle error", err)
+	}
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "cycle") {
+			t.Fatalf("cyclic extension: CriticalPath panicked with %v, want a cycle", p)
+		}
+	}()
+	cyc.CriticalPath()
 }

@@ -1,7 +1,6 @@
 package ddg
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -49,16 +48,6 @@ func errLine(format string, args ...any) *ParseError {
 	return &ParseError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// locate stamps the error with its line and, when the offending token is
-// known, the token's 1-based column in the original (untrimmed) line.
-func locate(err *ParseError, lineNo int, raw string) *ParseError {
-	err.Line = lineNo
-	if err.Token != "" {
-		err.Col = columnOf(raw, err.Token)
-	}
-	return err
-}
-
 // columnOf finds the token's 1-based byte column. Tokens are usually whole
 // whitespace-delimited fields, so field-boundary matches win over bare
 // substring hits (a node named "e" must not locate inside the word "node");
@@ -86,186 +75,88 @@ func columnOf(raw, token string) int {
 
 // Parse reads a DDG in the textual format.
 func Parse(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	var g *Graph
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Text()
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		var err *ParseError
-		switch fields[0] {
-		case "ddg":
-			if g != nil {
-				err = errTok(fields[0], "duplicate ddg directive")
-				break
-			}
-			var name string
-			var machine MachineKind
-			if name, machine, err = parseHeader(strings.TrimSpace(line[len("ddg"):])); err == nil {
-				g = New(name, machine)
-			}
-		case "node":
-			if g == nil {
-				err = errTok(fields[0], "node before ddg directive")
-				break
-			}
-			err = parseNode(g, fields[1:])
-		case "edge":
-			if g == nil {
-				err = errTok(fields[0], "edge before ddg directive")
-				break
-			}
-			err = parseEdge(g, fields[1:])
-		default:
-			err = errTok(fields[0], "unknown directive %q", fields[0])
-		}
-		if err != nil {
-			return nil, locate(err, lineNo, raw)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	text, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	if g == nil {
+	return ParseString(string(text))
+}
+
+// ParseString parses a DDG in the textual format in one pass over s. Node
+// names, mnemonics and register types are substrings of s.
+func ParseString(s string) (*Graph, error) {
+	var p parser
+	p.lx.Reset(s)
+	for p.lx.Next() {
+		if err := p.directive(p.lx.Fields()); err != nil {
+			return nil, p.lx.Locate(err)
+		}
+	}
+	if p.g == nil {
 		return nil, fmt.Errorf("no ddg directive found")
 	}
-	return g, nil
+	return p.g, nil
 }
 
-// ParseString is Parse over a string.
-func ParseString(s string) (*Graph, error) {
-	return Parse(strings.NewReader(s))
+// parser is the state of one ParseString call.
+type parser struct {
+	lx    Lexer
+	g     *Graph
+	names NameIndex
 }
 
-// parseHeader parses the remainder of a ddg directive: a name — quoted (the
-// form Format emits, losslessly unescaped, spaces and quotes included) or a
-// bare field — followed by attributes.
-func parseHeader(rest string) (string, MachineKind, *ParseError) {
-	if rest == "" {
-		return "", 0, errLine("ddg directive needs a name")
-	}
-	var name string
-	var attrs []string
-	if strings.HasPrefix(rest, `"`) {
-		q, err := strconv.QuotedPrefix(rest)
+func (p *parser) directive(fields []string) *ParseError {
+	switch fields[0] {
+	case "ddg":
+		if p.g != nil {
+			return errTok(fields[0], "duplicate ddg directive")
+		}
+		name, machine, _, err := ParseHeader(p.lx.Tail(), false)
 		if err != nil {
-			return "", 0, errLine("bad quoted ddg name %s", rest)
+			return err
 		}
-		name, err = strconv.Unquote(q)
-		if err != nil {
-			return "", 0, errLine("bad quoted ddg name %s", q)
+		p.g = New(name, machine)
+		// Room for Finalize too: ⊥ and about one edge per node into it.
+		nodes, edges := SizeHint(p.lx.src)
+		p.g.nodes = make([]Node, 0, nodes+1)
+		p.g.edges = make([]Edge, 0, edges+nodes+1)
+		return nil
+	case "node":
+		if p.g == nil {
+			return errTok(fields[0], "node before ddg directive")
 		}
-		attrs = strings.Fields(rest[len(q):])
-	} else {
-		fs := strings.Fields(rest)
-		name = fs[0]
-		attrs = fs[1:]
+		return p.node(fields[1:])
+	case "edge":
+		if p.g == nil {
+			return errTok(fields[0], "edge before ddg directive")
+		}
+		return p.edge(fields[1:])
+	default:
+		return errTok(fields[0], "unknown directive %q", fields[0])
 	}
-	machine := Superscalar
-	for _, f := range attrs {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok || k != "machine" {
-			return "", 0, errTok(f, "bad ddg attribute %q", f)
-		}
-		switch v {
-		case "superscalar":
-			machine = Superscalar
-		case "vliw":
-			machine = VLIW
-		case "epic":
-			machine = EPIC
-		default:
-			return "", 0, errTok(f, "unknown machine %q", v)
-		}
-	}
-	return name, machine, nil
 }
 
-func parseNode(g *Graph, fields []string) *ParseError {
+func (p *parser) node(fields []string) *ParseError {
 	if len(fields) < 1 {
 		return errLine("node needs a name")
 	}
+	g := p.g
 	name := fields[0]
-	if g.NodeByName(name) >= 0 {
+	if p.names.Find(g.nodes, name) >= 0 {
 		return errTok(name, "duplicate node %q", name)
 	}
-	op := "op"
-	var lat, dr int64
-	type writeSpec struct {
-		t  RegType
-		dw int64
-	}
-	var writes []writeSpec
-	for _, f := range fields[1:] {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			return errTok(f, "bad node attribute %q", f)
-		}
-		switch k {
-		case "op":
-			op = v
-		case "lat":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return errTok(f, "bad lat %q", v)
-			}
-			if n < 0 {
-				return errTok(f, "node latency must be non-negative, got %d", n)
-			}
-			lat = n
-		case "dr":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return errTok(f, "bad dr %q", v)
-			}
-			if n != 0 && !g.Machine.HasOffsets() {
-				return errTok(f, "reading offset dr on a superscalar machine")
-			}
-			dr = n
-		case "writes":
-			for _, spec := range strings.Split(v, ",") {
-				tname, dws, has := strings.Cut(spec, ":")
-				if tname == "" {
-					return errTok(f, "empty register type in %q", v)
-				}
-				var dw int64
-				if has {
-					n, err := strconv.ParseInt(dws, 10, 64)
-					if err != nil {
-						return errTok(spec, "bad δw in %q", spec)
-					}
-					if n != 0 && !g.Machine.HasOffsets() {
-						return errTok(spec, "writing offset δw on a superscalar machine")
-					}
-					dw = n
-				}
-				writes = append(writes, writeSpec{RegType(tname), dw})
-			}
-		default:
-			return errTok(f, "unknown node attribute %q", k)
-		}
-	}
-	id := g.AddNode(name, op, lat)
-	if dr != 0 {
-		g.SetReadDelay(id, dr)
-	}
-	for _, w := range writes {
-		g.SetWrites(id, w.t, w.dw)
-	}
-	return nil
+	id := g.AddNode(name, "op", 0)
+	p.names.Add(g.nodes, id)
+	return ParseNodeAttrs(&g.nodes[id], fields[1:], g.Machine)
 }
 
-func parseEdge(g *Graph, fields []string) *ParseError {
+func (p *parser) edge(fields []string) *ParseError {
 	if len(fields) < 3 {
 		return errLine("edge needs: from to kind …")
 	}
-	from := g.NodeByName(fields[0])
-	to := g.NodeByName(fields[1])
+	g := p.g
+	from := p.names.Find(g.nodes, fields[0])
+	to := p.names.Find(g.nodes, fields[1])
 	if from < 0 {
 		return errTok(fields[0], "edge references unknown node %q", fields[0])
 	}

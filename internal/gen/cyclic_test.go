@@ -255,7 +255,8 @@ func cyclicCorpusSeeds(f *testing.F) [][]byte {
 // FuzzParseCyclicDDG: the distance-annotated loop parser must reject
 // malformed text with an error (never a panic), and everything it accepts
 // must round-trip losslessly through Format — fingerprint included — with
-// Validate agreeing across the round trip. Nightly CI runs this target
+// Validate agreeing across the round trip, and the outcome must match the
+// reference Scanner parser's (checkCyclicParse). Nightly CI runs this target
 // alongside the flat-parser fuzzers (see .github/workflows/fuzz.yml).
 func FuzzParseCyclicDDG(f *testing.F) {
 	for _, seed := range cyclicCorpusSeeds(f) {
@@ -265,6 +266,7 @@ func FuzzParseCyclicDDG(f *testing.F) {
 	f.Add([]byte("ddg \"r\" loop\nnode a lat=1 writes=float\nedge a a flow float dist=1\n"))
 	f.Add([]byte("ddg \"z\" loop\nnode a lat=1 writes=float\nedge a a flow float dist=0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkCyclicParse(t, "input", string(data))
 		l, err := cyclic.ParseString(string(data))
 		if err != nil {
 			return // rejected cleanly: fine

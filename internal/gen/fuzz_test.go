@@ -50,14 +50,16 @@ func corpusSeeds(f *testing.F) [][]byte {
 }
 
 // FuzzParseDDG: Parse must reject malformed text with an error (never a
-// panic), and everything it accepts must round-trip losslessly through
-// Format — including across Finalize.
+// panic), everything it accepts must round-trip losslessly through Format —
+// including across Finalize — and the outcome must match the reference
+// Scanner parser's (checkFlatParse).
 func FuzzParseDDG(f *testing.F) {
 	for _, seed := range corpusSeeds(f) {
 		f.Add(seed)
 	}
 	f.Add([]byte("ddg \"t\" machine=vliw\nnode a op=x lat=2 writes=float:1 dr=1\nnode b op=y lat=1 writes=int\nedge a b flow float\nedge a b serial lat=-1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFlatParse(t, "input", string(data))
 		g, err := ddg.ParseString(string(data))
 		if err != nil {
 			return // rejected cleanly: fine

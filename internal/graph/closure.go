@@ -63,7 +63,7 @@ func (g *Digraph) TransitiveClosureFromOrder(order []int) *Closure {
 	}
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
-		for _, ei := range g.succ[u] {
+		for _, ei := range g.out(u) {
 			c.Reach[u].OrWith(c.Reach[g.edges[ei].To])
 		}
 	}
@@ -134,7 +134,7 @@ func (g *Digraph) longestFromExcluding(src int, order []int, skip []bool) []int6
 		if dist[u] == NoPath {
 			continue
 		}
-		for _, ei := range g.succ[u] {
+		for _, ei := range g.out(u) {
 			if skip[ei] {
 				continue
 			}

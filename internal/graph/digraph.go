@@ -26,9 +26,12 @@ type Edge struct {
 type Digraph struct {
 	n     int
 	edges []Edge
-	// succ[u] and pred[v] hold indices into edges, lazily rebuilt.
-	succ, pred [][]int
-	dirty      bool
+	// Flat CSR adjacency, lazily rebuilt: the indices of the edges leaving u
+	// are outIdx[outOff[u]:outOff[u+1]], those entering v are
+	// inIdx[inOff[v]:inOff[v+1]], each in edge-list order.
+	outOff, outIdx []int
+	inOff, inIdx   []int
+	dirty          bool
 }
 
 // New returns an empty digraph with n nodes and no edges.
@@ -84,8 +87,7 @@ func (g *Digraph) Edge(i int) Edge { return g.edges[i] }
 
 // HasEdge reports whether at least one edge u→v exists.
 func (g *Digraph) HasEdge(u, v int) bool {
-	g.build()
-	for _, ei := range g.succ[u] {
+	for _, ei := range g.out(u) {
 		if g.edges[ei].To == v {
 			return true
 		}
@@ -96,9 +98,9 @@ func (g *Digraph) HasEdge(u, v int) bool {
 // Succ returns the successor node indices of u (with multiplicity for
 // parallel edges). The slice is freshly allocated.
 func (g *Digraph) Succ(u int) []int {
-	g.build()
-	out := make([]int, 0, len(g.succ[u]))
-	for _, ei := range g.succ[u] {
+	idx := g.out(u)
+	out := make([]int, 0, len(idx))
+	for _, ei := range idx {
 		out = append(out, g.edges[ei].To)
 	}
 	return out
@@ -106,9 +108,9 @@ func (g *Digraph) Succ(u int) []int {
 
 // Pred returns the predecessor node indices of v (with multiplicity).
 func (g *Digraph) Pred(v int) []int {
-	g.build()
-	out := make([]int, 0, len(g.pred[v]))
-	for _, ei := range g.pred[v] {
+	idx := g.in(v)
+	out := make([]int, 0, len(idx))
+	for _, ei := range idx {
 		out = append(out, g.edges[ei].From)
 	}
 	return out
@@ -116,29 +118,17 @@ func (g *Digraph) Pred(v int) []int {
 
 // OutEdges returns the indices of edges leaving u. The slice is owned by the
 // graph and must not be modified.
-func (g *Digraph) OutEdges(u int) []int {
-	g.build()
-	return g.succ[u]
-}
+func (g *Digraph) OutEdges(u int) []int { return g.out(u) }
 
 // InEdges returns the indices of edges entering v. The slice is owned by the
 // graph and must not be modified.
-func (g *Digraph) InEdges(v int) []int {
-	g.build()
-	return g.pred[v]
-}
+func (g *Digraph) InEdges(v int) []int { return g.in(v) }
 
 // OutDegree returns the number of edges leaving u.
-func (g *Digraph) OutDegree(u int) int {
-	g.build()
-	return len(g.succ[u])
-}
+func (g *Digraph) OutDegree(u int) int { return len(g.out(u)) }
 
 // InDegree returns the number of edges entering v.
-func (g *Digraph) InDegree(v int) int {
-	g.build()
-	return len(g.pred[v])
-}
+func (g *Digraph) InDegree(v int) int { return len(g.in(v)) }
 
 // RemoveEdges deletes the edges whose indices are listed in idx and
 // invalidates all previously returned edge indices.
@@ -169,17 +159,59 @@ func (g *Digraph) check(u int) {
 	}
 }
 
+// build rebuilds the CSR adjacency after a mutation. Fresh arrays every
+// time: a slice returned by OutEdges or InEdges before the mutation keeps
+// its old contents.
 func (g *Digraph) build() {
-	if !g.dirty {
-		return
+	if g.dirty {
+		g.rebuild()
 	}
-	g.succ = make([][]int, g.n)
-	g.pred = make([][]int, g.n)
-	for i, e := range g.edges {
-		g.succ[e.From] = append(g.succ[e.From], i)
-		g.pred[e.To] = append(g.pred[e.To], i)
-	}
+}
+
+func (g *Digraph) rebuild() {
+	g.outOff, g.outIdx = bucket(g.n, g.edges, true)
+	g.inOff, g.inIdx = bucket(g.n, g.edges, false)
 	g.dirty = false
+}
+
+// bucket counting-sorts the edge indices by source (bySource) or target,
+// stably, so every bucket keeps edge-list order. Degrees are counted two
+// slots ahead so that the fill, advancing off[u+1] as u's cursor, leaves
+// off[u] at the start of u's bucket for every u.
+func bucket(n int, edges []Edge, bySource bool) (off, idx []int) {
+	key := func(e Edge) int {
+		if bySource {
+			return e.From
+		}
+		return e.To
+	}
+	off = make([]int, n+2)
+	for _, e := range edges {
+		off[key(e)+2]++
+	}
+	for u := 2; u < n+2; u++ {
+		off[u] += off[u-1]
+	}
+	idx = make([]int, len(edges))
+	for i, e := range edges {
+		u := key(e)
+		idx[off[u+1]] = i
+		off[u+1]++
+	}
+	return off[:n+1], idx
+}
+
+// out returns the indices of the edges leaving u, capped so an append by a
+// caller cannot write into the next node's bucket.
+func (g *Digraph) out(u int) []int {
+	g.build()
+	return g.outIdx[g.outOff[u]:g.outOff[u+1]:g.outOff[u+1]]
+}
+
+// in returns the indices of the edges entering v, capped like out.
+func (g *Digraph) in(v int) []int {
+	g.build()
+	return g.inIdx[g.inOff[v]:g.inOff[v+1]:g.inOff[v+1]]
 }
 
 // SortedEdges returns a copy of the edge list sorted by (From, To, Weight),

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -217,4 +218,76 @@ func contains(s, sub string) bool {
 		}
 		return false
 	})()
+}
+
+// TestAdjacencyKeepsEdgeOrder: OutEdges and InEdges list each node's edges
+// in edge-list order (the order every caller's iteration depends on), on
+// random multigraphs and again after RemoveEdges and AddEdge invalidate the
+// adjacency. The reference is a plain scan of Edges().
+func TestAdjacencyKeepsEdgeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	check := func(g *Digraph) {
+		t.Helper()
+		for u := 0; u < g.N(); u++ {
+			var out, in []int
+			for i, e := range g.Edges() {
+				if e.From == u {
+					out = append(out, i)
+				}
+				if e.To == u {
+					in = append(in, i)
+				}
+			}
+			if got := g.OutEdges(u); !slices.Equal(got, out) {
+				t.Fatalf("OutEdges(%d) = %v, want %v", u, got, out)
+			}
+			if got := g.InEdges(u); !slices.Equal(got, in) {
+				t.Fatalf("InEdges(%d) = %v, want %v", u, got, in)
+			}
+			if g.OutDegree(u) != len(out) || g.InDegree(u) != len(in) {
+				t.Fatalf("degrees of %d: out %d in %d, want %d %d", u, g.OutDegree(u), g.InDegree(u), len(out), len(in))
+			}
+		}
+	}
+	addRandom := func(g *Digraph, m int) {
+		for i := 0; i < m; i++ {
+			u, v := rng.Intn(g.N()), rng.Intn(g.N())
+			if u != v {
+				g.AddEdge(u, v, int64(rng.Intn(5)))
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		g := New(n)
+		addRandom(g, rng.Intn(4*n+1))
+		check(g)
+		held := g.OutEdges(0)
+		before := append([]int(nil), held...)
+		if g.M() > 0 {
+			var drop []int
+			for i := 0; i < g.M(); i++ {
+				if rng.Intn(3) == 0 {
+					drop = append(drop, i)
+				}
+			}
+			g.RemoveEdges(drop)
+			check(g)
+		}
+		addRandom(g, rng.Intn(n+1))
+		g.AddNode()
+		check(g)
+		if !slices.Equal(held, before) {
+			t.Fatalf("an OutEdges slice taken before a mutation changed: %v, was %v", held, before)
+		}
+		// A caller appending to a returned slice must not clobber the
+		// neighbouring node's bucket.
+		if g.N() > 1 {
+			want := append([]int(nil), g.OutEdges(1)...)
+			_ = append(g.OutEdges(0), -1)
+			if got := g.OutEdges(1); !slices.Equal(got, want) {
+				t.Fatalf("append to OutEdges(0) changed OutEdges(1): %v, want %v", got, want)
+			}
+		}
+	}
 }

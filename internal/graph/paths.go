@@ -32,7 +32,7 @@ func (g *Digraph) longestFromInOrder(src int, order []int) []int64 {
 		if dist[u] == NoPath {
 			continue
 		}
-		for _, ei := range g.succ[u] {
+		for _, ei := range g.out(u) {
 			e := g.edges[ei]
 			if d := dist[u] + e.Weight; d > dist[e.To] {
 				dist[e.To] = d
@@ -57,7 +57,7 @@ func (g *Digraph) LongestTo(dst int) ([]int64, error) {
 	dist[dst] = 0
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
-		for _, ei := range g.succ[u] {
+		for _, ei := range g.out(u) {
 			e := g.edges[ei]
 			if dist[e.To] == NoPath {
 				continue
@@ -123,7 +123,7 @@ func (g *Digraph) CriticalPath() (length int64, from, to int, err error) {
 	}
 	best, bFrom, bTo := int64(0), -1, -1
 	for _, u := range order {
-		for _, ei := range g.succ[u] {
+		for _, ei := range g.out(u) {
 			e := g.edges[ei]
 			if d := dist[u] + e.Weight; d > dist[e.To] {
 				dist[e.To] = d

@@ -67,7 +67,7 @@ func (g *Digraph) TopoSort() ([]int, error) {
 	for len(heap) > 0 {
 		u := pop()
 		order = append(order, u)
-		for _, ei := range g.succ[u] {
+		for _, ei := range g.out(u) {
 			v := g.edges[ei].To
 			indeg[v]--
 			if indeg[v] == 0 {
@@ -105,7 +105,7 @@ func (g *Digraph) findCycle() []int {
 	var dfs func(u int) bool
 	dfs = func(u int) bool {
 		color[u] = gray
-		for _, ei := range g.succ[u] {
+		for _, ei := range g.out(u) {
 			v := g.edges[ei].To
 			switch color[v] {
 			case white:
@@ -142,7 +142,7 @@ func (g *Digraph) Sources() []int {
 	g.build()
 	var out []int
 	for u := 0; u < g.n; u++ {
-		if len(g.pred[u]) == 0 {
+		if len(g.in(u)) == 0 {
 			out = append(out, u)
 		}
 	}
@@ -154,7 +154,7 @@ func (g *Digraph) Sinks() []int {
 	g.build()
 	var out []int
 	for u := 0; u < g.n; u++ {
-		if len(g.succ[u]) == 0 {
+		if len(g.out(u)) == 0 {
 			out = append(out, u)
 		}
 	}

@@ -1,13 +1,6 @@
 package ir
 
-import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"sort"
-
-	"regsat/internal/ddg"
-)
+import "regsat/internal/ddg"
 
 // Fingerprint returns a structural hash of the graph: two graphs with the
 // same fingerprint have identical machine kind, node count, per-node
@@ -22,38 +15,23 @@ import (
 // different edge insertion order may hash differently, which only costs a
 // missed sharing opportunity, never a wrong one.
 func Fingerprint(g *ddg.Graph) string {
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+	var arr [2048]byte // the encoding of a graph of a few dozen nodes
+	b := arr[:0]
+	b = ddg.AppendInt(b, int64(g.Machine))
+	b = ddg.AppendInt(b, int64(g.NumNodes()))
+	b = ddg.AppendInt(b, int64(g.Bottom()))
+	nodes := g.Nodes()
+	for i := range nodes {
+		b = ddg.AppendNodeKey(b, &nodes[i])
 	}
-	writeInt(int64(g.Machine))
-	writeInt(int64(g.NumNodes()))
-	writeInt(int64(g.Bottom()))
-	for _, n := range g.Nodes() {
-		writeInt(n.Latency)
-		writeInt(n.DelayR)
-		types := make([]string, 0, len(n.Writes))
-		for t := range n.Writes {
-			types = append(types, string(t))
-		}
-		sort.Strings(types)
-		writeInt(int64(len(types)))
-		for _, t := range types {
-			h.Write([]byte(t))
-			h.Write([]byte{0})
-			writeInt(n.Writes[ddg.RegType(t)])
-		}
-	}
-	writeInt(int64(g.NumEdges()))
+	b = ddg.AppendInt(b, int64(g.NumEdges()))
 	for _, e := range g.Edges() {
-		writeInt(int64(e.From))
-		writeInt(int64(e.To))
-		writeInt(e.Latency)
-		writeInt(int64(e.Kind))
-		h.Write([]byte(e.Type))
-		h.Write([]byte{0})
+		b = ddg.AppendInt(b, int64(e.From))
+		b = ddg.AppendInt(b, int64(e.To))
+		b = ddg.AppendInt(b, e.Latency)
+		b = ddg.AppendInt(b, int64(e.Kind))
+		b = append(b, e.Type...)
+		b = append(b, 0)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return ddg.HexSum(b)
 }

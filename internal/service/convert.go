@@ -183,11 +183,8 @@ func inlineItem(i int, gi client.GraphInput) batch.Item {
 // server aggregate on the way out.
 func (s *Server) itemToWire(res batch.Result, withWitness, wantDDG bool) client.Item {
 	s.items.Add(1)
-	switch {
-	case s.cluster != nil && res.Loop != nil:
-		s.cluster.countItem(res.Loop.Fingerprint())
-	case s.cluster != nil && res.Graph != nil:
-		s.cluster.countItem(batch.Fingerprint(res.Graph))
+	if s.cluster != nil && res.Fingerprint != "" {
+		s.cluster.countItem(res.Fingerprint)
 	}
 	item := client.Item{
 		Index:     res.Index,
@@ -261,6 +258,9 @@ func cyclicToWire(r *cyclic.Result) *client.CyclicOutcome {
 // historical stats into the server aggregate).
 func (s *Server) rsToWire(g *ddg.Graph, r *rs.Result, withWitness, computed bool) *client.RSOutcome {
 	out := &client.RSOutcome{RS: r.RS, Exact: r.Exact}
+	if len(r.Antichain) > 0 {
+		out.Antichain = make([]string, 0, len(r.Antichain))
+	}
 	for _, id := range r.Antichain {
 		out.Antichain = append(out.Antichain, g.Node(id).Name)
 	}
