@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -266,11 +265,17 @@ func (e *Engine) Run(ctx context.Context, src Source) (<-chan Result, error) {
 		close(raw)
 	}()
 
-	// Collector: reorder completions into input order. After cancellation
-	// the consumer may walk away, so every send also watches ctx.
+	// Collector: reorder completions into input order through a window of
+	// the results after the next one due: pending[k] holds index next+k
+	// once it finished. After cancellation the consumer may walk away, so
+	// every send also watches ctx.
 	go func() {
 		defer close(out)
-		pending := map[int]Result{}
+		type slot struct {
+			res  Result
+			done bool
+		}
+		var pending []slot
 		next := 0
 		send := func(r Result) bool {
 			select {
@@ -281,29 +286,27 @@ func (e *Engine) Run(ctx context.Context, src Source) (<-chan Result, error) {
 			}
 		}
 		for r := range raw {
-			pending[r.Index] = r
-			for {
-				head, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				if !send(head) {
+			k := r.Index - next
+			for len(pending) <= k {
+				pending = append(pending, slot{})
+			}
+			pending[k] = slot{r, true}
+			sent := 0
+			for ; sent < len(pending) && pending[sent].done; sent++ {
+				if !send(pending[sent].res) {
 					for range raw { // release workers
 					}
 					return
 				}
-				next++
 			}
+			next += sent
+			kept := copy(pending, pending[sent:])
+			clear(pending[kept:])
+			pending = pending[:kept]
 		}
 		// Cancellation can leave index gaps; flush what finished, in order.
-		rest := make([]int, 0, len(pending))
-		for i := range pending {
-			rest = append(rest, i)
-		}
-		sort.Ints(rest)
-		for _, i := range rest {
-			if !send(pending[i]) {
+		for _, s := range pending {
+			if s.done && !send(s.res) {
 				return
 			}
 		}
@@ -325,6 +328,26 @@ func (e *Engine) Collect(ctx context.Context, src Source) ([]Result, error) {
 		return out, err
 	}
 	return out, nil
+}
+
+// Fingerprint returns the structural hash the memo keys the item on —
+// Fingerprint(Graph) of its finalized graph, or Loop.Fingerprint() — and
+// records it in it.Fingerprint, so that an item is hashed once however many
+// layers ask (Stats.Hashed counts the hashes). An item that already carries
+// a fingerprint is taken at its word; one with an error hashes to "".
+func (e *Engine) Fingerprint(it *Item) string {
+	if it.Fingerprint == "" && it.Err == nil {
+		switch {
+		case it.Loop != nil:
+			it.Fingerprint = it.Loop.Fingerprint()
+		case it.Graph != nil:
+			it.Fingerprint = Fingerprint(it.Graph)
+		default:
+			return ""
+		}
+		e.memo.hashed.Add(1)
+	}
+	return it.Fingerprint
 }
 
 // process analyzes one item. All failure modes — load errors, analysis
@@ -365,7 +388,7 @@ func (e *Engine) process(ctx context.Context, wk work) (res Result) {
 		}
 	}
 	res.Graph = g
-	res.Fingerprint = Fingerprint(g)
+	res.Fingerprint = e.Fingerprint(&wk.item)
 	ent := e.memo.lookup(res.Fingerprint)
 	types := e.opts.Types
 	if len(types) == 0 {
@@ -422,12 +445,14 @@ func (e *Engine) process(ctx context.Context, wk work) (res Result) {
 // acyclic RS results.
 func (e *Engine) processLoop(ctx context.Context, wk work, res Result) Result {
 	l := wk.item.Loop
-	if err := l.Validate(); err != nil {
-		res.Err = err
-		return res
+	if !wk.item.validated {
+		if err := l.Validate(); err != nil {
+			res.Err = err
+			return res
+		}
 	}
 	res.Loop = l
-	res.Fingerprint = l.Fingerprint()
+	res.Fingerprint = e.Fingerprint(&wk.item)
 	ent := e.memo.lookup(res.Fingerprint)
 	types := e.opts.Types
 	if len(types) == 0 {

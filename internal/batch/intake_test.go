@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"regsat/internal/cyclic"
@@ -40,12 +41,12 @@ func intakeCorpus(tb testing.TB) []string {
 	return texts
 }
 
-// intakeItems loads every corpus text as the daemon does (loadText).
+// intakeItems loads every corpus text as the daemon does (ParseText).
 func intakeItems(tb testing.TB) []Item {
 	tb.Helper()
 	var items []Item
 	for _, text := range intakeCorpus(tb) {
-		it := loadText(text)
+		it := ParseText(text)
 		if it.Err != nil {
 			tb.Fatal(it.Err)
 		}
@@ -150,11 +151,12 @@ func BenchmarkMemoHit(b *testing.B) {
 // maxWarmHitAllocs bounds the allocations of one corpus item on the
 // daemon's warm path — parse, Finalize (or loop validation), fingerprint and
 // a memo hit for every register type — averaged over the corpus. The path
-// measures 33.1 allocations per item (go1.24, linux/amd64), two of them for
-// each node's Writes map; a Scanner, strings.Fields and a linear name scan
-// per line, a map-based exit scan and a formatted options key per type
-// made it 184. The bound leaves 30% headroom.
-const maxWarmHitAllocs = 43
+// measures 11.4 allocations per item (go1.24, linux/amd64); a map per
+// value-writing node for its writes and a scratch slice per Finalize step
+// made it 33.1, and a Scanner, strings.Fields and a linear name scan per
+// line, a map-based exit scan and a formatted options key per type made it
+// 184. The bound leaves 30% headroom.
+const maxWarmHitAllocs = 15
 
 // TestWarmHitAllocs guards the allocation count of request intake on the
 // memo-hit path.
@@ -162,13 +164,13 @@ func TestWarmHitAllocs(t *testing.T) {
 	texts := intakeCorpus(t)
 	var items []Item
 	for _, text := range texts {
-		items = append(items, loadText(text))
+		items = append(items, ParseText(text))
 	}
 	e := warmEngine(t, items)
 	ctx := context.Background()
 	got := testing.AllocsPerRun(20, func() {
 		for k, text := range texts {
-			res := e.process(ctx, work{index: k, item: loadText(text)})
+			res := e.process(ctx, work{index: k, item: ParseText(text)})
 			if res.Err != nil || !res.CacheHit {
 				t.Fatalf("item %d: err %v, cache hit %t", k, res.Err, res.CacheHit)
 			}
@@ -177,5 +179,70 @@ func TestWarmHitAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per item", got)
 	if got > maxWarmHitAllocs {
 		t.Fatalf("warm-path intake allocates %.1f times per item, bound %d", got, maxWarmHitAllocs)
+	}
+}
+
+// TestInvalidLoopRejectedOnEveryRoute: a loop with a zero-distance cycle is
+// an item error whether it arrives as text (ParseText, the route of corpus
+// files and inline daemon items), through Loops, or as a bare Item that no
+// intake validated.
+func TestInvalidLoopRejectedOnEveryRoute(t *testing.T) {
+	const text = "ddg \"zc\" machine=superscalar loop\n" +
+		"node a lat=1 writes=int\nnode b lat=1 writes=int\n" +
+		"edge a b flow int\nedge b a flow int\n"
+	it := ParseText(text)
+	if it.Err == nil || it.Name != "zc" {
+		t.Fatalf("ParseText: name %q, err %v", it.Name, it.Err)
+	}
+	l, err := cyclic.ParseString(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Parallel: 2})
+	for name, src := range map[string]Source{
+		"text":  Items(it),
+		"Loops": Loops(l),
+		"Items": Items(Item{Name: "zc", Loop: l}, Item{Name: "zc", Loop: l}),
+	} {
+		results, err := e.Collect(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Err == nil || !strings.Contains(r.Err.Error(), "zero-distance cycle") {
+				t.Errorf("%s: invalid loop accepted: %+v", name, r)
+			}
+		}
+	}
+}
+
+// TestItemFingerprintTrusted: an item that carries its fingerprint is not
+// hashed again, and is memoized under that fingerprint; one without is
+// hashed once.
+func TestItemFingerprintTrusted(t *testing.T) {
+	items := intakeItems(t)[:2]
+	e := New(Options{Parallel: 1, RS: rs.Options{Method: rs.MethodExactBB, SkipWitness: true}})
+	want := e.Fingerprint(&items[0])
+	if items[0].Fingerprint != want || e.Stats().Hashed != 1 {
+		t.Fatalf("Fingerprint recorded %q, hashed %d", items[0].Fingerprint, e.Stats().Hashed)
+	}
+	results, err := e.Collect(context.Background(), Items(items...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().Hashed; got != 2 {
+		t.Fatalf("hashed %d times for two items, one of them hashed before", got)
+	}
+	if results[0].Fingerprint != want || results[1].Fingerprint == "" {
+		t.Fatalf("result fingerprints %q, %q", results[0].Fingerprint, results[1].Fingerprint)
+	}
+	again := items[0]
+	again.Fingerprint = results[1].Fingerprint // taken at its word
+	res, err := e.Collect(context.Background(), Items(again))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Fingerprint != results[1].Fingerprint || !res[0].CacheHit || e.Stats().Hashed != 2 {
+		t.Fatalf("trusted fingerprint: got %q, cache hit %t, hashed %d", res[0].Fingerprint, res[0].CacheHit, e.Stats().Hashed)
 	}
 }

@@ -25,6 +25,15 @@ type Item struct {
 	Loop *cyclic.Loop
 	// Err is the load failure of this item, if any.
 	Err error
+	// Fingerprint, when set, is the item's structural hash
+	// (Engine.Fingerprint), so the engine does not hash the item again.
+	// Only in-process code sets it, and the engine trusts it: a hash that
+	// arrived over the wire must never be copied here.
+	Fingerprint string
+
+	// validated marks a Loop that intake (ParseText, Loops) already
+	// validated.
+	validated bool
 }
 
 // Source streams DDGs into the engine. Next returns ok=false when the
@@ -79,7 +88,7 @@ func Loops(ls ...*cyclic.Loop) Source {
 			items[i] = Item{Name: l.Name, Err: err}
 			continue
 		}
-		items[i] = Item{Name: l.Name, Loop: l}
+		items[i] = Item{Name: l.Name, Loop: l, validated: true}
 	}
 	return &sliceSource{items: items}
 }
@@ -107,35 +116,41 @@ func (s *fileSource) Next() (Item, bool) {
 	return it, true
 }
 
-// loadFile parses and finalizes one .ddg file (loadText). Errors are not
-// prefixed with the path: the Item.Name / Result.Name reported alongside
-// already carries it.
+// loadFile parses one .ddg file (ParseText). Errors are not prefixed with
+// the path: the Item.Name / Result.Name reported alongside already carries
+// it.
 func loadFile(path string) Item {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return Item{Err: err}
 	}
-	return loadText(string(raw))
+	return ParseText(string(raw))
 }
 
-// loadText parses one .ddg text, dispatching on the `loop` header flag: loop
-// kernels load as cyclic Loops, everything else as finalized acyclic graphs.
-func loadText(text string) Item {
+// ParseText parses one .ddg text into an item, dispatching on the `loop`
+// header flag: loop kernels load as validated cyclic Loops, everything else
+// as finalized acyclic graphs. The item is named after the parsed graph
+// (unnamed when the text does not parse); a finalize or validation failure
+// is the item's Err.
+func ParseText(text string) Item {
 	if cyclic.Detect(text) {
 		l, err := cyclic.ParseString(text)
 		if err != nil {
 			return Item{Err: err}
 		}
-		return Item{Loop: l}
+		if err := l.Validate(); err != nil {
+			return Item{Name: l.Name, Err: err}
+		}
+		return Item{Name: l.Name, Loop: l, validated: true}
 	}
 	g, err := ddg.ParseString(text)
 	if err != nil {
 		return Item{Err: err}
 	}
 	if err := g.Finalize(); err != nil {
-		return Item{Err: err}
+		return Item{Name: g.Name, Err: err}
 	}
-	return Item{Graph: g}
+	return Item{Name: g.Name, Graph: g}
 }
 
 // Dir streams every *.ddg file of a directory in sorted order. It fails up

@@ -20,8 +20,6 @@ package cyclic
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"regsat/internal/ddg"
 )
@@ -52,8 +50,9 @@ type Loop struct {
 	Name    string
 	Machine ddg.MachineKind
 
-	nodes []ddg.Node
-	edges []Edge
+	nodes  []ddg.Node
+	edges  []Edge
+	writes []ddg.Write // the arena every node's Writes window lives in
 }
 
 // New creates an empty loop body for the given machine kind.
@@ -76,15 +75,13 @@ func (l *Loop) AddNode(name, op string, latency int64) int {
 }
 
 // SetWrites declares that node id defines a value of type t with writing
-// offset δw. Superscalar machines must use δw = 0.
+// offset δw; declaring a type again replaces its δw. Superscalar machines
+// must use δw = 0.
 func (l *Loop) SetWrites(id int, t ddg.RegType, dw int64) {
 	if dw != 0 && !l.Machine.HasOffsets() {
 		panic(fmt.Sprintf("cyclic: writing offset δw on a superscalar machine (node %s)", l.nodes[id].Name))
 	}
-	if l.nodes[id].Writes == nil {
-		l.nodes[id].Writes = map[ddg.RegType]int64{}
-	}
-	l.nodes[id].Writes[t] = dw
+	l.nodes[id].Writes = ddg.PutWrite(&l.writes, l.nodes[id].Writes, t, dw)
 }
 
 // SetReadDelay sets the reading offset δr of node id.
@@ -137,20 +134,7 @@ func (l *Loop) NodeByName(name string) int {
 }
 
 // Types returns the register types written by the body, sorted.
-func (l *Loop) Types() []ddg.RegType {
-	seen := map[ddg.RegType]bool{}
-	for i := range l.nodes {
-		for t := range l.nodes[i].Writes {
-			seen[t] = true
-		}
-	}
-	out := make([]ddg.RegType, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	slices.Sort(out)
-	return out
-}
+func (l *Loop) Types() []ddg.RegType { return ddg.WrittenTypes(l.nodes) }
 
 // MaxDistance returns the largest iteration distance of any edge.
 func (l *Loop) MaxDistance() int64 {
@@ -163,17 +147,13 @@ func (l *Loop) MaxDistance() int64 {
 	return max
 }
 
-// Clone returns a deep copy of the loop.
+// Clone returns a deep copy of the loop; its nodes' writes live in an
+// arena of its own.
 func (l *Loop) Clone() *Loop {
 	c := &Loop{Name: l.Name, Machine: l.Machine,
-		nodes: make([]ddg.Node, len(l.nodes)),
+		nodes: append([]ddg.Node(nil), l.nodes...),
 		edges: append([]Edge(nil), l.edges...)}
-	for i, n := range l.nodes {
-		c.nodes[i] = n
-		if n.Writes != nil {
-			c.nodes[i].Writes = maps.Clone(n.Writes)
-		}
-	}
+	c.writes = ddg.CloneWrites(c.nodes)
 	return c
 }
 
@@ -197,9 +177,9 @@ func (l *Loop) Validate() error {
 			if n.DelayR != 0 {
 				return fmt.Errorf("cyclic: node %s has reading offset on a superscalar machine", n.Name)
 			}
-			for t, dw := range n.Writes {
-				if dw != 0 {
-					return fmt.Errorf("cyclic: node %s has writing offset for %s on a superscalar machine", n.Name, t)
+			for _, w := range n.Writes {
+				if w.DelayW != 0 {
+					return fmt.Errorf("cyclic: node %s has writing offset for %s on a superscalar machine", n.Name, w.Type)
 				}
 			}
 		}
@@ -332,8 +312,8 @@ func (l *Loop) Body() *ddg.Graph {
 		if n.DelayR != 0 {
 			g.SetReadDelay(id, n.DelayR)
 		}
-		for t, dw := range n.Writes {
-			g.SetWrites(id, t, dw)
+		for _, w := range n.Writes {
+			g.SetWrites(id, w.Type, w.DelayW)
 		}
 	}
 	for _, e := range l.edges {

@@ -3,7 +3,6 @@ package cyclic
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -31,14 +30,10 @@ import (
 func Detect(text string) bool {
 	var lx ddg.Lexer
 	lx.Reset(text)
-	if !lx.Next() {
+	if !lx.Next() || !strings.HasPrefix(lx.First(), "ddg") {
 		return false
 	}
-	fields := lx.Fields()
-	if !strings.HasPrefix(fields[0], "ddg") {
-		return false
-	}
-	for _, f := range fields[1:] {
+	for f, rest := ddg.CutField(lx.Tail()); f != ""; f, rest = ddg.CutField(rest) {
 		if f == "loop" {
 			return true
 		}
@@ -105,6 +100,8 @@ func (p *parser) directive(fields []string) *ddg.ParseError {
 		nodes, edges := ddg.SizeHint(p.src)
 		p.l.nodes = make([]ddg.Node, 0, nodes)
 		p.l.edges = make([]Edge, 0, edges)
+		p.l.writes = make([]ddg.Write, 0, nodes)
+		p.names.Reserve(nodes)
 		return nil
 	case "node":
 		if p.l == nil {
@@ -121,7 +118,7 @@ func (p *parser) directive(fields []string) *ddg.ParseError {
 		}
 		id := l.AddNode(name, "op", 0)
 		p.names.Add(l.nodes, id)
-		return ddg.ParseNodeAttrs(&l.nodes[id], fields[1:], l.Machine)
+		return ddg.ParseNodeAttrs(&l.nodes[id], &l.writes, fields[1:], l.Machine)
 	case "edge":
 		if p.l == nil {
 			return errTok(fields[0], "edge before ddg directive")
@@ -241,29 +238,7 @@ func (l *Loop) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ddg %q machine=%s loop\n", l.Name, l.Machine)
 	for i := range l.nodes {
-		n := &l.nodes[i]
-		fmt.Fprintf(&b, "node %s op=%s lat=%d", n.Name, n.Op, n.Latency)
-		if len(n.Writes) > 0 {
-			types := make([]string, 0, len(n.Writes))
-			for t := range n.Writes {
-				types = append(types, string(t))
-			}
-			sort.Strings(types)
-			specs := make([]string, 0, len(types))
-			for _, t := range types {
-				dw := n.Writes[ddg.RegType(t)]
-				if dw != 0 {
-					specs = append(specs, fmt.Sprintf("%s:%d", t, dw))
-				} else {
-					specs = append(specs, t)
-				}
-			}
-			fmt.Fprintf(&b, " writes=%s", strings.Join(specs, ","))
-		}
-		if n.DelayR != 0 {
-			fmt.Fprintf(&b, " dr=%d", n.DelayR)
-		}
-		b.WriteString("\n")
+		ddg.FormatNode(&b, &l.nodes[i])
 	}
 	for _, e := range l.edges {
 		if e.Kind == ddg.Flow {

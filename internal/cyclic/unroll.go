@@ -42,8 +42,8 @@ func (l *Loop) Unroll(k int) (*ddg.Graph, error) {
 			if n.DelayR != 0 {
 				g.SetReadDelay(id, n.DelayR)
 			}
-			for t, dw := range n.Writes {
-				g.SetWrites(id, t, dw)
+			for _, w := range n.Writes {
+				g.SetWrites(id, w.Type, w.DelayW)
 			}
 			ids[i*len(l.nodes)+u] = id
 		}

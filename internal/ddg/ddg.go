@@ -8,7 +8,6 @@ package ddg
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -78,24 +77,88 @@ type Node struct {
 	Name    string
 	Op      string // mnemonic, informational
 	Latency int64  // execution latency, default latency of its flow edges
-	// Writes maps each register type the node defines to its writing offset
-	// δw (cycles after issue at which the result register is written). A
-	// node defines at most one value per type (model restriction, §2). It
-	// is nil on a node that writes nothing.
-	Writes map[RegType]int64
+	// Writes lists the values the node defines, sorted by type with one
+	// entry per type: a node defines at most one value per type (model
+	// restriction, §2). It is nil on a node that writes nothing. The slice
+	// is a capacity-capped window of its graph's write arena; change it
+	// only through SetWrites.
+	Writes []Write
 	// DelayR is the reading offset δr: operands are read DelayR cycles
 	// after issue. Zero on superscalar and EPIC reads at issue.
 	DelayR int64
 }
 
+// Write is one value a node defines: its register type and its writing
+// offset δw (cycles after issue at which the result register is written).
+type Write struct {
+	Type   RegType
+	DelayW int64
+}
+
 // WritesType reports whether the node defines a value of type t.
 func (n *Node) WritesType(t RegType) bool {
-	_, ok := n.Writes[t]
-	return ok
+	for i := range n.Writes {
+		if n.Writes[i].Type == t {
+			return true
+		}
+	}
+	return false
 }
 
 // DelayW returns δw(n) for type t (0 if the node does not write t).
-func (n *Node) DelayW(t RegType) int64 { return n.Writes[t] }
+func (n *Node) DelayW(t RegType) int64 {
+	for i := range n.Writes {
+		if n.Writes[i].Type == t {
+			return n.Writes[i].DelayW
+		}
+	}
+	return 0
+}
+
+// PutWrite returns ws with type t written at offset dw: the entry of t is
+// updated in place when ws has one (the last δw wins), otherwise one is
+// inserted in type order. ws must be nil or a window of *arena; a new entry
+// is appended to *arena, after a copy of ws unless ws already ends it. The
+// result is capacity-capped, so no later append to the arena reaches it.
+func PutWrite(arena *[]Write, ws []Write, t RegType, dw int64) []Write {
+	for i := range ws {
+		if ws[i].Type == t {
+			ws[i].DelayW = dw
+			return ws
+		}
+	}
+	a := *arena
+	start := len(a) - len(ws)
+	if len(ws) == 0 || len(a) == 0 || &ws[len(ws)-1] != &a[len(a)-1] {
+		start = len(a)
+		a = append(a, ws...)
+	}
+	a = append(a, Write{Type: t, DelayW: dw})
+	*arena = a
+	out := a[start:len(a):len(a)]
+	for k := len(out) - 1; k > 0 && out[k].Type < out[k-1].Type; k-- {
+		out[k], out[k-1] = out[k-1], out[k]
+	}
+	return out
+}
+
+// CloneWrites moves the write windows of nodes into one fresh arena and
+// returns it, so the nodes no longer share writes with any other slice.
+func CloneWrites(nodes []Node) []Write {
+	total := 0
+	for i := range nodes {
+		total += len(nodes[i].Writes)
+	}
+	arena := make([]Write, 0, total)
+	for i := range nodes {
+		if ws := nodes[i].Writes; len(ws) > 0 {
+			start := len(arena)
+			arena = append(arena, ws...)
+			nodes[i].Writes = arena[start:len(arena):len(arena)]
+		}
+	}
+	return arena
+}
 
 // Edge is a dependence of the DDG.
 type Edge struct {
@@ -114,7 +177,8 @@ type Graph struct {
 
 	nodes  []Node
 	edges  []Edge
-	bottom int // index of ⊥, or -1 before Finalize
+	writes []Write // the arena every node's Writes window lives in
+	bottom int     // index of ⊥, or -1 before Finalize
 
 	finalized bool
 	// critical is the critical path length, computed by Finalize and Extend
@@ -147,16 +211,14 @@ func (g *Graph) AddNode(name, op string, latency int64) int {
 }
 
 // SetWrites declares that node u defines a value of type t with writing
-// offset δw. Superscalar machines must use δw = 0.
+// offset δw; declaring a type again replaces its δw. Superscalar machines
+// must use δw = 0.
 func (g *Graph) SetWrites(u int, t RegType, dw int64) {
 	g.mustBeMutable()
 	if !g.Machine.HasOffsets() && dw != 0 {
 		panic(fmt.Sprintf("ddg: node %s: superscalar machines have δw = 0", g.nodes[u].Name))
 	}
-	if g.nodes[u].Writes == nil {
-		g.nodes[u].Writes = map[RegType]int64{}
-	}
-	g.nodes[u].Writes[t] = dw
+	g.nodes[u].Writes = PutWrite(&g.writes, g.nodes[u].Writes, t, dw)
 }
 
 // SetReadDelay declares node u's reading offset δr.
@@ -236,15 +298,18 @@ func (g *Graph) NodeByName(name string) int {
 
 // Types returns the sorted set of register types written in the graph.
 func (g *Graph) Types() []RegType {
-	set := map[RegType]bool{}
-	for i := range g.nodes {
-		for t := range g.nodes[i].Writes {
-			set[t] = true
+	return WrittenTypes(g.nodes)
+}
+
+// WrittenTypes returns the sorted set of register types the nodes write.
+func WrittenTypes(nodes []Node) []RegType {
+	out := []RegType{}
+	for i := range nodes {
+		for _, w := range nodes[i].Writes {
+			if !slices.Contains(out, w.Type) {
+				out = append(out, w.Type)
+			}
 		}
-	}
-	out := make([]RegType, 0, len(set))
-	for t := range set {
-		out = append(out, t)
 	}
 	slices.Sort(out)
 	return out
@@ -281,8 +346,8 @@ func (g *Graph) Cons(u int, t RegType) []int {
 // every exit value to it with a flow edge and every other node to it with a
 // serial edge of latency equal to the source's latency, then validates the
 // graph and records its critical path. After Finalize the graph is
-// immutable through this API. It runs in O(n + m) (times the log of the
-// types one node writes).
+// immutable through this API. It runs in O(n + m) (times the types one node
+// writes) with one scratch allocation.
 func (g *Graph) Finalize() error {
 	if g.finalized {
 		return nil
@@ -292,50 +357,49 @@ func (g *Graph) Finalize() error {
 	}
 	bot := g.AddNode("_bot", "bottom", 0)
 	g.bottom = bot
-	// Exit values — values with no consumer — get a flow edge to ⊥, in
-	// sorted type order per node; every other node gets a serial arc to ⊥
-	// (latency = source latency). One pass over the edges marks the
-	// consumed values: consumed[at[u]+i] is the i-th sorted type of u.
-	at := make([]int32, bot+1)
+	// Room for validate: each node gets one edge to ⊥, or one per exit value.
+	nw, m := 0, len(g.edges)
 	for u := 0; u < bot; u++ {
-		at[u+1] = at[u] + int32(len(g.nodes[u].Writes))
+		nw += len(g.nodes[u].Writes)
+		m += max(1, len(g.nodes[u].Writes))
 	}
-	types := make([]RegType, at[bot])
-	marks := make([]bool, int(at[bot])+bot)
-	consumed, exits := marks[:at[bot]], marks[at[bot]:]
+	scratch := make([]int64, scratchLen(bot+1, m))
+	// Exit values — values with no consumer — get a flow edge to ⊥, in type
+	// order per node; every other node gets a serial arc to ⊥ (latency =
+	// source latency). One pass over the edges marks the consumed values:
+	// consumed[at[u]+i] is u's i-th write. m counts at least one edge per
+	// value, so these marks fit in validate's scratch.
+	at := scratch[:bot+1]
+	consumed, exits := scratch[bot+1:bot+1+nw], scratch[bot+1+nw:2*bot+1+nw]
 	for u := 0; u < bot; u++ {
-		ts := types[at[u]:at[u+1]]
-		i := 0
-		for t := range g.nodes[u].Writes {
-			ts[i] = t
-			i++
-		}
-		slices.Sort(ts)
+		at[u+1] = at[u] + int64(len(g.nodes[u].Writes))
 	}
 	for _, e := range g.edges {
 		if e.Kind != Flow {
 			continue
 		}
-		ts := types[at[e.From]:at[e.From+1]]
-		if i, ok := slices.BinarySearch(ts, e.Type); ok {
-			consumed[int(at[e.From])+i] = true
-		}
-	}
-	for u := 0; u < bot; u++ {
-		for i := at[u]; i < at[u+1]; i++ {
-			if !consumed[i] {
-				g.AddFlowEdgeLatency(u, bot, types[i], g.nodes[u].Latency)
-				exits[u] = true
+		for i, w := range g.nodes[e.From].Writes {
+			if w.Type == e.Type {
+				consumed[at[e.From]+int64(i)] = 1
+				break
 			}
 		}
 	}
 	for u := 0; u < bot; u++ {
-		if !exits[u] {
+		for i, w := range g.nodes[u].Writes {
+			if consumed[at[u]+int64(i)] == 0 {
+				g.AddFlowEdgeLatency(u, bot, w.Type, g.nodes[u].Latency)
+				exits[u] = 1
+			}
+		}
+	}
+	for u := 0; u < bot; u++ {
+		if exits[u] == 0 {
 			g.AddSerialEdge(u, bot, g.nodes[u].Latency)
 		}
 	}
 	g.finalized = true
-	cp, err := g.validate()
+	cp, err := g.validate(scratch)
 	if err != nil {
 		g.finalized = false
 		return err
@@ -349,14 +413,24 @@ func (g *Graph) Finalize() error {
 // are positive; superscalar machines carry no offsets; the bottom node (when
 // present) is the unique sink and reachable from every node.
 func (g *Graph) Validate() error {
-	_, err := g.validate()
+	_, err := g.validate(g.scratch())
 	return err
 }
 
-// validate is Validate, also returning the critical path that its
-// acyclicity check computes on the way.
-func (g *Graph) validate() (int64, error) {
-	cp, ok := g.longestPath()
+// scratchLen is the length of the int64 scratch that longestPath and
+// validate share on a graph of n nodes and m edges.
+func scratchLen(n, m int) int { return 4*n + m + 2 }
+
+// scratch returns a fresh scratch for the graph as it stands.
+func (g *Graph) scratch() []int64 {
+	return make([]int64, scratchLen(len(g.nodes), len(g.edges)))
+}
+
+// validate is Validate over a scratch of at least scratchLen, also
+// returning the critical path that its acyclicity check computes on the
+// way.
+func (g *Graph) validate(scratch []int64) (int64, error) {
+	cp, ok := g.longestPath(scratch)
 	if !ok {
 		// Name the cycle exactly as the digraph's topological sort does.
 		_, err := g.ToDigraph().TopoSort()
@@ -379,9 +453,9 @@ func (g *Graph) validate() (int64, error) {
 			if g.nodes[i].DelayR != 0 {
 				return 0, fmt.Errorf("ddg %s: node %s has δr ≠ 0 on superscalar", g.Name, g.nodes[i].Name)
 			}
-			for t, dw := range g.nodes[i].Writes {
-				if dw != 0 {
-					return 0, fmt.Errorf("ddg %s: node %s has δw(%s) ≠ 0 on superscalar", g.Name, g.nodes[i].Name, t)
+			for _, w := range g.nodes[i].Writes {
+				if w.DelayW != 0 {
+					return 0, fmt.Errorf("ddg %s: node %s has δw(%s) ≠ 0 on superscalar", g.Name, g.nodes[i].Name, w.Type)
 				}
 			}
 		}
@@ -391,17 +465,18 @@ func (g *Graph) validate() (int64, error) {
 		if g.nodes[bot].Name != "_bot" {
 			return 0, fmt.Errorf("ddg %s: bottom node corrupted", g.Name)
 		}
-		reach := make([]bool, len(g.nodes))
+		reach := scratch[:len(g.nodes)]
+		clear(reach)
 		for _, e := range g.edges {
 			if e.To == bot {
-				reach[e.From] = true
+				reach[e.From] = 1
 			}
 			if e.From == bot {
 				return 0, fmt.Errorf("ddg %s: bottom node has outgoing edge", g.Name)
 			}
 		}
 		for u := 0; u < bot; u++ {
-			if !reach[u] {
+			if reach[u] == 0 {
 				return 0, fmt.Errorf("ddg %s: node %s has no edge to ⊥", g.Name, g.nodes[u].Name)
 			}
 		}
@@ -413,16 +488,18 @@ func (g *Graph) validate() (int64, error) {
 // CSR of the edges, in any valid order) and computes the critical path in
 // the same pass: the longest path weight over all node pairs, at least 0,
 // as graph.Digraph.CriticalPath defines it. ok is false when the graph has
-// a cycle.
-func (g *Graph) longestPath() (length int64, ok bool) {
+// a cycle. scratch holds at least scratchLen entries; their values do not
+// matter.
+func (g *Graph) longestPath(scratch []int64) (length int64, ok bool) {
 	n, m := len(g.nodes), len(g.edges)
-	// One int32 arena: a counting sort of the edge indices by source
-	// (degrees counted two slots ahead, so the fill leaves
-	// succ[off[u]:off[u+1]] holding u's out-edges), in-degrees and the
-	// queue.
-	arena := make([]int32, (n+2)+n+m+n)
-	off, indeg := arena[:n+2], arena[n+2:2*n+2]
-	succ, queue := arena[2*n+2:2*n+2+m], arena[2*n+2+m:2*n+2+m:len(arena)]
+	// A counting sort of the edge indices by source (degrees counted two
+	// slots ahead, so the fill leaves succ[off[u]:off[u+1]] holding u's
+	// out-edges), in-degrees, distances and the queue.
+	s := scratch[:scratchLen(n, m)]
+	clear(s)
+	off, indeg := s[:n+2], s[n+2:2*n+2]
+	succ, dist := s[2*n+2:2*n+2+m], s[2*n+2+m:3*n+2+m]
+	queue := s[3*n+2+m : 3*n+2+m : len(s)]
 	for _, e := range g.edges {
 		if uint(e.From) >= uint(n) || uint(e.To) >= uint(n) {
 			return 0, false // the caller's digraph fallback reports it
@@ -434,13 +511,12 @@ func (g *Graph) longestPath() (length int64, ok bool) {
 		off[u] += off[u-1]
 	}
 	for i, e := range g.edges {
-		succ[off[e.From+1]] = int32(i)
+		succ[off[e.From+1]] = int64(i)
 		off[e.From+1]++
 	}
-	dist := make([]int64, n)
 	for u := 0; u < n; u++ {
 		if indeg[u] == 0 {
-			queue = append(queue, int32(u))
+			queue = append(queue, int64(u))
 		}
 	}
 	for head := 0; head < len(queue); head++ {
@@ -455,7 +531,7 @@ func (g *Graph) longestPath() (length int64, ok bool) {
 				dist[e.To] = d
 			}
 			if indeg[e.To]--; indeg[e.To] == 0 {
-				queue = append(queue, int32(e.To))
+				queue = append(queue, int64(e.To))
 			}
 		}
 	}
@@ -487,24 +563,19 @@ func (g *Graph) Horizon() int64 {
 }
 
 // Clone returns a deep copy of the graph (same finalized state and
-// critical path).
+// critical path); its nodes' writes live in an arena of its own.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		Name:        g.Name,
 		Machine:     g.Machine,
-		nodes:       make([]Node, len(g.nodes)),
+		nodes:       append([]Node(nil), g.nodes...),
 		edges:       append([]Edge(nil), g.edges...),
 		bottom:      g.bottom,
 		finalized:   g.finalized,
 		critical:    g.critical,
 		hasCritical: g.hasCritical,
 	}
-	for i := range g.nodes {
-		c.nodes[i] = g.nodes[i]
-		if g.nodes[i].Writes != nil {
-			c.nodes[i].Writes = maps.Clone(g.nodes[i].Writes)
-		}
-	}
+	c.writes = CloneWrites(c.nodes)
 	return c
 }
 
@@ -517,7 +588,7 @@ func (g *Graph) CriticalPath() int64 {
 	if g.hasCritical {
 		return g.critical
 	}
-	length, ok := g.longestPath()
+	length, ok := g.longestPath(g.scratch())
 	if !ok {
 		_, err := g.ToDigraph().TopoSort()
 		panic(fmt.Sprintf("ddg %s: %v", g.Name, err))
@@ -542,7 +613,7 @@ func (g *Graph) Extend(arcs []SerialArc) *Graph {
 		c.edges = append(c.edges, Edge{From: a.From, To: a.To, Latency: a.Latency, Kind: Serial})
 	}
 	if c.finalized {
-		c.critical, c.hasCritical = c.longestPath()
+		c.critical, c.hasCritical = c.longestPath(c.scratch())
 	}
 	return c
 }

@@ -220,9 +220,65 @@ func TestCriticalPathSmall(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	g := buildSmall(t)
 	c := g.Clone()
-	c.Node(0).Writes[Int] = 0 // mutate clone's write map
-	if g.Node(0).WritesType(Int) {
-		t.Fatal("clone shares write maps with original")
+	c.Node(0).Writes[0].DelayW = 5 // write through the clone's window
+	c.Node(0).Writes[0].Type = Int
+	if g.Node(0).DelayW(Float) != 0 || !g.Node(0).WritesType(Float) || g.Node(0).WritesType(Int) {
+		t.Fatalf("clone shares writes with the original: %v", g.Node(0).Writes)
+	}
+	ext := g.Extend(nil)
+	ext.Node(1).Writes[0].DelayW = 7
+	if g.Node(1).DelayW(Float) != 0 {
+		t.Fatalf("extension shares writes with the original: %v", g.Node(1).Writes)
+	}
+	// And the other way: the source's writes do not reach its copies.
+	g.Node(2).Writes[0].DelayW = 9
+	if c.Node(2).DelayW(Float) != 0 || ext.Node(2).DelayW(Float) != 0 {
+		t.Fatal("original shares writes with its clone or extension")
+	}
+}
+
+// TestWritesKeepMapSemantics: a node's writes behave as a map from type to
+// δw kept in type order — a repeated type keeps its last δw, whether it
+// repeats in one writes= list or across SetWrites calls, on any node of a
+// graph under construction; an unwritten type has δw 0.
+func TestWritesKeepMapSemantics(t *testing.T) {
+	g := New("w", VLIW)
+	a := g.AddNode("a", "op", 1)
+	b := g.AddNode("b", "op", 1)
+	g.SetWrites(a, Int, 1)
+	g.SetWrites(b, Float, 2)
+	g.SetWrites(a, Float, 3) // a's window no longer ends the arena
+	g.SetWrites(a, Int, 4)
+	g.SetWrites(b, "acc", 5)
+	g.SetWrites(b, Float, 6)
+	want := map[int][]Write{
+		a: {{Float, 3}, {Int, 4}},
+		b: {{"acc", 5}, {Float, 6}},
+	}
+	for u, ws := range want {
+		if got := g.Node(u).Writes; fmt.Sprint(got) != fmt.Sprint(ws) {
+			t.Errorf("node %d writes %v, want %v", u, got, ws)
+		}
+		if cap(g.Node(u).Writes) != len(ws) {
+			t.Errorf("node %d: window of capacity %d holds %d writes", u, cap(g.Node(u).Writes), len(ws))
+		}
+	}
+	if dw := g.Node(a).DelayW("acc"); dw != 0 {
+		t.Errorf("DelayW of an unwritten type = %d, want 0", dw)
+	}
+	if got := g.Types(); fmt.Sprint(got) != "[acc float int]" {
+		t.Errorf("Types() = %v, want sorted [acc float int]", got)
+	}
+
+	p, err := ParseString("ddg \"p\" machine=vliw\nnode x writes=int:1,float,int:2 writes=float:3\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(p.Node(0).Writes); got != "[{float 3} {int 2}]" {
+		t.Errorf("parsed writes %s, want [{float 3} {int 2}]", got)
+	}
+	if !strings.Contains(p.Format(), "writes=float:3,int:2\n") {
+		t.Errorf("Format:\n%s", p.Format())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"slices"
 )
 
 // The structural fingerprints of ir.Fingerprint and cyclic.Loop.Fingerprint
@@ -24,16 +23,10 @@ func AppendNodeKey(b []byte, n *Node) []byte {
 	b = AppendInt(b, n.Latency)
 	b = AppendInt(b, n.DelayR)
 	b = AppendInt(b, int64(len(n.Writes)))
-	var small [4]RegType
-	types := small[:0]
-	for t := range n.Writes {
-		types = append(types, t)
-	}
-	slices.Sort(types)
-	for _, t := range types {
-		b = append(b, t...)
+	for _, w := range n.Writes {
+		b = append(b, w.Type...)
 		b = append(b, 0)
-		b = AppendInt(b, n.Writes[t])
+		b = AppendInt(b, w.DelayW)
 	}
 	return b
 }

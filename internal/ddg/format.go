@@ -3,7 +3,6 @@ package ddg
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -120,6 +119,8 @@ func (p *parser) directive(fields []string) *ParseError {
 		nodes, edges := SizeHint(p.lx.src)
 		p.g.nodes = make([]Node, 0, nodes+1)
 		p.g.edges = make([]Edge, 0, edges+nodes+1)
+		p.g.writes = make([]Write, 0, nodes)
+		p.names.Reserve(nodes)
 		return nil
 	case "node":
 		if p.g == nil {
@@ -147,7 +148,7 @@ func (p *parser) node(fields []string) *ParseError {
 	}
 	id := g.AddNode(name, "op", 0)
 	p.names.Add(g.nodes, id)
-	return ParseNodeAttrs(&g.nodes[id], fields[1:], g.Machine)
+	return ParseNodeAttrs(&g.nodes[id], &g.writes, fields[1:], g.Machine)
 }
 
 func (p *parser) edge(fields []string) *ParseError {
@@ -225,29 +226,7 @@ func (g *Graph) Format() string {
 		limit = g.bottom
 	}
 	for i := 0; i < limit; i++ {
-		n := &g.nodes[i]
-		fmt.Fprintf(&b, "node %s op=%s lat=%d", n.Name, n.Op, n.Latency)
-		if len(n.Writes) > 0 {
-			types := make([]string, 0, len(n.Writes))
-			for t := range n.Writes {
-				types = append(types, string(t))
-			}
-			sort.Strings(types)
-			specs := make([]string, 0, len(types))
-			for _, t := range types {
-				dw := n.Writes[RegType(t)]
-				if dw != 0 {
-					specs = append(specs, fmt.Sprintf("%s:%d", t, dw))
-				} else {
-					specs = append(specs, t)
-				}
-			}
-			fmt.Fprintf(&b, " writes=%s", strings.Join(specs, ","))
-		}
-		if n.DelayR != 0 {
-			fmt.Fprintf(&b, " dr=%d", n.DelayR)
-		}
-		b.WriteString("\n")
+		FormatNode(&b, &g.nodes[i])
 	}
 	for _, e := range g.edges {
 		if g.finalized && (e.From == g.bottom || e.To == g.bottom) {
@@ -264,6 +243,27 @@ func (g *Graph) Format() string {
 		}
 	}
 	return b.String()
+}
+
+// FormatNode writes n's node directive line, as Format renders it: its
+// writes in type order, a δw only when non-zero.
+func FormatNode(b *strings.Builder, n *Node) {
+	fmt.Fprintf(b, "node %s op=%s lat=%d", n.Name, n.Op, n.Latency)
+	for i, w := range n.Writes {
+		if i == 0 {
+			b.WriteString(" writes=")
+		} else {
+			b.WriteByte(',')
+		}
+		b.WriteString(string(w.Type))
+		if w.DelayW != 0 {
+			fmt.Fprintf(b, ":%d", w.DelayW)
+		}
+	}
+	if n.DelayR != 0 {
+		fmt.Fprintf(b, " dr=%d", n.DelayR)
+	}
+	b.WriteString("\n")
 }
 
 // DOT renders the DDG in Graphviz format following the paper's Figure 2

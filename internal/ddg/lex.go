@@ -14,23 +14,24 @@ import (
 // string, never the slice. Lines end at '\n' with one trailing '\r' dropped;
 // whitespace is what unicode.IsSpace accepts. These are bufio.ScanLines' and
 // strings.Fields' rules, without the Scanner's 64 KiB line limit. Both the
-// flat and the cyclic parser read their input through a Lexer.
+// flat and the cyclic parser read their input through a Lexer. A line is
+// split into fields only when Fields asks for them, so a Lexer that reads
+// just the header (cyclic.Detect) allocates nothing.
 type Lexer struct {
-	src    string
-	pos    int    // offset of the next unread line
-	line   int    // 1-based number of the current line
-	raw    string // the current line, without its terminator
-	first  int    // offset in raw where the first field starts
+	src   string
+	pos   int    // offset of the next unread line
+	line  int    // 1-based number of the current line
+	raw   string // the current line, without its terminator
+	first int    // offset in raw where the first field starts
+	end   int    // offset in raw where the first field ends
+	// fields holds the current line's fields once split is set.
 	fields []string
+	split  bool
 }
 
-// Reset starts lexing src from its first line.
+// Reset starts lexing src from its first line, keeping the field buffer.
 func (lx *Lexer) Reset(src string) {
-	fields := lx.fields[:0]
-	if fields == nil {
-		fields = make([]string, 0, 16) // room for any line Format writes
-	}
-	*lx = Lexer{src: src, fields: fields}
+	*lx = Lexer{src: src, fields: lx.fields[:0]}
 }
 
 // Next advances to the next directive line, skipping blank lines and
@@ -51,8 +52,9 @@ func (lx *Lexer) Next() bool {
 			lx.raw = lx.raw[:n-1]
 		}
 		lx.line++
-		lx.split()
-		if len(lx.fields) > 0 && lx.fields[0][0] != '#' {
+		lx.split = false
+		lx.first, lx.end = nextField(lx.raw, 0)
+		if lx.first < lx.end && lx.raw[lx.first] != '#' {
 			return true
 		}
 	}
@@ -62,46 +64,63 @@ func (lx *Lexer) Next() bool {
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
-// split cuts the current line into fields exactly as strings.Fields does.
-func (lx *Lexer) split() {
-	lx.fields = lx.fields[:0]
-	raw := lx.raw
-	start := -1
-	for i := 0; i < len(raw); {
-		c := raw[i]
+// nextField returns the bounds of the first field of s at or after offset
+// i, with strings.Fields' notion of whitespace; start == end == len(s) when
+// there is none.
+func nextField(s string, i int) (start, end int) {
+	start = -1
+	for i < len(s) {
+		c := s[i]
 		size := 1
 		space := asciiSpace[c]
 		if c >= utf8.RuneSelf {
 			var r rune
-			r, size = utf8.DecodeRuneInString(raw[i:])
+			r, size = utf8.DecodeRuneInString(s[i:])
 			space = unicode.IsSpace(r)
 		}
 		switch {
 		case space && start >= 0:
-			lx.fields = append(lx.fields, raw[start:i])
-			start = -1
+			return start, i
 		case !space && start < 0:
-			if len(lx.fields) == 0 {
-				lx.first = i
-			}
 			start = i
 		}
 		i += size
 	}
-	if start >= 0 {
-		lx.fields = append(lx.fields, raw[start:])
+	if start < 0 {
+		return len(s), len(s)
 	}
+	return start, len(s)
 }
 
-// Fields returns the current line's fields. The slice is valid until the
-// next call to Next.
-func (lx *Lexer) Fields() []string { return lx.fields }
+// First returns the current line's first field.
+func (lx *Lexer) First() string { return lx.raw[lx.first:lx.end] }
+
+// Fields returns the current line's fields, splitting the line on first
+// use. The slice is valid until the next call to Next.
+func (lx *Lexer) Fields() []string {
+	if !lx.split {
+		lx.split = true
+		if lx.fields == nil {
+			lx.fields = make([]string, 0, 16) // room for any line Format writes
+		}
+		lx.fields = append(lx.fields[:0], lx.First())
+		for i := lx.end; ; {
+			start, end := nextField(lx.raw, i)
+			if start == end {
+				break
+			}
+			lx.fields = append(lx.fields, lx.raw[start:end])
+			i = end
+		}
+	}
+	return lx.fields
+}
 
 // Tail returns the current line after its first field, with surrounding
 // whitespace trimmed: the raw remainder a header directive parses itself,
 // since a quoted name may contain spaces.
 func (lx *Lexer) Tail() string {
-	return strings.TrimSpace(lx.raw[lx.first+len(lx.fields[0]):])
+	return strings.TrimSpace(lx.raw[lx.end:])
 }
 
 // Locate stamps err with the current line number and, when the offending
@@ -143,6 +162,18 @@ func (ix *NameIndex) Find(nodes []Node, name string) int {
 		if id := int(uint32(s)) - 1; s>>32 == h>>32 && nodes[id].Name == name {
 			return id
 		}
+	}
+}
+
+// Reserve sizes an empty index for n names, so adding them never regrows
+// it.
+func (ix *NameIndex) Reserve(n int) {
+	if ix.n == 0 {
+		size := 16
+		for size < 2*n {
+			size *= 2
+		}
+		ix.slots = make([]uint64, size)
 	}
 }
 
@@ -193,10 +224,10 @@ func ParseHeader(rest string, loopFlag bool) (name string, machine MachineKind, 
 		}
 		attrs = rest[len(q):]
 	} else {
-		name, attrs = cutField(rest)
+		name, attrs = CutField(rest)
 	}
 	machine = Superscalar
-	for f, more := cutField(attrs); f != ""; f, more = cutField(more) {
+	for f, more := CutField(attrs); f != ""; f, more = CutField(more) {
 		if loopFlag && f == "loop" {
 			loop = true
 			continue
@@ -219,21 +250,20 @@ func ParseHeader(rest string, loopFlag bool) (name string, machine MachineKind, 
 	return name, machine, loop, nil
 }
 
-// cutField returns the first whitespace-separated field of s and the rest of
-// s after it; the field is "" when s holds only whitespace.
-func cutField(s string) (field, rest string) {
-	s = strings.TrimLeftFunc(s, unicode.IsSpace)
-	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
-		return s[:i], s[i:]
-	}
-	return s, ""
+// CutField returns the first whitespace-separated field of s and the rest
+// of s after it; the field is "" when s holds only whitespace.
+func CutField(s string) (field, rest string) {
+	start, end := nextField(s, 0)
+	return s[start:end], s[end:]
 }
 
 // ParseNodeAttrs applies a node directive's attributes (the fields after its
-// name) to n, in order: op=, lat=, dr= and writes=<type>[:<δw>],…. n starts
-// as AddNode leaves it; machine decides whether offsets are allowed. On
-// error n is partly updated and the caller discards the graph.
-func ParseNodeAttrs(n *Node, attrs []string, machine MachineKind) *ParseError {
+// name) to n, in order: op=, lat=, dr= and writes=<type>[:<δw>],…, a type
+// written twice keeping its last δw. n starts as AddNode leaves it, and its
+// writes go to arena as PutWrite puts them; machine decides whether offsets
+// are allowed. On error n is partly updated and the caller discards the
+// graph.
+func ParseNodeAttrs(n *Node, arena *[]Write, attrs []string, machine MachineKind) *ParseError {
 	for _, f := range attrs {
 		k, v, ok := strings.Cut(f, "=")
 		if !ok {
@@ -279,10 +309,7 @@ func ParseNodeAttrs(n *Node, attrs []string, machine MachineKind) *ParseError {
 					}
 					dw = x
 				}
-				if n.Writes == nil {
-					n.Writes = make(map[RegType]int64, 1)
-				}
-				n.Writes[RegType(tname)] = dw
+				n.Writes = PutWrite(arena, n.Writes, RegType(tname), dw)
 			}
 		default:
 			return errTok(f, "unknown node attribute %q", k)
@@ -291,14 +318,30 @@ func ParseNodeAttrs(n *Node, attrs []string, machine MachineKind) *ParseError {
 	return nil
 }
 
-// SizeHint estimates the node and edge counts of a graph from its text by
-// counting "node " and "edge ", so a parser can presize its slices. A name
-// containing either word, or a tab after the directive, makes it a little
-// off; the slices then grow as usual. Each count is capped by the line
-// count, since every directive takes a line of its own: text that repeats
-// the words on one line cannot make a parser reserve more than it would
-// build from real directives.
+// SizeHint counts the node and edge directives of a graph's text — lines
+// whose first field is "node" or "edge" — in one pass, so a parser can
+// presize its slices. It only looks past leading spaces and tabs: a
+// directive led by other whitespace is missed, and the slices then grow as
+// usual.
 func SizeHint(src string) (nodes, edges int) {
-	lines := strings.Count(src, "\n") + 1
-	return min(strings.Count(src, "node "), lines), min(strings.Count(src, "edge "), lines)
+	for len(src) > 0 {
+		line := src
+		if i := strings.IndexByte(src, '\n'); i >= 0 {
+			line, src = src[:i], src[i+1:]
+		} else {
+			src = ""
+		}
+		for len(line) > 0 && (line[0] == ' ' || line[0] == '\t') {
+			line = line[1:]
+		}
+		if len(line) > 4 && (line[4] == ' ' || line[4] == '\t') {
+			switch line[:4] {
+			case "node":
+				nodes++
+			case "edge":
+				edges++
+			}
+		}
+	}
+	return nodes, edges
 }

@@ -489,8 +489,8 @@ func rebuild(g *ddg.Graph, skip func(i int, e ddg.Edge) bool) (*ddg.Graph, error
 		if n.DelayR != 0 {
 			out.SetReadDelay(id, n.DelayR)
 		}
-		for t, dw := range n.Writes {
-			out.SetWrites(id, t, dw)
+		for _, w := range n.Writes {
+			out.SetWrites(id, w.Type, w.DelayW)
 		}
 	}
 	for i, e := range g.Edges() {

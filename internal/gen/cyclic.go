@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"regsat/internal/cyclic"
@@ -116,8 +117,8 @@ func addCyclicValue(l *cyclic.Loop, p Params, rng *rand.Rand, name, op string, l
 
 // cyclicTypeOf returns the single register type body node u writes.
 func cyclicTypeOf(l *cyclic.Loop, u int) ddg.RegType {
-	for t := range l.Node(u).Writes {
-		return t
+	for _, w := range l.Node(u).Writes {
+		return w.Type
 	}
 	panic(fmt.Sprintf("gen: loop node %d writes no value", u))
 }
@@ -440,10 +441,10 @@ func ShrinkCyclic(l *cyclic.Loop, fails func(*cyclic.Loop) bool) *cyclic.Loop {
 					cur, improved = cand, true
 				}
 			}
-			for t, dw := range cur.nodes[i].writes {
-				if dw != 0 {
+			for k, w := range cur.nodes[i].writes {
+				if w.DelayW != 0 {
 					cand := cur.clone()
-					cand.nodes[i].writes[t] = 0
+					cand.nodes[i].writes[k].DelayW = 0
 					if cand.accept(fails) {
 						cur, improved = cand, true
 					}
@@ -521,11 +522,7 @@ type cyclicEdgeSpec struct {
 func cyclicSpecOf(l *cyclic.Loop) *cyclicSpec {
 	s := &cyclicSpec{machine: l.Machine}
 	for _, n := range l.Nodes() {
-		ns := nodeSpec{name: n.Name, op: n.Op, lat: n.Latency, dr: n.DelayR, writes: map[ddg.RegType]int64{}}
-		for t, dw := range n.Writes {
-			ns.writes[t] = dw
-		}
-		s.nodes = append(s.nodes, ns)
+		s.nodes = append(s.nodes, nodeSpec{name: n.Name, op: n.Op, lat: n.Latency, dr: n.DelayR, writes: slices.Clone(n.Writes)})
 	}
 	for _, e := range l.Edges() {
 		s.edges = append(s.edges, cyclicEdgeSpec{
@@ -538,10 +535,7 @@ func (s *cyclicSpec) clone() *cyclicSpec {
 	c := &cyclicSpec{machine: s.machine, nodes: make([]nodeSpec, len(s.nodes)), edges: append([]cyclicEdgeSpec(nil), s.edges...)}
 	for i, n := range s.nodes {
 		c.nodes[i] = n
-		c.nodes[i].writes = map[ddg.RegType]int64{}
-		for t, dw := range n.writes {
-			c.nodes[i].writes[t] = dw
-		}
+		c.nodes[i].writes = slices.Clone(n.writes)
 	}
 	return c
 }
@@ -552,12 +546,8 @@ func (s *cyclicSpec) withoutNode(i int) *cyclicSpec {
 		if j == i {
 			continue
 		}
-		cn := n
-		cn.writes = map[ddg.RegType]int64{}
-		for t, dw := range n.writes {
-			cn.writes[t] = dw
-		}
-		c.nodes = append(c.nodes, cn)
+		n.writes = slices.Clone(n.writes)
+		c.nodes = append(c.nodes, n)
 	}
 	remap := func(id int) int {
 		if id > i {
@@ -592,8 +582,8 @@ func (s *cyclicSpec) loop() (*cyclic.Loop, error) {
 		if n.dr != 0 {
 			l.SetReadDelay(id, n.dr)
 		}
-		for t, dw := range n.writes {
-			l.SetWrites(id, t, dw)
+		for _, w := range n.writes {
+			l.SetWrites(id, w.Type, w.DelayW)
 		}
 	}
 	for _, e := range s.edges {

@@ -82,8 +82,8 @@ var unrollFamily = &Family{
 // typeOf returns the single register type node u writes (families write
 // exactly one type per node).
 func typeOf(g *ddg.Graph, u int) ddg.RegType {
-	for t := range g.Node(u).Writes {
-		return t
+	for _, w := range g.Node(u).Writes {
+		return w.Type
 	}
 	panic(fmt.Sprintf("gen: node %d writes no value", u))
 }

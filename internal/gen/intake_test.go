@@ -353,3 +353,48 @@ func TestParserMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedWritesKeepLastDelay: a type written twice by one node — in one
+// writes= list or across two of them — keeps its last δw, in both formats,
+// through the lexer and the reference parsers alike (which set the writes
+// through SetWrites), and the writes come out in type order.
+func TestRepeatedWritesKeepLastDelay(t *testing.T) {
+	const body = "node a lat=2 writes=int:1,float:2,int:3 writes=float:4,acc\n" +
+		"node b lat=1 writes=float:5,float\n" +
+		"edge a b flow int\n"
+	const wantA = "node a op=op lat=2 writes=acc,float:4,int:3\n"
+	const wantB = "node b op=op lat=1 writes=float\n"
+	for _, text := range []string{
+		"ddg \"flat\" machine=vliw\n" + body,
+		"ddg \"loop\" machine=vliw loop\n" + body + "edge b a flow float dist=1\n",
+	} {
+		checkBothParsers(t, text, text)
+		var formats []string
+		if cyclic.Detect(text) {
+			got, err := cyclic.ParseString(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ddgtest.ParseCyclicString(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			formats = []string{got.Format(), want.Format()}
+		} else {
+			got, err := ddg.ParseString(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ddgtest.ParseString(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			formats = []string{got.Format(), want.Format()}
+		}
+		for _, f := range formats {
+			if !strings.Contains(f, wantA) || !strings.Contains(f, wantB) {
+				t.Errorf("Format of %q:\n%s\nwant lines %q and %q", text, f, wantA, wantB)
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"regsat/internal/ddg"
@@ -60,10 +61,10 @@ func Shrink(g *ddg.Graph, fails func(*ddg.Graph) bool) *ddg.Graph {
 					cur, improved = cand, true
 				}
 			}
-			for t, dw := range cur.nodes[i].writes {
-				if dw != 0 {
+			for k, w := range cur.nodes[i].writes {
+				if w.DelayW != 0 {
 					cand := cur.clone()
-					cand.nodes[i].writes[t] = 0
+					cand.nodes[i].writes[k].DelayW = 0
 					if cand.accept(fails) {
 						cur, improved = cand, true
 					}
@@ -144,7 +145,7 @@ type nodeSpec struct {
 	name, op string
 	lat      int64
 	dr       int64
-	writes   map[ddg.RegType]int64
+	writes   []ddg.Write
 }
 
 type edgeSpec struct {
@@ -163,11 +164,7 @@ func specOf(g *ddg.Graph) *spec {
 	s := &spec{machine: g.Machine}
 	for i := 0; i < limit; i++ {
 		n := g.Node(i)
-		ns := nodeSpec{name: n.Name, op: n.Op, lat: n.Latency, dr: n.DelayR, writes: map[ddg.RegType]int64{}}
-		for t, dw := range n.Writes {
-			ns.writes[t] = dw
-		}
-		s.nodes = append(s.nodes, ns)
+		s.nodes = append(s.nodes, nodeSpec{name: n.Name, op: n.Op, lat: n.Latency, dr: n.DelayR, writes: slices.Clone(n.Writes)})
 	}
 	for _, e := range g.Edges() {
 		if e.From >= limit || e.To >= limit {
@@ -182,10 +179,7 @@ func (s *spec) clone() *spec {
 	c := &spec{machine: s.machine, nodes: make([]nodeSpec, len(s.nodes)), edges: append([]edgeSpec(nil), s.edges...)}
 	for i, n := range s.nodes {
 		c.nodes[i] = n
-		c.nodes[i].writes = map[ddg.RegType]int64{}
-		for t, dw := range n.writes {
-			c.nodes[i].writes[t] = dw
-		}
+		c.nodes[i].writes = slices.Clone(n.writes)
 	}
 	return c
 }
@@ -197,12 +191,8 @@ func (s *spec) withoutNode(i int) *spec {
 		if j == i {
 			continue
 		}
-		cn := n
-		cn.writes = map[ddg.RegType]int64{}
-		for t, dw := range n.writes {
-			cn.writes[t] = dw
-		}
-		c.nodes = append(c.nodes, cn)
+		n.writes = slices.Clone(n.writes)
+		c.nodes = append(c.nodes, n)
 	}
 	remap := func(id int) int {
 		if id > i {
@@ -237,8 +227,8 @@ func (s *spec) graph() (*ddg.Graph, error) {
 		if n.dr != 0 {
 			g.SetReadDelay(id, n.dr)
 		}
-		for t, dw := range n.writes {
-			g.SetWrites(id, t, dw)
+		for _, w := range n.writes {
+			g.SetWrites(id, w.Type, w.DelayW)
 		}
 	}
 	for _, e := range s.edges {

@@ -78,8 +78,8 @@ func newBuilder(name string, m ddg.MachineKind) *builder {
 
 // typeOf returns the single register type written by node id.
 func (b *builder) typeOf(id int) ddg.RegType {
-	for t := range b.g.Node(id).Writes {
-		return t
+	for _, w := range b.g.Node(id).Writes {
+		return w.Type
 	}
 	panic(fmt.Sprintf("kernels: node %s writes no value", b.g.Node(id).Name))
 }

@@ -146,37 +146,17 @@ func (s *Server) buildSource(req *client.AnalyzeRequest) (batch.Source, error) {
 	return batch.Concat(sources...), nil
 }
 
-// inlineItem parses one inline graph into a batch item.
+// inlineItem parses one inline graph into a batch item named by the
+// request, else by the graph's own name, else by its position.
 func inlineItem(i int, gi client.GraphInput) batch.Item {
-	name := gi.Name
-	fallback := func(parsed string) string {
-		switch {
-		case name != "":
-			return name
-		case parsed != "":
-			return parsed
-		default:
-			return fmt.Sprintf("graph[%d]", i)
-		}
+	it := batch.ParseText(gi.DDG)
+	switch {
+	case gi.Name != "":
+		it.Name = gi.Name
+	case it.Name == "":
+		it.Name = fmt.Sprintf("graph[%d]", i)
 	}
-	if cyclic.Detect(gi.DDG) {
-		l, err := cyclic.ParseString(gi.DDG)
-		if err != nil {
-			return batch.Item{Name: fallback(""), Err: err}
-		}
-		if err := l.Validate(); err != nil {
-			return batch.Item{Name: fallback(l.Name), Err: err}
-		}
-		return batch.Item{Name: fallback(l.Name), Loop: l}
-	}
-	g, err := ddg.ParseString(gi.DDG)
-	if err != nil {
-		return batch.Item{Name: fallback(""), Err: err}
-	}
-	if err := g.Finalize(); err != nil {
-		return batch.Item{Name: fallback(g.Name), Err: err}
-	}
-	return batch.Item{Name: fallback(g.Name), Graph: g}
+	return it
 }
 
 // itemToWire converts one batch result, folding its solver stats into the

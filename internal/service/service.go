@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -252,8 +253,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req client.AnalyzeRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := s.readBody(w, r)
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		s.httpError(ctx, w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -356,6 +360,19 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.attachTrace(&resp, root, req.TraceSpans)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
+}
+
+// readBody reads the request body, at most MaxBodyBytes of it, into one
+// buffer sized from Content-Length when the client sent one; a decoder's
+// refills would copy the body about three times over.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if r.ContentLength < 0 || r.ContentLength > s.cfg.MaxBodyBytes {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, r.ContentLength)
+	_, err := io.ReadFull(body, buf)
+	return buf, err
 }
 
 // streamResults writes one NDJSON StreamEvent per finished item, flushing

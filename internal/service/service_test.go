@@ -440,6 +440,35 @@ func TestServiceRequestValidation(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsTrailingBody: the request body is one JSON object and
+// nothing after it but whitespace. Trailing data — a second object or stray
+// bytes — is a 400, where a streaming decoder used to ignore it.
+func TestServiceRejectsTrailingBody(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	const req = `{"graphs":[{"ddg":"ddg \"x\"\nnode a lat=1 writes=int\n"}],"options":{"method":"bb"}}`
+	for body, want := range map[string]int{
+		req:              http.StatusOK,
+		req + " \n\t":    http.StatusOK,
+		req + req:        http.StatusBadRequest,
+		req + "\nx":      http.StatusBadRequest,
+		req[:len(req)-1]: http.StatusBadRequest,
+		"":               http.StatusBadRequest,
+	} {
+		// With a Content-Length and without one (a reader of unknown size).
+		for _, r := range []io.Reader{strings.NewReader(body), io.MultiReader(strings.NewReader(body))} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", r))
+			if rec.Code != want {
+				t.Errorf("body %q: status %d, want %d (%s)", body, rec.Code, want, rec.Body)
+			}
+		}
+	}
+}
+
 // TestServiceSolverBackendNames: the wire "backend" field survives only for
 // compatibility. "" and "sparse" (the one engine) are accepted; the names
 // of engines that no longer exist, like any unknown name, are a 400 that

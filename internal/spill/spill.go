@@ -180,8 +180,8 @@ func insertSpill(g *ddg.Graph, t ddg.RegType, u int, seq int) (*ddg.Graph, Site,
 		if n.DelayR != 0 {
 			out.SetReadDelay(id, n.DelayR)
 		}
-		for typ, dw := range n.Writes {
-			out.SetWrites(id, typ, dw)
+		for _, w := range n.Writes {
+			out.SetWrites(id, w.Type, w.DelayW)
 		}
 	}
 	site := Site{
