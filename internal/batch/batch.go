@@ -330,26 +330,6 @@ func (e *Engine) Collect(ctx context.Context, src Source) ([]Result, error) {
 	return out, nil
 }
 
-// Fingerprint returns the structural hash the memo keys the item on —
-// Fingerprint(Graph) of its finalized graph, or Loop.Fingerprint() — and
-// records it in it.Fingerprint, so that an item is hashed once however many
-// layers ask (Stats.Hashed counts the hashes). An item that already carries
-// a fingerprint is taken at its word; one with an error hashes to "".
-func (e *Engine) Fingerprint(it *Item) string {
-	if it.Fingerprint == "" && it.Err == nil {
-		switch {
-		case it.Loop != nil:
-			it.Fingerprint = it.Loop.Fingerprint()
-		case it.Graph != nil:
-			it.Fingerprint = Fingerprint(it.Graph)
-		default:
-			return ""
-		}
-		e.memo.hashed.Add(1)
-	}
-	return it.Fingerprint
-}
-
 // process analyzes one item. All failure modes — load errors, analysis
 // errors, panics from malformed graphs — are captured in the Result.
 func (e *Engine) process(ctx context.Context, wk work) (res Result) {
@@ -388,7 +368,7 @@ func (e *Engine) process(ctx context.Context, wk work) (res Result) {
 		}
 	}
 	res.Graph = g
-	res.Fingerprint = e.Fingerprint(&wk.item)
+	res.Fingerprint = Fingerprint(g)
 	ent := e.memo.lookup(res.Fingerprint)
 	types := e.opts.Types
 	if len(types) == 0 {
@@ -452,7 +432,7 @@ func (e *Engine) processLoop(ctx context.Context, wk work, res Result) Result {
 		}
 	}
 	res.Loop = l
-	res.Fingerprint = e.Fingerprint(&wk.item)
+	res.Fingerprint = l.Fingerprint()
 	ent := e.memo.lookup(res.Fingerprint)
 	types := e.opts.Types
 	if len(types) == 0 {

@@ -215,34 +215,3 @@ func TestInvalidLoopRejectedOnEveryRoute(t *testing.T) {
 		}
 	}
 }
-
-// TestItemFingerprintTrusted: an item that carries its fingerprint is not
-// hashed again, and is memoized under that fingerprint; one without is
-// hashed once.
-func TestItemFingerprintTrusted(t *testing.T) {
-	items := intakeItems(t)[:2]
-	e := New(Options{Parallel: 1, RS: rs.Options{Method: rs.MethodExactBB, SkipWitness: true}})
-	want := e.Fingerprint(&items[0])
-	if items[0].Fingerprint != want || e.Stats().Hashed != 1 {
-		t.Fatalf("Fingerprint recorded %q, hashed %d", items[0].Fingerprint, e.Stats().Hashed)
-	}
-	results, err := e.Collect(context.Background(), Items(items...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stats().Hashed; got != 2 {
-		t.Fatalf("hashed %d times for two items, one of them hashed before", got)
-	}
-	if results[0].Fingerprint != want || results[1].Fingerprint == "" {
-		t.Fatalf("result fingerprints %q, %q", results[0].Fingerprint, results[1].Fingerprint)
-	}
-	again := items[0]
-	again.Fingerprint = results[1].Fingerprint // taken at its word
-	res, err := e.Collect(context.Background(), Items(again))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Fingerprint != results[1].Fingerprint || !res[0].CacheHit || e.Stats().Hashed != 2 {
-		t.Fatalf("trusted fingerprint: got %q, cache hit %t, hashed %d", res[0].Fingerprint, res[0].CacheHit, e.Stats().Hashed)
-	}
-}

@@ -37,7 +37,7 @@ type memo struct {
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
 
-	hits, misses, l2hits, hashed atomic.Int64
+	hits, misses, l2hits atomic.Int64
 }
 
 func newMemo(capacity int, l2 ResultCache) *memo {
@@ -406,11 +406,8 @@ type Stats struct {
 	L2Hits int64
 	// Misses counts RS computations actually performed.
 	Misses int64
-	// Hashed counts the items Engine.Fingerprint hashed: every item the
-	// engine processed, less those that arrived with Item.Fingerprint set.
-	Hashed int64
 }
 
 func (m *memo) stats() Stats {
-	return Stats{Hits: m.hits.Load(), L2Hits: m.l2hits.Load(), Misses: m.misses.Load(), Hashed: m.hashed.Load()}
+	return Stats{Hits: m.hits.Load(), L2Hits: m.l2hits.Load(), Misses: m.misses.Load()}
 }

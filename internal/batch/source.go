@@ -25,11 +25,6 @@ type Item struct {
 	Loop *cyclic.Loop
 	// Err is the load failure of this item, if any.
 	Err error
-	// Fingerprint, when set, is the item's structural hash
-	// (Engine.Fingerprint), so the engine does not hash the item again.
-	// Only in-process code sets it, and the engine trusts it: a hash that
-	// arrived over the wire must never be copied here.
-	Fingerprint string
 
 	// validated marks a Loop that intake (ParseText, Loops) already
 	// validated.

@@ -164,11 +164,13 @@ func (s *Server) serveClustered(ctx context.Context, w http.ResponseWriter, r *h
 type partition struct {
 	indices []int
 	items   []batch.Item
+	fps     []string
 }
 
-func (p *partition) add(idx int, it batch.Item) {
+func (p *partition) add(idx int, it batch.Item, fp string) {
 	p.indices = append(p.indices, idx)
 	p.items = append(p.items, it)
+	p.fps = append(p.fps, fp)
 }
 
 // clusterAnalyze runs the ownership-partitioned batch. The returned slice
@@ -192,21 +194,27 @@ func (s *Server) clusterAnalyze(ctx context.Context, engine *batch.Engine, befor
 	local := &partition{}
 	remote := map[string]*partition{}
 	for i, it := range all {
-		// The hash rides on the item, so the local engine does not hash
-		// an owned item again.
-		if fp := engine.Fingerprint(&it); fp != "" {
+		if it.Err == nil && (it.Graph != nil || it.Loop != nil) {
+			var fp string
+			if it.Loop != nil {
+				fp = it.Loop.Fingerprint()
+			} else {
+				fp = batch.Fingerprint(it.Graph)
+			}
 			if owner := s.cluster.ring.Owner(fp); owner != "" && owner != s.cluster.self {
 				p := remote[owner]
 				if p == nil {
 					p = &partition{}
 					remote[owner] = p
 				}
-				p.add(i, it)
+				p.add(i, it, fp)
 				continue
 			}
+			local.add(i, it, fp)
+			continue
 		}
-		// Owned items and load errors (no fingerprint to own) stay local.
-		local.add(i, it)
+		// Load errors have no fingerprint to own; they stay local.
+		local.add(i, it, "")
 	}
 
 	out := make([]*client.Item, len(all))
@@ -265,7 +273,7 @@ func (s *Server) clusterAnalyze(ctx context.Context, engine *batch.Engine, befor
 				} else {
 					text = it.Graph.Format()
 				}
-				fr.Graphs[k] = client.GraphInput{Name: it.Name, DDG: text, Fingerprint: it.Fingerprint}
+				fr.Graphs[k] = client.GraphInput{Name: it.Name, DDG: text, Fingerprint: p.fps[k]}
 			}
 			// The forward span covers the whole hop; the peer client injects
 			// its traceparent on the outgoing request, so the owning replica

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -246,68 +245,6 @@ func TestClusterAffinityIsShardLocal(t *testing.T) {
 	}
 	if hits != int64(len(inputs)) {
 		t.Fatalf("second pass hit caches on %d/%d items, want all", hits, len(inputs))
-	}
-}
-
-// TestClusterHashesOwnedItemOnce: the coordinator hashes an item to find
-// its owner, and a locally owned item carries that hash into the engine,
-// which does not hash it again. The item lands in the same memo entry as
-// when the engine hashes it itself (a forwarded request, served without
-// the coordinator), and gets the answer a single-process daemon gives.
-func TestClusterHashesOwnedItemOnce(t *testing.T) {
-	tc := startTestCluster(t, 3, nil)
-	s := tc.servers[0]
-	inputs, fps := testCorpus(t, 12)
-	owned := -1
-	for i, fp := range fps {
-		if s.cluster.ring.Owner(fp) == s.cluster.self {
-			owned = i
-			break
-		}
-	}
-	if owned < 0 {
-		t.Skip("no generated graph is owned by the first replica")
-	}
-	req := &client.AnalyzeRequest{
-		Graphs:  []client.GraphInput{inputs[owned]},
-		Options: client.AnalyzeOptions{Method: "bb"},
-	}
-	analyze := func(c *client.Client) *client.AnalyzeResponse {
-		t.Helper()
-		resp, err := c.Analyze(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Items) != 1 || resp.Items[0].Error != "" {
-			t.Fatalf("bad answer: %+v", resp)
-		}
-		return resp
-	}
-	hashed := func() int64 { return s.Engine().Stats().Hashed }
-
-	before := hashed()
-	got := analyze(client.New(tc.urls[0], nil))
-	if n := hashed() - before; n != 1 {
-		t.Fatalf("a locally owned item was hashed %d times", n)
-	}
-	if sent := s.cluster.forwardsSent.Load(); sent != 0 {
-		t.Fatalf("an owned item was forwarded (%d forwards)", sent)
-	}
-
-	hdr := http.Header{}
-	hdr.Set(forwardHeader, "test")
-	direct := analyze(client.NewWithOptions(tc.urls[0], client.Options{Header: hdr}))
-	if !direct.Items[0].CacheHit || direct.Stats.Computed != 0 {
-		t.Fatalf("the engine's own hash missed the entry the coordinator's hash filled: %+v", direct.Stats)
-	}
-
-	_, solo, done := newTestServer(t, Config{})
-	defer done()
-	want := analyze(solo)
-	for _, r := range []*client.AnalyzeResponse{got, direct} {
-		if !reflect.DeepEqual(r.Items[0].RS, want.Items[0].RS) {
-			t.Fatalf("cluster answer %+v, single-process answer %+v", r.Items[0].RS, want.Items[0].RS)
-		}
 	}
 }
 

@@ -362,17 +362,37 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
+// maxBodyPresize caps the buffer readBody sets aside from Content-Length
+// before any of the body has arrived, so that a client that declares a
+// large body and sends nothing holds at most this much.
+const maxBodyPresize = 64 << 10
+
 // readBody reads the request body, at most MaxBodyBytes of it, into one
-// buffer sized from Content-Length when the client sent one; a decoder's
-// refills would copy the body about three times over.
+// buffer sized from Content-Length (up to maxBodyPresize) and grown only as
+// bytes arrive; a decoder's refills would copy the body about three times
+// over.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if r.ContentLength < 0 || r.ContentLength > s.cfg.MaxBodyBytes {
-		return io.ReadAll(body)
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, maxBodyPresize)
 	}
-	buf := make([]byte, r.ContentLength)
-	_, err := io.ReadFull(body, buf)
-	return buf, err
+	// One spare byte lets the read that meets EOF find room without
+	// growing a buffer the body filled exactly.
+	buf := make([]byte, 0, size+1)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // streamResults writes one NDJSON StreamEvent per finished item, flushing

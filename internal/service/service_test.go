@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -466,6 +467,46 @@ func TestServiceRejectsTrailingBody(t *testing.T) {
 				t.Errorf("body %q: status %d, want %d (%s)", body, rec.Code, want, rec.Body)
 			}
 		}
+	}
+}
+
+// TestServiceBodyPresizeBounded: the body buffer is sized from
+// Content-Length only up to maxBodyPresize, so a request that declares
+// MaxBodyBytes and sends a few bytes costs a small buffer, not the declared
+// size; bodies longer than the presize, declared or not, are read whole.
+func TestServiceBodyPresizeBounded(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(body string, declared int64) []byte {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body))
+		r.ContentLength = declared
+		got, err := s.readBody(httptest.NewRecorder(), r)
+		if err != nil || string(got) != body {
+			t.Fatalf("declared %d, sent %d bytes: read %d bytes, err %v", declared, len(body), len(got), err)
+		}
+		return got
+	}
+
+	const short = `{"graphs":[]}`
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read(short, s.cfg.MaxBodyBytes)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 2*maxBodyPresize {
+		t.Fatalf("a %d-byte body declared as %d bytes allocated %d bytes per request", len(short), s.cfg.MaxBodyBytes, per)
+	}
+
+	long := strings.Repeat("x", 3*maxBodyPresize+7)
+	read(long, int64(len(long)))
+	read(long, -1)
+	if got := read(short, int64(len(short))); cap(got) != len(short)+1 {
+		t.Fatalf("a body that declares its length is read into %d bytes, want %d", cap(got), len(short)+1)
 	}
 }
 
