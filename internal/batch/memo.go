@@ -65,6 +65,8 @@ type entry struct {
 	snap     *ir.Snapshot
 	snapErr  error
 
+	// The slot maps are made on first insert: most entries use only one or
+	// two of them, and a store hit never needs an analysis.
 	mu       sync.Mutex
 	analyses map[ddg.RegType]*analysisSlot
 	results  map[slotKey]*resultSlot
@@ -73,14 +75,12 @@ type entry struct {
 }
 
 // slotKey names one result of an entry: a register type under an options
-// key (rsOptionsKey or cyclic.Options.Key). The L2 cache's key is the two
-// joined by "|", built only on a memo miss.
+// key (rsOptionsKey or cyclic.Options.Key). The L2 cache takes the two as
+// separate key components.
 type slotKey struct {
 	t    ddg.RegType
 	opts string
 }
-
-func (k slotKey) String() string { return string(k.t) + "|" + k.opts }
 
 type analysisSlot struct {
 	once sync.Once
@@ -144,13 +144,7 @@ func (m *memo) lookup(fp string) *entry {
 		m.order.MoveToFront(el)
 		return el.Value.(*entry)
 	}
-	e := &entry{
-		fp:       fp,
-		analyses: make(map[ddg.RegType]*analysisSlot),
-		results:  make(map[slotKey]*resultSlot),
-		reduces:  make(map[string]*reduceSlot),
-		cyclics:  make(map[slotKey]*cyclicSlot),
-	}
+	e := &entry{fp: fp}
 	m.entries[fp] = m.order.PushFront(e)
 	for len(m.entries) > m.cap {
 		oldest := m.order.Back()
@@ -191,6 +185,9 @@ func (e *entry) analysis(ctx context.Context, g *ddg.Graph, t ddg.RegType) (*rs.
 	e.mu.Lock()
 	slot, ok := e.analyses[t]
 	if !ok {
+		if e.analyses == nil {
+			e.analyses = make(map[ddg.RegType]*analysisSlot)
+		}
 		slot = &analysisSlot{}
 		e.analyses[t] = slot
 	}
@@ -220,6 +217,9 @@ func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType
 	e.mu.Lock()
 	slot, ok := e.results[key]
 	if !ok {
+		if e.results == nil {
+			e.results = make(map[slotKey]*resultSlot)
+		}
 		slot = &resultSlot{}
 		e.results[key] = slot
 	}
@@ -230,7 +230,7 @@ func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType
 		defer sp.End()
 		if m.l2 != nil {
 			_, lsp := obs.StartSpan(cctx, "l2.get")
-			r, ok := m.l2.Get(e.fp, g, t, key.String())
+			r, ok := m.l2.Get(e.fp, g, t, optsKey)
 			lsp.End()
 			if ok {
 				fromL2 = true
@@ -246,7 +246,7 @@ func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType
 		r, cerr := rs.ComputeWithAnalysis(cctx, an, opts)
 		if cerr == nil && m.l2 != nil {
 			_, psp := obs.StartSpan(cctx, "l2.put")
-			m.l2.Put(e.fp, t, key.String(), r)
+			m.l2.Put(e.fp, t, optsKey, r)
 			psp.End()
 		}
 		return r, cerr
@@ -299,6 +299,9 @@ func (e *entry) cyclicResult(ctx context.Context, m *memo, l *cyclic.Loop, t ddg
 	e.mu.Lock()
 	slot, ok := e.cyclics[key]
 	if !ok {
+		if e.cyclics == nil {
+			e.cyclics = make(map[slotKey]*cyclicSlot)
+		}
 		slot = &cyclicSlot{}
 		e.cyclics[key] = slot
 	}
@@ -310,7 +313,7 @@ func (e *entry) cyclicResult(ctx context.Context, m *memo, l *cyclic.Loop, t ddg
 		defer sp.End()
 		if l2 != nil {
 			_, lsp := obs.StartSpan(cctx, "l2.get")
-			r, ok := l2.GetCyclic(e.fp, t, key.String())
+			r, ok := l2.GetCyclic(e.fp, t, optsKey)
 			lsp.End()
 			if ok {
 				fromL2 = true
@@ -322,7 +325,7 @@ func (e *entry) cyclicResult(ctx context.Context, m *memo, l *cyclic.Loop, t ddg
 		r, cerr := cyclic.Analyze(cctx, l, t, opts)
 		if cerr == nil && l2 != nil {
 			_, psp := obs.StartSpan(cctx, "l2.put")
-			l2.PutCyclic(e.fp, t, key.String(), r)
+			l2.PutCyclic(e.fp, t, optsKey, r)
 			psp.End()
 		}
 		return r, cerr
@@ -361,6 +364,9 @@ func (e *entry) reduction(ctx context.Context, g *ddg.Graph, t ddg.RegType, spec
 	e.mu.Lock()
 	slot, ok := e.reduces[key]
 	if !ok {
+		if e.reduces == nil {
+			e.reduces = make(map[string]*reduceSlot)
+		}
 		slot = &reduceSlot{}
 		e.reduces[key] = slot
 	}

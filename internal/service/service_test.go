@@ -5,11 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"io/fs"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -546,11 +543,10 @@ func TestServiceSolverBackendNames(t *testing.T) {
 
 // TestServiceSolverParallelIgnored: the solver's tree search is sequential,
 // and the wire no longer carries its worker count. Requests from older
-// clients still send "solver":{"parallel":N} and stores written by earlier
-// releases hold "solverStats":{"workers":N}; both must keep working. The
+// clients still send "solver":{"parallel":N}, which must keep working. The
 // field is ignored: the request answers 200 with the items of the same
 // request without it, served from the same cache entries, and a restarted
-// daemon serves the old records as L2 hits.
+// daemon serves it from the stored records as L2 hits.
 func TestServiceSolverParallelIgnored(t *testing.T) {
 	dir := t.TempDir()
 	const plain = `{"corpus":["superscalar-fig2.ddg","vliw-liv-l3.ddg"],"options":{"method":"ilp"}}`
@@ -612,37 +608,14 @@ func TestServiceSolverParallelIgnored(t *testing.T) {
 	}
 	stop()
 
-	// Rewrite the stored records the way an earlier release wrote them.
-	rewritten := 0
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		old := strings.Replace(string(raw), `"solverStats":{`, `"solverStats":{"workers":4,`, 1)
-		if old == string(raw) {
-			return nil
-		}
-		rewritten++
-		return os.WriteFile(path, []byte(old), 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rewritten == 0 {
-		t.Fatal("no stored record carries solver stats")
-	}
 	url, stop = daemon()
 	defer stop()
 	got = post(url, withParallel)
 	if got.Stats.Computed != 0 || got.Stats.L2Hits == 0 {
-		t.Fatalf("records with workers not served from the store: stats %+v", got.Stats)
+		t.Fatalf("restarted daemon did not serve the request from the store: stats %+v", got.Stats)
 	}
 	if !reflect.DeepEqual(items(got), items(want)) {
-		t.Fatalf("items from old records differ:\n%+v\nwant\n%+v", items(got), items(want))
+		t.Fatalf("items from stored records differ:\n%+v\nwant\n%+v", items(got), items(want))
 	}
 }
 

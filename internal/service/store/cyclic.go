@@ -1,135 +1,31 @@
 package store
 
 import (
-	"encoding/json"
-	"os"
-
 	"regsat/internal/cyclic"
 	"regsat/internal/ddg"
-	"regsat/internal/solver"
 )
 
-// CyclicRecord is the on-disk form of one cyclic.Result. Loop fingerprints
-// live in their own domain (the "cyclic" prefix inside the hash input), so
-// cyclic records share the objects tree and the key scheme with acyclic
-// records without any possibility of collision. Results carry no witness or
+// Cyclic records share the objects tree, the key scheme and the record
+// format with RS records: loop fingerprints live in their own domain (the
+// "cyclic" prefix inside the hash input), and the record kind keeps each
+// reader from decoding the other's records. Results carry no witness or
 // graph-indexed data, so a record materializes without the loop in hand —
 // GetCyclic needs only the key.
-type CyclicRecord struct {
-	Schema      int    `json:"schema"`
-	Fingerprint string `json:"fingerprint"`
-	Type        string `json:"type"`
-	OptionsKey  string `json:"optionsKey"`
-	// Kind is always "cyclic" (see Record.Kind).
-	Kind string `json:"kind"`
 
-	Windows   []int   `json:"windows"`
-	PerIter   int     `json:"perIter"`
-	Converged bool    `json:"converged"`
-	Window    int     `json:"window"`
-	Slope     float64 `json:"slope"`
-	Exact     bool    `json:"exact"`
-
-	Periodic *PeriodicInfo `json:"periodic,omitempty"`
-
-	// SavedAtUnixNs timestamps the write (diagnostics only; never compared).
-	SavedAtUnixNs int64 `json:"savedAtUnixNs"`
-}
-
-// PeriodicInfo mirrors cyclic.Periodic with a fixed wire schema.
-type PeriodicInfo struct {
-	II         int64         `json:"ii"`
-	RS         int           `json:"rs"`
-	Exact      bool          `json:"exact"`
-	UpperBound int           `json:"upperBound"`
-	Jmax       int           `json:"jmax"`
-	Stats      *solver.Stats `json:"stats,omitempty"`
-}
-
-// GetCyclic implements batch.CyclicCache. Every failure mode — missing file,
-// torn or corrupt JSON, schema or key mismatch — is a miss.
+// GetCyclic implements batch.CyclicCache. Every failure mode — missing
+// file, torn or corrupt record, schema, kind or key mismatch, an empty
+// window sweep — is a miss.
 func (s *Store) GetCyclic(fp string, t ddg.RegType, optsKey string) (*cyclic.Result, bool) {
-	raw, err := os.ReadFile(s.path(fp, t, optsKey))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.errors.Add(1)
-		}
-		s.misses.Add(1)
-		return nil, false
-	}
-	var rec CyclicRecord
-	if err := json.Unmarshal(raw, &rec); err != nil ||
-		rec.Schema != SchemaVersion || rec.Kind != "cyclic" ||
-		rec.Fingerprint != fp || rec.Type != string(t) || rec.OptionsKey != optsKey ||
-		len(rec.Windows) == 0 {
-		s.errors.Add(1)
-		s.misses.Add(1)
-		return nil, false
-	}
-	res := &cyclic.Result{
-		Type:      t,
-		Windows:   rec.Windows,
-		PerIter:   rec.PerIter,
-		Converged: rec.Converged,
-		Window:    rec.Window,
-		Slope:     rec.Slope,
-		Exact:     rec.Exact,
-	}
-	if p := rec.Periodic; p != nil {
-		res.Periodic = &cyclic.Periodic{
-			II:         p.II,
-			RS:         p.RS,
-			Exact:      p.Exact,
-			UpperBound: p.UpperBound,
-			Jmax:       p.Jmax,
-		}
-		if p.Stats != nil {
-			stats := *p.Stats
-			res.Periodic.Stats = &stats
-		}
-	}
-	s.hits.Add(1)
-	return res, true
+	var res *cyclic.Result
+	ok := s.get(kindCyclic, fp, t, optsKey, func(body []byte) (err error) {
+		res, err = decodeCyclic(body, t)
+		return err
+	})
+	return res, ok
 }
 
 // PutCyclic implements batch.CyclicCache with the same atomic-write,
 // failures-are-dropped protocol as Put.
 func (s *Store) PutCyclic(fp string, t ddg.RegType, optsKey string, res *cyclic.Result) {
-	rec := &CyclicRecord{
-		Schema:        SchemaVersion,
-		Kind:          "cyclic",
-		Fingerprint:   fp,
-		Type:          string(t),
-		OptionsKey:    optsKey,
-		Windows:       res.Windows,
-		PerIter:       res.PerIter,
-		Converged:     res.Converged,
-		Window:        res.Window,
-		Slope:         res.Slope,
-		Exact:         res.Exact,
-		SavedAtUnixNs: now().UnixNano(),
-	}
-	if p := res.Periodic; p != nil {
-		rec.Periodic = &PeriodicInfo{
-			II:         p.II,
-			RS:         p.RS,
-			Exact:      p.Exact,
-			UpperBound: p.UpperBound,
-			Jmax:       p.Jmax,
-		}
-		if p.Stats != nil {
-			stats := *p.Stats
-			rec.Periodic.Stats = &stats
-		}
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		s.errors.Add(1)
-		return
-	}
-	if err := writeAtomic(s.path(fp, t, optsKey), raw); err != nil {
-		s.errors.Add(1)
-		return
-	}
-	s.puts.Add(1)
+	s.put(kindCyclic, fp, t, optsKey, func(b []byte) []byte { return appendCyclic(b, res) })
 }

@@ -1,49 +1,58 @@
 // Package store is the analysis daemon's persistent, content-addressed
 // result store: a second-level cache under the batch engine's in-memory
-// memo (it implements batch.ResultCache), keyed exactly like the memo — the
-// ir structural fingerprint of the graph, the register type, and the
-// canonicalized options key — so RS results survive process restarts and
-// are shared across processes pointing at the same directory.
+// memo (it implements batch.ResultCache and batch.CyclicCache), keyed
+// exactly like the memo — the ir structural fingerprint of the graph, the
+// register type, and the canonicalized options key — so RS results survive
+// process restarts and are shared across processes pointing at the same
+// directory.
 //
 // Layout:
 //
 //	<root>/VERSION            "regsat-store v<schema>\n"
-//	<root>/objects/ab/<key>.json
+//	<root>/objects/ab/<key>.rec
 //
 // where <key> is the hex SHA-256 of "fingerprint\x00type\x00optionsKey" and
 // "ab" its first byte — a fan-out that keeps directories small on large
-// corpora. Records are JSON (see Record) with an embedded schema number.
+// corpora. A record is one small binary file (see encodeRecord): a header
+// with its kind, schema and length, the echoed key, the result's fields,
+// and a CRC-32C trailer. A hit costs one open, one read into a pooled
+// buffer and a close, and decodes straight into the result.
 //
 // The store is crash-safe and corruption-tolerant by construction:
 //
-//   - writes go to a temp file in the objects directory and are renamed
+//   - writes go to a temp file in the record's directory and are renamed
 //     into place, so readers never observe a partial record;
-//   - a record that fails to read, parse, or match its schema/key is
-//     treated as a miss (and counted in Stats.Errors), never as an error
-//     the analysis pipeline sees;
+//   - a record that fails to read, fails its checksum, or does not match
+//     its schema, kind or key is treated as a miss (and counted in
+//     Stats.Errors), never as an error the analysis pipeline sees — a
+//     corrupted record is recomputed, never served as a wrong answer;
 //   - a VERSION file from a different schema makes Open start over in a
 //     fresh objects tree (objects-v<schema>), leaving the old one alone.
 package store
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
-	"time"
 
 	"regsat/internal/ddg"
 	"regsat/internal/rs"
 )
 
 // SchemaVersion is the record schema this build reads and writes. Bump it
-// whenever Record changes incompatibly: old stores are then ignored (not
-// deleted) and a fresh objects tree is started.
-const SchemaVersion = 1
+// whenever the record format changes incompatibly: old stores are then
+// ignored (not deleted) and a fresh objects tree is started. Version 1 was
+// JSON; version 2 is the checksummed binary record.
+const SchemaVersion = 2
 
 // Store is a persistent result cache rooted at a directory. All methods are
 // safe for concurrent use by multiple goroutines — and, thanks to the
@@ -86,56 +95,139 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.root }
 
-// path maps a cache key to its record file.
+// path maps a cache key to its record file. The hash input and the hex name
+// live on the stack; the returned path is the only allocation (the hash
+// input spills to the heap only for keys over 256 bytes).
 func (s *Store) path(fp string, t ddg.RegType, optsKey string) string {
-	h := sha256.Sum256([]byte(fp + "\x00" + string(t) + "\x00" + optsKey))
-	name := hex.EncodeToString(h[:])
-	return filepath.Join(s.objects, name[:2], name+".json")
+	var in [256]byte
+	key := append(in[:0], fp...)
+	key = append(append(key, 0), t...)
+	key = append(append(key, 0), optsKey...)
+	sum := sha256.Sum256(key)
+	var name [2 * sha256.Size]byte
+	hex.Encode(name[:], sum[:])
+	var b strings.Builder
+	b.Grow(len(s.objects) + len(name) + 8)
+	b.WriteString(s.objects)
+	b.WriteByte(filepath.Separator)
+	b.Write(name[:2])
+	b.WriteByte(filepath.Separator)
+	b.Write(name[:])
+	b.WriteString(".rec")
+	return b.String()
 }
 
 // Get implements batch.ResultCache: it returns the stored result for
 // (fp, t, optsKey) materialized against g, or a miss. Every failure mode —
-// missing file, torn or corrupt JSON, schema or key mismatch, a witness
-// that does not fit g — is a miss.
+// missing file, torn or corrupt record, schema, kind or key mismatch, a
+// witness that does not fit g — is a miss.
 func (s *Store) Get(fp string, g *ddg.Graph, t ddg.RegType, optsKey string) (*rs.Result, bool) {
-	raw, err := os.ReadFile(s.path(fp, t, optsKey))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.errors.Add(1)
-		}
-		s.misses.Add(1)
-		return nil, false
-	}
-	var rec Record
-	if err := json.Unmarshal(raw, &rec); err != nil ||
-		rec.Schema != SchemaVersion || rec.Kind != "" ||
-		rec.Fingerprint != fp || rec.Type != string(t) || rec.OptionsKey != optsKey {
-		s.errors.Add(1)
-		s.misses.Add(1)
-		return nil, false
-	}
-	res, err := rec.result(g, t)
-	if err != nil {
-		s.errors.Add(1)
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.hits.Add(1)
-	return res, true
+	var res *rs.Result
+	ok := s.get(kindRS, fp, t, optsKey, func(body []byte) (err error) {
+		res, err = decodeRS(body, g, t)
+		return err
+	})
+	return res, ok
 }
 
 // Put implements batch.ResultCache: it persists res under (fp, t, optsKey)
 // with an atomic write. Failures are counted and dropped — a full disk must
 // not fail an analysis that already succeeded.
 func (s *Store) Put(fp string, t ddg.RegType, optsKey string, res *rs.Result) {
-	rec := newRecord(fp, t, optsKey, res)
-	raw, err := json.Marshal(rec)
+	s.put(kindRS, fp, t, optsKey, func(b []byte) []byte { return appendRS(b, res) })
+}
+
+// recordBuf is a pooled record buffer. Buffers grown past maxPooled for an
+// unusually large record (a long witness) are dropped, not pooled.
+type recordBuf struct{ b []byte }
+
+const (
+	readSize  = 4 << 10
+	maxPooled = 64 << 10
+)
+
+var bufPool = sync.Pool{New: func() any { return &recordBuf{b: make([]byte, readSize)} }}
+
+func releaseBuf(rb *recordBuf) {
+	if cap(rb.b) <= maxPooled {
+		bufPool.Put(rb)
+	}
+}
+
+// get reads the record for the key and hands its body to decode. A missing
+// file is a plain miss; any other failure — unreadable, torn, corrupt,
+// another kind or key, a body decode rejects — is a miss counted as an
+// error.
+func (s *Store) get(kind byte, fp string, t ddg.RegType, optsKey string, decode func(body []byte) error) bool {
+	f, err := os.Open(s.path(fp, t, optsKey))
+	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.errors.Add(1)
+		}
+		s.misses.Add(1)
+		return false
+	}
+	rb := bufPool.Get().(*recordBuf)
+	data, err := readRecord(f, rb)
+	f.Close()
+	var fr frame
+	if err == nil {
+		fr, err = parseRecord(data)
+	}
+	if err == nil {
+		err = fr.check(kind, fp, t, optsKey)
+	}
+	if err == nil {
+		err = decode(fr.body)
+	}
+	releaseBuf(rb)
 	if err != nil {
 		s.errors.Add(1)
-		return
+		s.misses.Add(1)
+		return false
 	}
-	path := s.path(fp, t, optsKey)
-	if err := writeAtomic(path, raw); err != nil {
+	s.hits.Add(1)
+	return true
+}
+
+// readRecord reads one record from f into rb with a single Read when it
+// fits the buffer; a longer record's header says how much more to read.
+// The file must hold exactly the record the header declares: a short file
+// is an error, and so is one with bytes past the record when they arrive in
+// the same Read.
+func readRecord(f *os.File, rb *recordBuf) ([]byte, error) {
+	buf := rb.b[:cap(rb.b)]
+	n, err := f.Read(buf)
+	if n < headerLen {
+		if err == nil || err == io.EOF {
+			err = errCorrupt
+		}
+		return nil, err
+	}
+	size := int(binary.LittleEndian.Uint32(buf[lengthOff:]))
+	switch {
+	case size < headerLen+trailerLen || size > maxRecord || size < n:
+		return nil, errCorrupt
+	case size > n:
+		if size > len(buf) {
+			grown := make([]byte, size)
+			copy(grown, buf[:n])
+			rb.b, buf = grown, grown
+		}
+		if _, err := io.ReadFull(f, buf[n:size]); err != nil {
+			return nil, err
+		}
+	}
+	return buf[:size], nil
+}
+
+// put encodes a record into a pooled buffer and writes it atomically.
+func (s *Store) put(kind byte, fp string, t ddg.RegType, optsKey string, appendBody func([]byte) []byte) {
+	rb := bufPool.Get().(*recordBuf)
+	rb.b = encodeRecord(rb.b, kind, fp, t, optsKey, appendBody)
+	err := writeAtomic(s.path(fp, t, optsKey), rb.b)
+	releaseBuf(rb)
+	if err != nil {
 		s.errors.Add(1)
 		return
 	}
@@ -143,25 +235,31 @@ func (s *Store) Put(fp string, t ddg.RegType, optsKey string, res *rs.Result) {
 }
 
 // writeAtomic writes data to path via a temp file in the same directory and
-// an atomic rename, creating the parent directory on first use.
+// an atomic rename. The fan-out directory is created only when the temp
+// file cannot be, and the temp file is removed only when the write fails.
 func writeAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		tmp, err = os.CreateTemp(dir, ".tmp-*")
+	}
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), path)
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Len walks the store and returns the number of resident records — an
@@ -173,7 +271,7 @@ func (s *Store) Len() (int, error) {
 		if err != nil {
 			return err
 		}
-		if !d.IsDir() && strings.HasSuffix(path, ".json") {
+		if !d.IsDir() && strings.HasSuffix(path, ".rec") {
 			n++
 		}
 		return nil
@@ -199,6 +297,3 @@ func (s *Store) Stats() Stats {
 		Errors: s.errors.Load(),
 	}
 }
-
-// now is a test seam for record timestamps.
-var now = time.Now
