@@ -90,6 +90,36 @@ func NewModel(name string, sense Sense) *Model {
 	return &Model{name: name, sense: sense}
 }
 
+// Reset empties m into a new model with the given name and sense, keeping
+// the storage of its arenas, so that a model rebuilt in place of one of
+// similar size allocates nothing.
+func (m *Model) Reset(name string, sense Sense) {
+	*m = Model{name: name, sense: sense,
+		vars: m.vars[:0], names: m.names[:0], terms: m.terms[:0], rows: m.rows[:0]}
+}
+
+// Poison fills the whole capacity of m's arenas with values no model holds
+// (NaN numbers, −1 indices and offsets, 0xff name bytes) and leaves m empty.
+// Tests of code that recycles models through Reset call it on a released
+// model, so that a build reading storage it has not written shows.
+func (m *Model) Poison() {
+	nan := math.NaN()
+	for i, vs := 0, m.vars[:cap(m.vars)]; i < len(vs); i++ {
+		vs[i] = varInfo{lo: nan, hi: nan, obj: nan, integer: true, nameEnd: -1}
+	}
+	for i, ns := 0, m.names[:cap(m.names)]; i < len(ns); i++ {
+		ns[i] = 0xff
+	}
+	for i, ts := 0, m.terms[:cap(m.terms)]; i < len(ts); i++ {
+		ts[i] = Term{Var: -1, Coef: nan}
+	}
+	for i, rs := 0, m.rows[:cap(m.rows)]; i < len(rs); i++ {
+		rs[i] = row{start: -1, rel: -1, rhs: nan}
+	}
+	m.Reset("", -1)
+	m.objOff = nan
+}
+
 // Name returns the model name.
 func (m *Model) Name() string { return m.name }
 

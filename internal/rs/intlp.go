@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"regsat/internal/ddg"
 	"regsat/internal/graph"
@@ -187,10 +188,41 @@ type ILPVars struct {
 //	s.t.     the interference core (BuildCore), and
 //	         s_{u,v} = 0 ⇒ x_u + x_v ≤ 1   (independent set in H′_t)
 func BuildSaturationModel(an *Analysis, reduceModel bool) (*lp.Model, *ILPVars, *ILPInfo, error) {
-	m := lp.NewModel("RS("+an.G.Name+","+string(an.Type)+")", lp.Maximize)
-	core, info, err := BuildCore(an, reduceModel, 0, m)
+	m := lp.NewModel(saturationModelName(an), lp.Maximize)
+	vars, info, err := buildSaturationModel(an, reduceModel, m)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	return m, vars, info, nil
+}
+
+func saturationModelName(an *Analysis) string {
+	return "RS(" + an.G.Name + "," + string(an.Type) + ")"
+}
+
+// modelPool recycles the models ExactILP builds: a model's arenas are most
+// of a cold solve's model-building allocation. Everything in it was
+// released by releaseModel and is owned by nobody.
+var modelPool = sync.Pool{New: func() any { return new(lp.Model) }}
+
+// testHookReleaseModel, when set, sees every model releaseModel pools.
+// Tests use it to poison released storage; it is nil in production.
+var testHookReleaseModel func(m *lp.Model)
+
+// releaseModel returns m to the pool. Nothing may touch m afterwards.
+func releaseModel(m *lp.Model) {
+	if testHookReleaseModel != nil {
+		testHookReleaseModel(m)
+	}
+	modelPool.Put(m)
+}
+
+// buildSaturationModel adds the Section 3 intLP for RS_t(G) to m, an empty
+// maximization model (see BuildSaturationModel).
+func buildSaturationModel(an *Analysis, reduceModel bool, m *lp.Model) (*ILPVars, *ILPInfo, error) {
+	core, info, err := BuildCore(an, reduceModel, 0, m)
+	if err != nil {
+		return nil, nil, err
 	}
 	vars := &ILPVars{CoreVars: core, X: make([]lp.Var, len(an.Values))}
 	for i, u := range an.Values {
@@ -216,7 +248,7 @@ func BuildSaturationModel(an *Analysis, reduceModel bool) (*lp.Model, *ILPVars, 
 	info.Vars = m.NumVars()
 	info.IntVars = m.NumIntVars()
 	info.Constrs = m.NumConstrs()
-	return m, vars, info, nil
+	return vars, info, nil
 }
 
 // neverAlive implements the second Section 3 optimization: value j can never
@@ -315,7 +347,19 @@ type ILPResult struct {
 // schedule provably achieves — so subtrees that cannot reach it are pruned
 // before the first incumbent. Cancelling ctx interrupts an in-flight solve.
 func ExactILP(ctx context.Context, an *Analysis, reduceModel bool, opt solver.Options) (*ILPResult, error) {
-	m, vars, info, err := BuildSaturationModel(an, reduceModel)
+	return exactILP(ctx, an, reduceModel, opt, true)
+}
+
+// exactILP is ExactILP; without witness, an answer resting on the greedy
+// seed carries no saturating schedule (the seed's is not built), while
+// the solver's own σ is still decoded and validated on every answer that
+// has one. The model is built into a pooled lp.Model, released when the
+// solve returns.
+func exactILP(ctx context.Context, an *Analysis, reduceModel bool, opt solver.Options, witness bool) (*ILPResult, error) {
+	m := modelPool.Get().(*lp.Model)
+	defer releaseModel(m)
+	m.Reset(saturationModelName(an), lp.Maximize)
+	vars, info, err := buildSaturationModel(an, reduceModel, m)
 	if err != nil {
 		return nil, err
 	}
@@ -358,6 +402,9 @@ func ExactILP(ctx context.Context, an *Analysis, reduceModel bool, opt solver.Op
 		res.Exact = exact
 		res.UpperBound = boundToInt(sol.Bound, res.RS, exact)
 		res.Antichain = append([]int(nil), seed.Antichain...)
+		if !witness {
+			return res, nil
+		}
 		w, err := SaturatingSchedule(seed)
 		if err != nil {
 			return nil, err

@@ -118,7 +118,7 @@ func ComputeWithAnalysis(ctx context.Context, an *Analysis, opts Options) (*Resu
 		out.BBStats = stats
 		return out, nil
 	case MethodExactILP:
-		ires, err := ExactILP(ctx, an, opts.ApplyReductions, opts.Solver)
+		ires, err := exactILP(ctx, an, opts.ApplyReductions, opts.Solver, !opts.SkipWitness)
 		if err != nil {
 			return nil, err
 		}

@@ -243,9 +243,11 @@ func (s *Server) clusterAnalyze(ctx context.Context, engine *batch.Engine, befor
 		}
 	}
 
+	// The peer gets what is left of the deadline, at least 1 ms: zero would
+	// mean the peer's default and a negative value is a 400.
 	var timeoutMs int64
 	if dl, ok := ctx.Deadline(); ok {
-		timeoutMs = time.Until(dl).Milliseconds()
+		timeoutMs = max(1, time.Until(dl).Milliseconds())
 	}
 
 	var wg sync.WaitGroup

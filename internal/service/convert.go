@@ -17,9 +17,22 @@ import (
 )
 
 // batchOptions maps the wire options onto the batch engine's. Unknown
-// enumeration values are request errors (400), not item errors: they mean
-// the whole request is malformed.
+// enumeration values and negative budgets are request errors (400), not
+// item errors: they mean the whole request is malformed, and served they
+// would each get memo and store keys of their own.
 func (s *Server) batchOptions(o client.AnalyzeOptions) (batch.Options, error) {
+	for _, b := range []struct {
+		name string
+		v    int64
+	}{
+		{"maxLeaves", o.MaxLeaves},
+		{"solver.maxNodes", int64(o.Solver.MaxNodes)},
+		{"solver.timeLimitMs", o.Solver.TimeLimitMs},
+	} {
+		if b.v < 0 {
+			return batch.Options{}, fmt.Errorf("%s must be non-negative (got %d)", b.name, b.v)
+		}
+	}
 	var rsOpts rs.Options
 	switch o.Method {
 	case "", "greedy":

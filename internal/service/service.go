@@ -279,6 +279,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		obs.Str("method", req.Options.Method),
 	)
 
+	if req.TimeoutMs < 0 {
+		s.httpError(ctx, w, fmt.Sprintf("timeoutMs must be non-negative (got %d)", req.TimeoutMs), http.StatusBadRequest)
+		return
+	}
 	batchOpts, err := s.batchOptions(req.Options)
 	if err != nil {
 		s.httpError(ctx, w, err.Error(), http.StatusBadRequest)

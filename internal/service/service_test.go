@@ -467,6 +467,43 @@ func TestServiceRejectsTrailingBody(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsNegativeBudgets: a negative budget is a malformed
+// request (400 naming the field), never an answer: solver.maxNodes −1 used
+// to return a zero-node capped result and maxLeaves −1 the default search,
+// each stored under a key of its own. Zero keeps meaning the default.
+func TestServiceRejectsNegativeBudgets(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	const graph = `"graphs":[{"ddg":"ddg \"x\"\nnode a lat=1 writes=int\nnode b lat=1\nedge a b flow int\n"}]`
+	for _, c := range []struct {
+		body  string
+		want  int
+		field string
+	}{
+		{`{` + graph + `,"options":{"method":"bb","maxLeaves":-1}}`, http.StatusBadRequest, "maxLeaves"},
+		{`{` + graph + `,"options":{"method":"ilp","solver":{"maxNodes":-1}}}`, http.StatusBadRequest, "solver.maxNodes"},
+		{`{` + graph + `,"options":{"method":"ilp","solver":{"timeLimitMs":-5}}}`, http.StatusBadRequest, "solver.timeLimitMs"},
+		{`{` + graph + `,"options":{"method":"bb"},"timeoutMs":-1}`, http.StatusBadRequest, "timeoutMs"},
+		{`{` + graph + `,"options":{"method":"bb","cyclic":{"maxWindow":-1}}}`, http.StatusBadRequest, "cyclic.maxWindow"},
+		{`{` + graph + `,"options":{"method":"bb","maxLeaves":0},"timeoutMs":0}`, http.StatusOK, ""},
+		{`{` + graph + `,"options":{"method":"ilp","solver":{"maxNodes":0,"timeLimitMs":0}}}`, http.StatusOK, ""},
+		{`{` + graph + `,"options":{"method":"ilp","solver":{"maxNodes":5,"timeLimitMs":1000}},"timeoutMs":5000}`, http.StatusOK, ""},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(c.body)))
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d (%s)", c.body, rec.Code, c.want, rec.Body)
+			continue
+		}
+		if c.field != "" && !strings.Contains(rec.Body.String(), c.field+" must be non-negative") {
+			t.Errorf("%s: the error does not name %s: %s", c.body, c.field, rec.Body)
+		}
+	}
+}
+
 // TestServiceBodyPresizeBounded: the body buffer is sized from
 // Content-Length only up to maxBodyPresize, so a request that declares
 // MaxBodyBytes and sends a few bytes costs a small buffer, not the declared

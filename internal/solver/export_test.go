@@ -114,3 +114,10 @@ func (r *RootLP) TableauFloats() int {
 	w.reset(r.p.rootLo, r.p.rootHi)
 	return cap(w.tab)
 }
+
+// PoisonPools makes every tableau and workspace a solve releases poisoned
+// before it is pooled, and drains both pools; restore undoes it.
+func PoisonPools() (restore func()) { return poisonPools() }
+
+// DrainPools empties the tableau and workspace pools.
+func DrainPools() { drainSpxPool() }

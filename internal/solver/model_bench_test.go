@@ -1,8 +1,11 @@
 package solver_test
 
 import (
+	"context"
 	"math/rand"
 	"os"
+	"runtime"
+	"slices"
 	"testing"
 
 	"regsat/internal/ddg"
@@ -155,5 +158,49 @@ func TestSaturationModelAllocs(t *testing.T) {
 	loadModel(t, an) // warm the analysis' memoized graph facts
 	if got := testing.AllocsPerRun(20, func() { loadModel(t, an) }); got > maxLoadAllocs {
 		t.Fatalf("building and loading the model allocates %.0f times, bound %d", got, maxLoadAllocs)
+	}
+}
+
+// One warm-pool rs.ExactILP solve of superscalar-spec-swim/float (greedy
+// seed, model build, presolve, cut separation, one node, σ witness)
+// measures 302 allocations and 51,112 bytes (go1.24, linux/amd64). The
+// bounds leave 30% headroom. Building the model, the presolve copy and the
+// sparse problem afresh on every solve, as before the solve workspace and
+// the model pool, made 370 allocations and 451,179 bytes: the byte bound
+// catches that, the count alone would not.
+const (
+	maxILPSolveAllocs = 392
+	maxILPSolveBytes  = 66_445
+)
+
+// TestExactILPSolveAllocs guards the allocations of one Section 3 solve
+// whose model, solve workspace and tableaux come from warm pools. The
+// bytes are the median of single solves, so a garbage collection emptying
+// the pools mid-test costs one sample, not the verdict.
+func TestExactILPSolveAllocs(t *testing.T) {
+	an := corpusAnalysis(t, "superscalar-spec-swim.ddg", ddg.Float)
+	solve := func() {
+		if _, err := rs.ExactILP(context.Background(), an, true, solver.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a random quarter of what is put into it")
+	}
+	solve() // warm the pools and the analysis' memoized graph facts
+	if got := testing.AllocsPerRun(10, solve); got > maxILPSolveAllocs {
+		t.Errorf("a warm-pool solve allocates %.0f times, bound %d", got, maxILPSolveAllocs)
+	}
+	var bytes []uint64
+	var before, after runtime.MemStats
+	for i := 0; i < 11; i++ {
+		runtime.ReadMemStats(&before)
+		solve()
+		runtime.ReadMemStats(&after)
+		bytes = append(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	slices.Sort(bytes)
+	if got := bytes[len(bytes)/2]; got > maxILPSolveBytes {
+		t.Errorf("a warm-pool solve allocates %d bytes (median), bound %d", got, maxILPSolveBytes)
 	}
 }

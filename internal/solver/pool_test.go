@@ -151,3 +151,91 @@ func TestPooledTableauConcurrentSolves(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// poisonWorkspace overwrites the whole capacity of every buffer of a
+// released workspace: NaN in the float slices, −1 in the index slices
+// (math.MaxInt32 in the duplicate-row table, where −1 means empty), true
+// in the flags. Anything read before being written again shows.
+func poisonWorkspace(ws *workspace) {
+	p := &ws.p
+	for _, b := range [][]float64{ws.bounds, ws.ps.fixed, p.rowVal, p.rhs, p.slackLo, p.slackHi,
+		p.cost, p.rootLo, p.rootHi, ws.lo, ws.hi, ws.x, ws.pcDown, ws.pcUp} {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = math.NaN()
+		}
+	}
+	for _, b := range [][]int32{p.rowPtr, p.rowCol, ws.pcDownN, ws.pcUpN} {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = -1
+		}
+	}
+	for _, b := range [][]bool{ws.flags, p.integer} {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = true
+		}
+	}
+	for i, c := 0, ws.ps.colMap[:cap(ws.ps.colMap)]; i < len(c); i++ {
+		c[i] = -1
+	}
+	for i, t := 0, ws.terms[:cap(ws.terms)]; i < len(t); i++ {
+		t[i] = lp.Term{Var: -1, Coef: math.NaN()}
+	}
+	for i, r := 0, ws.rows[:cap(ws.rows)]; i < len(r); i++ {
+		r[i] = prow{start: -1, end: -1, rel: -1, rhs: math.NaN(), hash: math.MaxUint64}
+	}
+	for i, r := 0, p.rel[:cap(p.rel)]; i < len(r); i++ {
+		r[i] = -1
+	}
+	for i, t := 0, ws.table[:cap(ws.table)]; i < len(t); i++ {
+		t[i] = math.MaxInt32
+	}
+	ws.ps = presolved{colMap: ws.ps.colMap, fixed: ws.ps.fixed, nOrig: -1, rows: -1, cols: -1, tightenings: -1, infeasible: true}
+	*p = prob{rowPtr: p.rowPtr, rowCol: p.rowCol, rowVal: p.rowVal, rhs: p.rhs, rel: p.rel,
+		cost: p.cost, rootLo: p.rootLo, rootHi: p.rootHi, integer: p.integer,
+		slackLo: p.slackLo, slackHi: p.slackHi, n: -1, m: -1, N: -1, objOffset: math.NaN(), intObj: true}
+}
+
+// poisonPools makes every released tableau and workspace poisoned before
+// it is pooled, and drains both pools; the returned function undoes it.
+func poisonPools() (restore func()) {
+	testHookRelease, testHookReleaseWorkspace = poison, poisonWorkspace
+	drainSpxPool()
+	return func() { testHookRelease, testHookReleaseWorkspace = nil, nil }
+}
+
+// TestPooledWorkspaceNoStaleData: pooled solve workspaces come back with
+// stale presolve copies, postsolve maps, problems and search scratch,
+// which every solve must overwrite or clear before reading. With every
+// released workspace and tableau poisoned, the corpus must solve to the
+// same Solution and Stats as it does starting from drained pools, with and
+// without presolve.
+func TestPooledWorkspaceNoStaleData(t *testing.T) {
+	for _, raw := range []bool{false, true} {
+		solveAll := func(drain bool) []*Solution {
+			var sols []*Solution
+			for _, in := range poolCorpus() {
+				if drain {
+					drainSpxPool()
+				}
+				sol := solveWith(t, in.m, Options{Hints: in.h, DisablePresolve: raw})
+				sol.Stats.Duration = 0
+				sols = append(sols, sol)
+			}
+			return sols
+		}
+		want := solveAll(true)
+		restore := poisonPools()
+		for round := 0; round < 2; round++ {
+			for i, got := range solveAll(false) {
+				if !reflect.DeepEqual(got, want[i]) {
+					restore()
+					t.Fatalf("raw %v round %d model %d: from poisoned pools\n%+v\nfrom drained pools\n%+v", raw, round, i, got, want[i])
+				}
+			}
+		}
+		restore()
+	}
+}

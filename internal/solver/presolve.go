@@ -92,27 +92,38 @@ type prow struct {
 	dead       bool
 }
 
+// presolve runs the reduction fixpoint over m on fresh storage (see
+// workspace.presolve).
+func presolve(m *lp.Model, reductions bool) (*presolved, error) {
+	return new(workspace).presolve(m, reductions)
+}
+
 // presolve runs the reduction fixpoint over m and writes the reduced
 // problem straight into sparse form (ps.p). With reductions false the
 // problem is an identity copy of m. It fails only when the reduced problem
 // has a cost-bearing column unbounded on its improving side or a free
-// column, which the dual simplex cannot cold-start.
-func presolve(m *lp.Model, reductions bool) (*presolved, error) {
+// column, which the dual simplex cannot cold-start. The outcome, its
+// problem included, lives in ws.
+func (ws *workspace) presolve(m *lp.Model, reductions bool) (*presolved, error) {
 	n := m.NumVars()
-	ps := &presolved{nOrig: n, colMap: make([]int, n), fixed: make([]float64, n)}
+	ws.ps = presolved{nOrig: n, colMap: resize(ws.ps.colMap, n), fixed: resize(ws.ps.fixed, n)}
+	ps := &ws.ps
+	clear(ps.fixed)
 
 	// One flat copy of the model: column bounds and flags, the term arena,
 	// and per-row headers into it.
-	bounds := make([]float64, 2*n)
-	lo, hi := bounds[:n:n], bounds[n:]
-	flags := make([]bool, 2*n)
-	integer, fixedMask := flags[:n:n], flags[n:]
+	ws.bounds, ws.flags = resize(ws.bounds, 2*n), resize(ws.flags, 2*n)
+	lo, hi := ws.bounds[:n:n], ws.bounds[n:]
+	integer, fixedMask := ws.flags[:n:n], ws.flags[n:]
+	clear(fixedMask)
 	for j := 0; j < n; j++ {
 		lo[j], hi[j] = m.Bounds(lp.Var(j))
 		integer[j] = m.IsInteger(lp.Var(j))
 	}
-	terms := make([]lp.Term, 0, m.NumNonzeros())
-	rows := make([]prow, m.NumConstrs())
+	ws.terms = resize(ws.terms, m.NumNonzeros())
+	terms := ws.terms[:0]
+	ws.rows = resize(ws.rows, m.NumConstrs())
+	rows := ws.rows
 	for i := range rows {
 		ts, rel, rhs := m.Constr(i)
 		start := len(terms)
@@ -384,7 +395,8 @@ func presolve(m *lp.Model, reductions bool) (*presolved, error) {
 				for size < 2*len(rows) {
 					size *= 2
 				}
-				table = make([]int32, size)
+				ws.table = resize(ws.table, size)
+				table = ws.table
 			}
 			for k := range table {
 				table[k] = -1
@@ -431,20 +443,21 @@ func presolve(m *lp.Model, reductions bool) (*presolved, error) {
 	if ps.infeasible {
 		return ps, nil
 	}
-	p, err := emitProb(m, ps, lo, hi, integer, fixedMask, terms, rows)
-	if err != nil {
+	if err := ws.emitProb(m, lo, hi, integer, fixedMask, terms, rows); err != nil {
 		return nil, err
 	}
-	ps.p = p
+	ps.p = &ws.p
 	return ps, nil
 }
 
-// emitProb writes the reduced problem in sparse form: the surviving columns
-// in original order (recording colMap), the live rows with columns fixed
-// since the last substitution sweep folded into their right-hand sides, the
-// internal-sense costs, and the objective offset including the fixed
-// columns' contribution. Errors name columns through the original model.
-func emitProb(m *lp.Model, ps *presolved, lo, hi []float64, integer, fixedMask []bool, terms []lp.Term, rows []prow) (*prob, error) {
+// emitProb writes the reduced problem in sparse form into ws.p: the
+// surviving columns in original order (recording colMap), the live rows
+// with columns fixed since the last substitution sweep folded into their
+// right-hand sides, the internal-sense costs, and the objective offset
+// including the fixed columns' contribution. Errors name columns through
+// the original model.
+func (ws *workspace) emitProb(m *lp.Model, lo, hi []float64, integer, fixedMask []bool, terms []lp.Term, rows []prow) error {
+	ps := &ws.ps
 	n := 0
 	off := m.ObjOffset()
 	for j := range ps.colMap {
@@ -476,24 +489,28 @@ func emitProb(m *lp.Model, ps *presolved, lo, hi []float64, integer, fixedMask [
 		nnz += len(kept)
 	}
 
-	p := &prob{
+	// Every row array has storage of its own: a grown copy's appended cut
+	// rows go into its spare capacity or reallocate, never into another
+	// array.
+	p := &ws.p
+	*p = prob{
 		sense:     m.Sense(),
 		objOffset: off,
 		n:         n,
 		m:         nr,
 		N:         n + nr,
-		rowPtr:    make([]int32, 1, nr+1),
-		rowCol:    make([]int32, 0, nnz),
-		rowVal:    make([]float64, 0, nnz),
-		rel:       make([]lp.Rel, 0, nr),
-		integer:   make([]bool, n),
+		rowPtr:    append(resize(p.rowPtr, nr+1)[:0], 0),
+		rowCol:    resize(p.rowCol, nnz)[:0],
+		rowVal:    resize(p.rowVal, nnz)[:0],
+		rhs:       resize(p.rhs, nr)[:0],
+		rel:       resize(p.rel, nr)[:0],
+		slackLo:   resize(p.slackLo, nr)[:0],
+		slackHi:   resize(p.slackHi, nr)[:0],
+		cost:      resize(p.cost, n),
+		rootLo:    resize(p.rootLo, n),
+		rootHi:    resize(p.rootHi, n),
+		integer:   resize(p.integer, n),
 	}
-	// Arrays sharing one allocation are capped, so a grown copy's appended
-	// cut rows reallocate rather than run into the next array.
-	rowF := make([]float64, 3*nr)
-	p.rhs, p.slackLo, p.slackHi = rowF[:0:nr], rowF[nr:nr:2*nr], rowF[2*nr:2*nr:3*nr]
-	colF := make([]float64, 3*n)
-	p.cost, p.rootLo, p.rootHi = colF[:n:n], colF[n:2*n:2*n], colF[2*n:]
 	for i := range rows {
 		r := &rows[i]
 		if r.dead {
@@ -532,15 +549,15 @@ func emitProb(m *lp.Model, ps *presolved, lo, hi []float64, integer, fixedMask [
 		// bounded by the schedule horizon, so only hand-built models get here.
 		switch {
 		case cost > spxDualTol && math.IsInf(lo[j], 0):
-			return nil, unboundedVarError(m, j, "lower")
+			return unboundedVarError(m, j, "lower")
 		case cost < -spxDualTol && math.IsInf(hi[j], 0):
-			return nil, unboundedVarError(m, j, "upper")
+			return unboundedVarError(m, j, "upper")
 		case math.IsInf(lo[j], 0) && math.IsInf(hi[j], 0):
-			return nil, fmt.Errorf("solver: model %s: variable %s is free (no finite bound)",
+			return fmt.Errorf("solver: model %s: variable %s is free (no finite bound)",
 				m.Name(), m.VarName(lp.Var(j)))
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // unboundedVarError reports a cost-bearing variable whose bound on the

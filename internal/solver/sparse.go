@@ -36,9 +36,15 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 	// iteration.
 	span := obs.FromContext(ctx)
 
-	// Presolve works on a private copy and writes the reduced problem p in
-	// sparse form; it is owned by this solve, so the cut layer may grow it.
-	ps, err := presolve(m, !opt.DisablePresolve)
+	// Presolve works on a private copy in a pooled workspace and writes the
+	// reduced problem p in sparse form; it is owned by this solve, so the
+	// cut layer may grow it. The workspace goes back to the pool on every
+	// return path, after the tableaux pointing into p (run and separateRoot
+	// release those before returning).
+	ws := wsPool.Get().(*workspace)
+	var p *prob
+	defer func() { releaseWorkspace(ws, p) }()
+	ps, err := ws.presolve(m, !opt.DisablePresolve)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +59,7 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 	if ps.infeasible {
 		return infeasible()
 	}
-	p := ps.p
+	p = ps.p
 
 	var cliques []*cutClique
 	if !opt.DisableCuts {
@@ -96,10 +102,10 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 		iters:     sep.iters,
 		bland:     sep.blandIters,
 	}
-	s.pcDownSum = make([]float64, p.n)
-	s.pcUpSum = make([]float64, p.n)
-	s.pcDownN = make([]int32, p.n)
-	s.pcUpN = make([]int32, p.n)
+	ws.searchScratch(p.n)
+	s.lo, s.hi, s.x = ws.lo, ws.hi, ws.x
+	s.pcDownSum, s.pcUpSum = ws.pcDown, ws.pcUp
+	s.pcDownN, s.pcUpN = ws.pcDownN, ws.pcUpN
 	if opt.Cutoff != nil {
 		s.cutoff = p.internalObj(*opt.Cutoff)
 		s.exclusiveCutoff = opt.ExclusiveCutoff
@@ -187,8 +193,12 @@ type searcher struct {
 	incObj    float64   // internal incumbent objective; +inf when none
 	incX      []float64 // incumbent assignment (model variables, snapped)
 
+	// lo and hi hold a popped node's bounds, x a node's LP point (workspace
+	// scratch).
+	lo, hi, x []float64
+
 	// Pseudo-cost statistics: per-variable sums and counts of LP degradation
-	// per unit of fractionality removed, by direction.
+	// per unit of fractionality removed, by direction (workspace scratch).
 	pcDownSum []float64
 	pcUpSum   []float64
 	pcDownN   []int32
@@ -349,8 +359,7 @@ func (s *searcher) boundsOf(nd *qnode, lo, hi []float64, path []*qnode) []*qnode
 func (s *searcher) run() {
 	p := s.p
 	var w *spx // the search's tableau, allocated on its first cold start
-	lo := make([]float64, p.n)
-	hi := make([]float64, p.n)
+	lo, hi := s.lo, s.hi
 	var path []*qnode
 	defer func() { releaseSpx(w) }()
 	for {
@@ -392,7 +401,7 @@ type brCand struct {
 // tableau already holds) until the chain is pruned, infeasible, or integer.
 func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 	p := s.p
-	x := make([]float64, p.n)
+	x := s.x
 	cands := make([]brCand, 0, 16)
 	retried := false // nd was already rebuilt once after numerical trouble
 	for {
