@@ -44,7 +44,6 @@ import (
 	"regsat/internal/ddg"
 	"regsat/internal/experiments"
 	"regsat/internal/gen"
-	"regsat/internal/ir"
 	"regsat/internal/obs"
 	"regsat/internal/rs"
 	"regsat/internal/solver"
@@ -69,7 +68,6 @@ type benchJSON struct {
 	Families    *familiesJSON    `json:"families,omitempty"`
 	Tracing     *tracingJSON     `json:"tracing,omitempty"`
 	Cyclic      *cyclicJSON      `json:"cyclic,omitempty"`
-	Interner    ir.CacheStats    `json:"interner"`
 }
 
 // cyclicJSON is the -exp cyclic section: per-loop unrolled-window analysis
@@ -408,7 +406,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "[families completed in %v]\n\n", elapsed.Round(time.Millisecond))
 	}
 
-	summary.Interner = ir.Stats()
 	if *jsonOut != "" {
 		raw, err := json.MarshalIndent(summary, "", "  ")
 		if err != nil {
@@ -844,9 +841,6 @@ func corpusReport(dir string, parallel int) (string, *corpusJSON, error) {
 		float64(seqTime)/float64(parTime))
 	add("memo: %d hits, %d misses across %d RS computations\n",
 		stats.Hits, stats.Misses, stats.Hits+stats.Misses)
-	cs := ir.Stats()
-	add("ir interner: %d hits, %d misses, %d evictions, %d snapshots resident (~%d bytes)\n",
-		cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.ResidentBytes)
 	if len(seqResults) != len(parResults) {
 		add("WARNING: sequential and parallel runs disagree on result count (%d vs %d)\n",
 			len(seqResults), len(parResults))

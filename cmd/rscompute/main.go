@@ -48,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		parallel = fs.Int("parallel", 0, "worker count for multi-file analysis (0 = GOMAXPROCS)")
 		certify  = fs.Bool("cyclic", false, "certify loop kernels with the exact periodic MILP (small kernels only)")
 		stats    = fs.Bool("solver-stats", false, "print per-solve search statistics (MILP nodes/iterations or exact-BB leaves/prunes)")
-		irStats  = fs.Bool("ir-stats", false, "print the analysis-snapshot interner statistics after the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -151,9 +150,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	if *irStats {
-		printIRStats(stdout)
-	}
 	if failed > 0 {
 		return fmt.Errorf("%d input(s) failed", failed)
 	}
@@ -196,14 +192,6 @@ func printLoop(w io.Writer, res regsat.BatchResult) {
 			fmt.Fprintf(w, "    periodic MILP: II=%d, %s, jmax=%d\n", p.II, status, p.Jmax)
 		}
 	}
-}
-
-// printIRStats renders the process-wide interner counters (shared with
-// rsreduce via the same public API rsd's /metrics uses).
-func printIRStats(w io.Writer) {
-	cs := regsat.InternerStats()
-	fmt.Fprintf(w, "ir interner: %d hits, %d misses, %d evictions, %d snapshots resident (~%d bytes)\n",
-		cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.ResidentBytes)
 }
 
 // buildSource assembles the input stream: a kernel, stdin ("-f -"), and any

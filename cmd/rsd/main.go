@@ -28,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"regsat/internal/ir"
 	"regsat/internal/obs"
 	"regsat/internal/service"
 	"regsat/internal/service/store"
@@ -60,7 +59,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		maxTimeout  = fs.Duration("max-timeout", 10*time.Minute, "upper clamp on requested deadlines")
 		maxBody     = fs.Int64("max-body", 16<<20, "request body size limit (bytes)")
 		cacheSize   = fs.Int("cache", 0, "in-memory result memo entries (0 = default)")
-		internCap   = fs.Int("intern-cap", 0, "analysis-snapshot interner capacity (0 = default)")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful shutdown budget for in-flight requests")
 		drainNotice = fs.Duration("drain-notice", 2*time.Second, "how long /healthz answers 503 before the listener closes (load-balancer deregistration window)")
 		peers       = fs.String("peers", "", "comma-separated base URLs of every fleet replica, including this one (empty = single-process)")
@@ -77,9 +75,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return nil // -h/-help: usage already printed, exit 0
 		}
 		return err
-	}
-	if *internCap > 0 {
-		ir.SetInternCapacity(*internCap)
 	}
 
 	var level slog.Level

@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		dot      = fs.Bool("dot", false, "emit the extended DDG in Graphviz format (single input)")
 		parallel = fs.Int("parallel", 0, "worker count for multi-file reduction (0 = GOMAXPROCS)")
 		stats    = fs.Bool("solver-stats", false, "print per-solve MILP statistics")
-		irStats  = fs.Bool("ir-stats", false, "print the analysis-snapshot interner statistics after the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -150,11 +149,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *dot {
 			fmt.Fprint(stdout, red.Graph.DOT())
 		}
-	}
-	if *irStats {
-		cs := regsat.InternerStats()
-		fmt.Fprintf(stdout, "ir interner: %d hits, %d misses, %d evictions, %d snapshots resident (~%d bytes)\n",
-			cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.ResidentBytes)
 	}
 	switch {
 	case failed:

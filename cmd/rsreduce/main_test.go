@@ -39,16 +39,6 @@ func TestReduceCorpusWithinBudget(t *testing.T) {
 	}
 }
 
-func TestReduceIRStats(t *testing.T) {
-	out, _, err := runCLI(t, "-kernel", "lin-daxpy", "-r", "64", "-type", "float", "-ir-stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "ir interner:") || !strings.Contains(out, "bytes)") {
-		t.Fatalf("-ir-stats output missing interner line:\n%s", out)
-	}
-}
-
 func TestReduceBadInputs(t *testing.T) {
 	if _, _, err := runCLI(t, "-method", "magic", "-kernel", "fig2"); err == nil {
 		t.Fatal("bad method accepted")

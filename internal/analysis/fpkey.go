@@ -14,20 +14,20 @@ import (
 // options string (rsOptionsKey, solver.Options.Key), never by pointer
 // identity or by raw option structs. A pointer-keyed cache silently stops
 // hitting across structurally identical graphs (the whole point of the
-// interner), and a raw-options key splits entries whenever an
+// batch memo), and a raw-options key splits entries whenever an
 // irrelevant-but-unequal field differs.
 var FPKey = &framework.Analyzer{
 	Name: "fpkey",
 	Doc: "caches must be keyed by fingerprint + canonical options\n\n" +
-		"Flags, in cache-shaped types (name matching memo/cache/store/\n" +
-		"intern): map fields keyed by pointers or interfaces. Everywhere:\n" +
+		"Flags, in cache-shaped types (name matching memo/cache/store):\n" +
+		"map fields keyed by pointers or interfaces. Everywhere:\n" +
 		"maps keyed by raw *Options structs (canonicalize to a key string\n" +
 		"first) and %p in format strings used to build keys.",
 	Run: runFPKey,
 }
 
 // cacheTypeRe matches struct type names that hold cached state.
-var cacheTypeRe = regexp.MustCompile(`(?i)(memo|cache|store|intern)`)
+var cacheTypeRe = regexp.MustCompile(`(?i)(memo|cache|store)`)
 
 func runFPKey(pass *framework.Pass) error {
 	info := pass.TypesInfo

@@ -8,9 +8,9 @@ import (
 	"regsat/internal/analysis/framework"
 )
 
-// IRImmutable enforces the ir.Snapshot immutability contract: snapshots are
-// interned and shared across goroutines and across structurally identical
-// graphs, so every field, slice, bitset, and matrix reachable from one is
+// IRImmutable enforces the ir.Snapshot immutability contract: a batch memo
+// entry's snapshot is shared across goroutines and across structurally
+// identical graphs, so every field, slice, bitset, and matrix reachable from one is
 // read-only outside internal/ir's own constructors. A single write through
 // an aliased row corrupts every holder of the snapshot at once — without a
 // data-race signature when the readers come later.
@@ -18,8 +18,8 @@ var IRImmutable = &framework.Analyzer{
 	Name: "irimmutable",
 	Doc: "forbid writes to ir.Snapshot storage outside internal/ir\n\n" +
 		"Snapshots (and their TypeTable/CSR parts) are immutable after Build:\n" +
-		"they are shared by the interner, the batch memo, and every analysis\n" +
-		"layer. This analyzer flags assignments, element stores, copy/append\n" +
+		"the batch memo shares one across goroutines and structural twins,\n" +
+		"and every analysis layer reads it. This analyzer flags assignments, element stores, copy/append\n" +
 		"targets, and bitset mutations whose destination is reached from a\n" +
 		"snapshot — including through one level of local aliasing\n" +
 		"(row := s.AP.D[u]; row[v] = x).",

@@ -1,4 +1,4 @@
-// Fixture for the irimmutable analyzer: writes to interned ir.Snapshot
+// Fixture for the irimmutable analyzer: writes to shared ir.Snapshot
 // storage must be flagged; reads and writes to fresh local storage must not.
 package irimmutable
 

@@ -1,7 +1,7 @@
 // Package batch is the concurrent batch-analysis engine: it shards register
 // saturation analysis (and optional RS reduction) of a stream of DDGs across
 // a bounded worker pool, memoizing the expensive shared artifacts — the
-// interned ir.Snapshot (CSR adjacency, topological order, transitive
+// ir.Snapshot (CSR adjacency, topological order, transitive
 // closure, all-pairs longest paths, per-type value/killer tables), the
 // per-type rs.Analysis views over it, and finished results — by the ir
 // fingerprint, so repeated graphs and repeated register types never
@@ -29,7 +29,6 @@ import (
 	"regsat/internal/obs"
 	"regsat/internal/reduce"
 	"regsat/internal/rs"
-	"regsat/internal/solver"
 )
 
 // Options configures an Engine.
@@ -42,9 +41,6 @@ type Options struct {
 	// sub-options are the zero value they inherit the engine's RS options,
 	// so one method/solver selection governs both item kinds.
 	Cyclic cyclic.Options
-	// Solver, when non-zero, overrides RS.Solver: one place to set the
-	// MILP solver limits for the whole batch.
-	Solver solver.Options
 	// Types restricts analysis to these register types; nil analyzes every
 	// type each graph writes. Types a graph does not write are skipped.
 	Types []ddg.RegType
@@ -125,7 +121,8 @@ type Result struct {
 	Fingerprint string
 	// RS maps each analyzed register type to its saturation result. When the
 	// batch contains structurally identical graphs, duplicates share one
-	// *rs.Result — treat results as immutable.
+	// memoized search (a twin's copy only swaps in a witness schedule over
+	// its own graph) — treat results as immutable.
 	RS map[ddg.RegType]*rs.Result
 	// ComputedRS marks the types whose RS result this item actually
 	// computed, as opposed to served from the memo or the L2 cache — the
@@ -168,9 +165,6 @@ type Engine struct {
 // New creates an engine. The zero Options value analyzes every type with
 // Greedy-k across GOMAXPROCS workers.
 func New(opts Options) *Engine {
-	if opts.Solver != (solver.Options{}) {
-		opts.RS.Solver = opts.Solver
-	}
 	if opts.Cyclic.RS == (rs.Options{}) {
 		opts.Cyclic.RS = opts.RS
 	}
@@ -439,6 +433,10 @@ func (e *Engine) processLoop(ctx context.Context, wk work, res Result) Result {
 		types = ent.writtenTypes(l.Types)
 	}
 	res.Cyclic = make(map[ddg.RegType]*cyclic.Result, len(types))
+	// The item's unrolled windows serve all its types; the memo keeps only
+	// the results, so they are built on the first computed type and dropped
+	// with the item.
+	var win *cyclic.Windows
 	allCached := true
 	for _, t := range types {
 		if len(e.opts.Types) > 0 && !loopWrites(l, t) {
@@ -448,7 +446,7 @@ func (e *Engine) processLoop(ctx context.Context, wk work, res Result) Result {
 			res.Err = err
 			return res
 		}
-		r, hit, err := ent.cyclicResult(ctx, e.memo, l, t, e.opts.Cyclic, e.cyclicKey)
+		r, hit, err := ent.cyclicResult(ctx, e.memo, l, &win, t, e.opts.Cyclic, e.cyclicKey)
 		if err != nil {
 			res.Err = fmt.Errorf("%s/%s: %w", wk.item.Name, t, err)
 			return res

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -223,7 +224,11 @@ func TestMemoization(t *testing.T) {
 			t.Errorf("%s: expected cache hit", r.Name)
 		}
 		for ts, res := range r.RS {
-			if res != results[0].RS[ts] {
+			// A twin gets a shallow copy carrying a witness over its own
+			// graph; the memoized search output itself is shared.
+			first := results[0].RS[ts]
+			if len(res.Antichain) == 0 || &res.Antichain[0] != &first.Antichain[0] ||
+				!slices.Equal(res.Witness.Times, first.Witness.Times) {
 				t.Errorf("%s/%s: cached result not shared", r.Name, ts)
 			}
 		}
@@ -277,6 +282,51 @@ func TestReductionMemoKeepsGraphIdentity(t *testing.T) {
 				t.Errorf("%s/%s: twin reduction arcs differ from the memoized ones", r.Name, ts)
 			}
 		}
+	}
+}
+
+// TestResultMemoKeepsWitnessGraph: the memo entry's snapshot belongs to the
+// first graph of a fingerprint, so a witness schedule computed over it (or
+// memoized from it) names that graph's nodes. A structural twin must get
+// the same schedule over its own graph, both on a memo hit and when it is
+// the first to compute a result over the shared snapshot.
+func TestResultMemoKeepsWitnessGraph(t *testing.T) {
+	base := ddg.RandomGraph(rand.New(rand.NewSource(5)), genParams(10))
+	twin := base.Clone()
+	twin.Name = "twin"
+	for i := 0; i < twin.NumNodes(); i++ {
+		twin.Node(i).Name = fmt.Sprintf("t%d", i)
+	}
+	greedy := New(Options{Parallel: 1, RS: rs.Options{Method: rs.MethodGreedy}})
+	hit, err := greedy.Collect(context.Background(), Graphs(base, twin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second method computes its first result for the twin, over the
+	// snapshot the base graph built.
+	bb := greedy.WithOptions(Options{Parallel: 1, RS: rs.Options{Method: rs.MethodExactBB}})
+	computed, err := bb.Collect(context.Background(), Graphs(twin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range append(hit, computed...) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+		for ts, res := range r.RS {
+			if res.Witness == nil {
+				t.Fatalf("%s/%s: no witness schedule", r.Name, ts)
+			}
+			if res.Witness.G != r.Graph {
+				t.Errorf("%s/%s: witness schedule is over graph %q, want the item's own", r.Name, ts, res.Witness.G.Name)
+			}
+			if err := res.Witness.Validate(); err != nil {
+				t.Errorf("%s/%s: %v", r.Name, ts, err)
+			}
+		}
+	}
+	if hit[1].ComputedRS != nil || computed[0].ComputedRS == nil {
+		t.Fatal("the twin must hit the greedy slot and compute the bb one")
 	}
 }
 

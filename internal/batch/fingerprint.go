@@ -5,8 +5,7 @@ import (
 	"regsat/internal/ir"
 )
 
-// Fingerprint returns the structural hash of the graph the memo (and the
-// process-wide ir interner) keys on. It is ir.Fingerprint: names are
+// Fingerprint returns the structural hash of the graph the memo keys on. It is ir.Fingerprint: names are
 // excluded, so repeated graphs that differ only in labeling share one memo
 // entry and one analysis snapshot.
 func Fingerprint(g *ddg.Graph) string { return ir.Fingerprint(g) }

@@ -22,7 +22,7 @@ const DefaultCacheSize = 1024
 
 // memo is a bounded LRU cache of per-graph analysis artifacts, keyed by the
 // ir fingerprint. Each entry holds the artifacts every RS method shares —
-// one interned ir.Snapshot serving all register types of the graph, the
+// the one ir.Snapshot serving all register types of the graph, the
 // per-type rs.Analysis views over it, and finished RS/reduction results
 // keyed by their options — each computed at most once under singleflight
 // semantics: concurrent workers that hit the same fingerprint block on the
@@ -163,16 +163,17 @@ func (e *entry) writtenTypes(compute func() []ddg.RegType) []ddg.RegType {
 	return e.types
 }
 
-// snapshot returns the entry's interned ir.Snapshot, building it from g on
-// first use. The entry's fingerprint doubles as the intern key, so the hash
-// is never recomputed, and one snapshot serves every register type and
-// every structural twin of the graph. The context is used only for tracing:
+// snapshot returns the entry's ir.Snapshot, building it from g on first use.
+// The entry owns it: one snapshot serves every register type and every
+// structural twin of the graph (its artifacts ignore names; results over
+// it are rebound to the caller's graph in result and reduction). The
+// context is used only for tracing:
 // when the winning caller's request is recorded, the one-time IR build
 // appears as its span (later hitters see nothing — they didn't pay it).
 func (e *entry) snapshot(ctx context.Context, g *ddg.Graph) (*ir.Snapshot, error) {
 	e.snapOnce.Do(func() {
 		_, sp := obs.StartSpan(ctx, "ir.build", obs.Int("nodes", int64(len(g.Nodes()))))
-		e.snap, e.snapErr = ir.InternFingerprint(g, e.fp)
+		e.snap, e.snapErr = ir.Build(g)
 		sp.End()
 	})
 	return e.snap, e.snapErr
@@ -206,12 +207,18 @@ func (e *entry) analysis(ctx context.Context, g *ddg.Graph, t ddg.RegType) (*rs.
 }
 
 // result returns the memoized RS result for (t, opts), computing it on first
-// use; optsKey is rsOptionsKey(opts), rendered once per engine. The second return reports whether the result was served from cache —
-// the in-memory slot or, when the engine has one, the L2 result cache (an
-// L2 load seeds the slot, so the disk is read at most once per key). The
-// context reaches all the way into an in-flight MILP solve, so batch
-// cancellation interrupts it instead of waiting the solve out; interrupted
-// computations are not memoized.
+// use; optsKey is rsOptionsKey(opts), rendered once per engine. The second
+// return reports whether the result was served from cache — the in-memory
+// slot or, when the engine has one, the L2 result cache (an L2 load seeds
+// the slot, so the disk is read at most once per key). The context reaches
+// all the way into an in-flight MILP solve, so batch cancellation
+// interrupts it instead of waiting the solve out; interrupted computations
+// are not memoized.
+//
+// The slot's result may have been computed over a structural twin of g (the
+// entry's snapshot belongs to the first graph seen). Antichains and killing
+// functions are node IDs, valid for every twin, but a witness schedule
+// names nodes, so it is rebuilt over g, as the L2 store's Get does.
 func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType, opts rs.Options, optsKey string) (*rs.Result, bool, error) {
 	key := slotKey{t, optsKey}
 	e.mu.Lock()
@@ -260,6 +267,11 @@ func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType
 	default:
 		m.misses.Add(1)
 	}
+	if err == nil && res.Witness != nil && res.Witness.G != g {
+		own := *res
+		own.Witness = schedule.New(g, res.Witness.Times)
+		res = &own
+	}
 	return res, !ran || fromL2, err
 }
 
@@ -290,11 +302,12 @@ func (s *cyclicSlot) get(compute func() (*cyclic.Result, error)) (*cyclic.Result
 
 // cyclicResult returns the memoized periodic analysis for (t, opts),
 // computing it on first use; optsKey is opts.Key(), rendered once per
-// engine. Cyclic results carry no witness schedules (the
+// engine. *win is the item's window substrate, made on the first type the
+// item computes. Cyclic results carry no witness schedules (the
 // window engine forces SkipWitness), so — unlike acyclic RS results — an L2
 // hit needs no per-graph materialization and the L2 hook is the narrower
 // CyclicCache interface, type-asserted from the engine's ResultCache.
-func (e *entry) cyclicResult(ctx context.Context, m *memo, l *cyclic.Loop, t ddg.RegType, opts cyclic.Options, optsKey string) (*cyclic.Result, bool, error) {
+func (e *entry) cyclicResult(ctx context.Context, m *memo, l *cyclic.Loop, win **cyclic.Windows, t ddg.RegType, opts cyclic.Options, optsKey string) (*cyclic.Result, bool, error) {
 	key := slotKey{t, optsKey}
 	e.mu.Lock()
 	slot, ok := e.cyclics[key]
@@ -322,7 +335,10 @@ func (e *entry) cyclicResult(ctx context.Context, m *memo, l *cyclic.Loop, t ddg
 			}
 			sp.Event("l2.miss")
 		}
-		r, cerr := cyclic.Analyze(cctx, l, t, opts)
+		if *win == nil {
+			*win = cyclic.NewWindows(l)
+		}
+		r, cerr := (*win).Analyze(cctx, t, opts)
 		if cerr == nil && l2 != nil {
 			_, psp := obs.StartSpan(cctx, "l2.put")
 			l2.PutCyclic(e.fp, t, optsKey, r)

@@ -336,7 +336,8 @@ func PeriodicModel(l *Loop, t ddg.RegType, opt PeriodicOptions) (m *lp.Model, ii
 // maxCertifyJmax are skipped (nil certificate) rather than solved at any
 // cost. A refuted containment is a hard error — it means one of the two
 // engines is wrong.
-func certify(ctx context.Context, l *Loop, t ddg.RegType, res *Result, opt Options) (*Periodic, error) {
+func certify(ctx context.Context, w *Windows, t ddg.RegType, res *Result, opt Options) (*Periodic, error) {
+	l := w.l
 	ii, err := MinII(l)
 	if err != nil {
 		return nil, err
@@ -349,7 +350,7 @@ func certify(ctx context.Context, l *Loop, t ddg.RegType, res *Result, opt Optio
 	if err != nil {
 		return nil, err
 	}
-	windowUpper, exact, err := windowUpperBound(ctx, l, t, jmax, opt)
+	windowUpper, exact, err := windowUpperBound(ctx, w, t, jmax, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -364,15 +365,11 @@ func certify(ctx context.Context, l *Loop, t ddg.RegType, res *Result, opt Optio
 // windowUpperBound returns a proven upper bound on RS of the k-iteration
 // window: the exact value when the search completes, the search's dual bound
 // when capped.
-func windowUpperBound(ctx context.Context, l *Loop, t ddg.RegType, k int, opt Options) (int, bool, error) {
-	g, err := l.Unroll(k)
-	if err != nil {
-		return 0, false, err
-	}
+func windowUpperBound(ctx context.Context, w *Windows, t ddg.RegType, k int, opt Options) (int, bool, error) {
 	rsOpts := opt.RS
 	rsOpts.Method = rs.MethodExactBB
 	rsOpts.SkipWitness = true
-	r, err := rs.Compute(ctx, g, t, rsOpts)
+	r, err := w.windowRS(ctx, t, k, rsOpts)
 	if err != nil {
 		return 0, false, err
 	}

@@ -121,11 +121,64 @@ type Periodic struct {
 	Stats *solver.Stats `json:"stats,omitempty"`
 }
 
+// Windows is the unrolled-window substrate of one loop: window k's DDG and
+// its ir.Snapshot are built on first use and kept, so every register type
+// analyzed through the same Windows (and the certificate's window
+// extension) shares them. It is owned by one caller for the span of one
+// loop's analysis — the batch engine makes one per loop item and keeps only
+// the results — and is not safe for concurrent use.
+type Windows struct {
+	l     *Loop
+	snaps []*ir.Snapshot // snaps[k-1] is window k's snapshot, nil until used
+}
+
+// NewWindows returns the (still empty) window substrate of l.
+func NewWindows(l *Loop) *Windows { return &Windows{l: l} }
+
+// snapshot returns window k's snapshot, unrolling and building it on first
+// use.
+func (w *Windows) snapshot(k int) (*ir.Snapshot, error) {
+	for len(w.snaps) < k {
+		w.snaps = append(w.snaps, nil)
+	}
+	if s := w.snaps[k-1]; s != nil {
+		return s, nil
+	}
+	g, err := w.l.Unroll(k)
+	if err != nil {
+		return nil, err
+	}
+	s, err := ir.Build(g)
+	if err != nil {
+		return nil, err
+	}
+	w.snaps[k-1] = s
+	return s, nil
+}
+
+// windowRS runs the acyclic engine on type t of the k-iteration window.
+func (w *Windows) windowRS(ctx context.Context, t ddg.RegType, k int, opts rs.Options) (*rs.Result, error) {
+	snap, err := w.snapshot(k)
+	if err != nil {
+		return nil, err
+	}
+	an, err := rs.NewAnalysisIR(snap, t)
+	if err != nil {
+		return nil, err
+	}
+	return rs.ComputeWithAnalysis(ctx, an, opts)
+}
+
 // Analyze computes the periodic register saturation of one register type via
-// the unrolled-window sweep, optionally certified by the periodic MILP.
-// Windows share the process-wide ir interner, so a daemon analyzing the same
-// loop repeatedly pays the per-window analysis substrate once.
+// the unrolled-window sweep, optionally certified by the periodic MILP. To
+// analyze several types of one loop, call Windows.Analyze on one Windows.
 func Analyze(ctx context.Context, l *Loop, t ddg.RegType, opt Options) (*Result, error) {
+	return NewWindows(l).Analyze(ctx, t, opt)
+}
+
+// Analyze is the package-level Analyze over the windows w already holds.
+func (w *Windows) Analyze(ctx context.Context, t ddg.RegType, opt Options) (*Result, error) {
+	l := w.l
 	opt = opt.withDefaults()
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -140,11 +193,12 @@ func Analyze(ctx context.Context, l *Loop, t ddg.RegType, opt Options) (*Result,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rsK, exact, err := windowRS(ctx, l, t, k, opt.RS)
+		r, err := w.windowRS(ctx, t, k, opt.RS)
 		if err != nil {
 			return nil, err
 		}
-		res.Exact = res.Exact && exact
+		rsK := r.RS
+		res.Exact = res.Exact && r.Exact
 		if k > 1 && rsK < res.Windows[k-2] {
 			return nil, fmt.Errorf("cyclic: window monotonicity violated on %q/%s: RS(%d)=%d < RS(%d)=%d",
 				l.Name, t, k, rsK, k-1, res.Windows[k-2])
@@ -176,7 +230,7 @@ func Analyze(ctx context.Context, l *Loop, t ddg.RegType, opt Options) (*Result,
 		obs.Bool("converged", res.Converged), obs.Int("perIter", int64(res.PerIter)))
 
 	if opt.Certify && valueCount(l, t) > 0 && valueCount(l, t) <= opt.MaxCertifyValues {
-		cert, err := certify(ctx, l, t, res, opt)
+		cert, err := certify(ctx, w, t, res, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -185,42 +239,19 @@ func Analyze(ctx context.Context, l *Loop, t ddg.RegType, opt Options) (*Result,
 	return res, nil
 }
 
-// AnalyzeAll runs Analyze for every register type the body writes.
+// AnalyzeAll runs Analyze for every register type the body writes, all over
+// one Windows.
 func AnalyzeAll(ctx context.Context, l *Loop, opt Options) (map[ddg.RegType]*Result, error) {
+	w := NewWindows(l)
 	out := map[ddg.RegType]*Result{}
 	for _, t := range l.Types() {
-		r, err := Analyze(ctx, l, t, opt)
+		r, err := w.Analyze(ctx, t, opt)
 		if err != nil {
 			return nil, err
 		}
 		out[t] = r
 	}
 	return out, nil
-}
-
-// windowRS computes the acyclic RS of the k-iteration window through the
-// interned analysis pipeline — repeated sweeps over the same loop (a daemon
-// serving it twice, adjacent certify extensions) hit the process-wide
-// interner instead of rebuilding the window's closure and longest paths.
-// It returns the window RS and whether it is proven exact.
-func windowRS(ctx context.Context, l *Loop, t ddg.RegType, k int, opts rs.Options) (int, bool, error) {
-	g, err := l.Unroll(k)
-	if err != nil {
-		return 0, false, err
-	}
-	snap, err := ir.Intern(g)
-	if err != nil {
-		return 0, false, err
-	}
-	an, err := rs.NewAnalysisIR(snap, t)
-	if err != nil {
-		return 0, false, err
-	}
-	res, err := rs.ComputeWithAnalysis(ctx, an, opts)
-	if err != nil {
-		return 0, false, err
-	}
-	return res.RS, res.Exact, nil
 }
 
 func valueCount(l *Loop, t ddg.RegType) int {

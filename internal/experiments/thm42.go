@@ -38,19 +38,16 @@ func Theorem42(ctx context.Context, p Population, schedulesPerCase int, seed int
 	rng := rand.New(rand.NewSource(seed))
 	sum := &Thm42Summary{}
 	for _, c := range p.Cases() {
-		scheds, err := sampleSchedules(c.Graph, schedulesPerCase, rng)
+		snap, err := ir.Build(c.Graph)
 		if err != nil {
 			return nil, err
 		}
+		scheds := sampleSchedules(snap, schedulesPerCase, rng)
 		for _, s := range scheds {
 			sum.Schedules++
 			rn := s.RegisterNeed(c.Type)
 			rnStrict := strictNeed(c.Graph, s, c.Type)
-			arcs, err := reduce.SerializationArcs(c.Graph, c.Type, s)
-			if err != nil {
-				sum.Failures = append(sum.Failures, fmt.Sprintf("%s: arcs: %v", c.Name, err))
-				continue
-			}
+			arcs := reduce.SerializationArcs(snap, c.Type, s)
 			ext, err := reduce.ApplyArcs(c.Graph, arcs)
 			if err != nil {
 				// Non-positive circuit: legal failure mode on VLIW/EPIC,
@@ -93,11 +90,8 @@ func strictNeed(g *ddg.Graph, s *schedule.Schedule, t ddg.RegType) int {
 	return schedule.MaxLive(ivs)
 }
 
-func sampleSchedules(g *ddg.Graph, count int, rng *rand.Rand) ([]*schedule.Schedule, error) {
-	snap, err := ir.Intern(g)
-	if err != nil {
-		return nil, err
-	}
+func sampleSchedules(snap *ir.Snapshot, count int, rng *rand.Rand) []*schedule.Schedule {
+	g := snap.G
 	var out []*schedule.Schedule
 	asap := schedule.ASAPIR(snap)
 	out = append(out, asap)
@@ -121,7 +115,7 @@ func sampleSchedules(g *ddg.Graph, count int, rng *rand.Rand) ([]*schedule.Sched
 			out = append(out, s)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Report renders the E8 summary.

@@ -30,7 +30,7 @@ func Build(s *schedule.Schedule, t ddg.RegType) *Graph {
 }
 
 // BuildFromIR is Build over a prebuilt snapshot of s.G, for callers that
-// already hold the graph's interned snapshot: the value set comes from its
+// already hold the graph's snapshot: the value set comes from its
 // per-type table instead of a rescan.
 func BuildFromIR(snap *ir.Snapshot, s *schedule.Schedule, t ddg.RegType) *Graph {
 	var values []int

@@ -126,7 +126,7 @@ func TestBuildFromIRMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ir.Intern(g)
+	snap, err := ir.Build(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import "regsat/internal/ddg"
 // over the same node IDs. Node and graph *names* are deliberately excluded —
 // no analysis artifact depends on them — so repeated graphs that differ only
 // in labeling (e.g. the same random DAG emitted under two seeds, or one
-// kernel loaded from two files) intern to one snapshot.
+// kernel loaded from two files) share one batch memo entry and snapshot.
 //
 // The encoding walks nodes by ID and edges in stored order, so it is
 // deterministic for a given graph; structurally equal graphs built with a

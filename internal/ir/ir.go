@@ -11,20 +11,18 @@
 //   - a deterministic topological order (Topo, TopoPos),
 //   - transitive-closure reachability rows (Reach, one bitset per node),
 //   - the all-pairs longest-path matrix (AP),
-//   - per-register-type value/consumer/potential-killer tables (Table),
-//   - a structural fingerprint (Fingerprint) for interning and memo keys.
+//   - per-register-type value/consumer/potential-killer tables (Table).
 //
-// Snapshots are immutable after Build and safe for concurrent use. Intern
-// maintains a bounded process-wide cache keyed by the structural fingerprint,
-// so structurally identical graphs — repeated batch inputs, the same graph
-// analyzed for several register types, candidate extensions revisited by a
-// search — share one set of artifacts.
+// Snapshots are immutable after Build and safe for concurrent use. There is
+// no process-wide cache: whoever builds a snapshot owns it and hands it to
+// every analysis of the same graph — the batch memo keeps one per structural
+// fingerprint (see Fingerprint), rs.ComputeAll one for all register types,
+// and the reduction searches one for all their phases.
 package ir
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"regsat/internal/ddg"
 	"regsat/internal/graph"
@@ -69,24 +67,14 @@ type TypeTable struct {
 	MultiKill int
 }
 
-// lazyParts holds artifacts computed on first demand. It is shared (by
-// pointer) between a snapshot and its rebound copies, so the work is done at
-// most once per interned structure.
-type lazyParts struct {
-	redOnce   sync.Once
-	redundant []int
-	redErr    error
-}
-
 // Snapshot is the immutable, finalized analysis form of one DDG. All fields
 // are read-only after Build; concurrent readers need no synchronization.
 type Snapshot struct {
-	// G is the source graph. Rebinding (see Intern) may swap this pointer for
-	// a structurally identical graph; every other field depends only on the
-	// structure covered by the fingerprint, never on names.
+	// G is the source graph. Every other field depends only on its
+	// structure, never on names, so a structural twin (same Fingerprint)
+	// may read them too; names and witness schedules must come from the
+	// twin itself.
 	G *ddg.Graph
-	// Fingerprint is the structural hash the snapshot is interned under.
-	Fingerprint string
 	// N is the node count (including ⊥).
 	N int
 	// Fwd and Rev are the adjacency in edge direction and reversed.
@@ -104,22 +92,14 @@ type Snapshot struct {
 	Types []ddg.RegType
 
 	tables map[ddg.RegType]*TypeTable
-	lazy   *lazyParts
 }
 
 // Build constructs the snapshot of a finalized DDG. It errors if the graph is
 // not finalized, contains a cycle, or has a value with no consumer (which
 // Finalize rules out).
 func Build(g *ddg.Graph) (*Snapshot, error) {
-	return build(g, "")
-}
-
-func build(g *ddg.Graph, fp string) (*Snapshot, error) {
 	if !g.Finalized() {
 		return nil, fmt.Errorf("ir: graph %s is not finalized", g.Name)
-	}
-	if fp == "" {
-		fp = Fingerprint(g)
 	}
 	dg := g.ToDigraph()
 	topo, err := dg.TopoSort()
@@ -128,15 +108,13 @@ func build(g *ddg.Graph, fp string) (*Snapshot, error) {
 	}
 	n := g.NumNodes()
 	s := &Snapshot{
-		G:           g,
-		Fingerprint: fp,
-		N:           n,
-		Topo:        topo,
-		TopoPos:     make([]int, n),
-		AP:          dg.LongestAllPairsFromOrder(topo),
-		Types:       g.Types(),
-		tables:      map[ddg.RegType]*TypeTable{},
-		lazy:        &lazyParts{},
+		G:       g,
+		N:       n,
+		Topo:    topo,
+		TopoPos: make([]int, n),
+		AP:      dg.LongestAllPairsFromOrder(topo),
+		Types:   g.Types(),
+		tables:  map[ddg.RegType]*TypeTable{},
 	}
 	for pos, u := range topo {
 		s.TopoPos[u] = pos
@@ -294,51 +272,48 @@ func (s *Snapshot) Digraph() *graph.Digraph {
 
 // RedundantEdges returns the indices (into G.Edges()) of scheduling
 // constraints implied by other longest paths — the paper's first Section 3
-// model optimization. Computed lazily, once per interned structure.
-func (s *Snapshot) RedundantEdges() ([]int, error) {
-	lz := s.lazy
-	lz.redOnce.Do(func() {
-		lz.redundant, lz.redErr = s.G.ToDigraph().TransitiveReduction()
-	})
-	return lz.redundant, lz.redErr
-}
-
-// rebind returns a shallow copy of s bound to g, a graph with the same
-// fingerprint: all artifacts are shared (they depend only on the structure),
-// only the G pointer differs, so names in diagnostics and witnesses stay the
-// caller's.
-func (s *Snapshot) rebind(g *ddg.Graph) *Snapshot {
-	if s.G == g {
-		return s
+// model optimization. It is the sequential transitive reduction of
+// graph.Digraph.TransitiveReduction, run over the snapshot's own CSR and
+// topological order: candidates are visited in G.Edges() order, and each one
+// implied by the edges still kept is dropped for good.
+func (s *Snapshot) RedundantEdges() []int {
+	edges := s.G.Edges()
+	// slot[i] is edge i's position in Fwd (buildCSR keeps each node's edges
+	// in G.Edges() order); dropped is indexed by that position.
+	slot := make([]int32, len(edges))
+	next := make([]int32, s.N)
+	for i, e := range edges {
+		slot[i] = s.Fwd.Off[e.From] + next[e.From]
+		next[e.From]++
 	}
-	c := *s
-	c.G = g
-	return &c
-}
-
-// MemBytes estimates the resident heap bytes of the snapshot's shared
-// artifacts: the CSR adjacency, topological order, transitive-closure
-// bitsets, the all-pairs longest-path matrix, and the per-type value tables.
-// The estimate counts the dominant backing arrays (not Go object headers),
-// so long-running services can track interner memory against
-// SetInternCapacity.
-func (s *Snapshot) MemBytes() int64 {
-	n := int64(s.N)
-	b := 8 * int64(len(s.Topo)+len(s.TopoPos))
-	b += 4 * int64(len(s.Fwd.Off)+len(s.Fwd.Dst)+len(s.Rev.Off)+len(s.Rev.Dst))
-	b += 8 * int64(len(s.Fwd.Wt)+len(s.Rev.Wt))
-	for _, r := range s.Reach {
-		b += 8 * int64(len(r))
-	}
-	b += 8 * n * n // AP.D
-	for _, tbl := range s.tables {
-		b += 8 * int64(len(tbl.Values)+len(tbl.Index)+len(tbl.DelayW))
-		for i := range tbl.Cons {
-			b += 8 * int64(len(tbl.Cons[i]))
+	dropped := make([]bool, len(edges))
+	dist := make([]int64, s.N)
+	var redundant []int
+	for i, e := range edges {
+		dropped[slot[i]] = true // tentatively exclude the candidate itself
+		for v := range dist {
+			dist[v] = graph.NoPath
 		}
-		for i := range tbl.PKill {
-			b += 8 * int64(len(tbl.PKill[i]))
+		dist[e.From] = 0
+		// Only nodes between the two endpoints in topological order can lie
+		// on a path e.From ⇝ e.To.
+		for _, u := range s.Topo[s.TopoPos[e.From]:s.TopoPos[e.To]] {
+			if dist[u] == graph.NoPath {
+				continue
+			}
+			lo := s.Fwd.Off[u]
+			dst, wt := s.Fwd.Row(u)
+			for j, v := range dst {
+				if !dropped[lo+int32(j)] {
+					dist[v] = max(dist[v], dist[u]+wt[j])
+				}
+			}
+		}
+		if d := dist[e.To]; d != graph.NoPath && d >= e.Latency {
+			redundant = append(redundant, i)
+		} else {
+			dropped[slot[i]] = false
 		}
 	}
-	return b
+	return redundant
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"regsat/internal/ddg"
@@ -185,88 +184,6 @@ func hasEdge(g *ddg.Graph, from, to int, w int64) bool {
 	return false
 }
 
-// TestInternSharesAndRebinds checks the interner contract: one build per
-// structure, artifact sharing across structural twins, and G rebinding so a
-// twin keeps its own names.
-func TestInternSharesAndRebinds(t *testing.T) {
-	g1 := ddg.RandomGraph(rand.New(rand.NewSource(5)), ddg.DefaultRandomParams(10))
-	s1, err := Intern(g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.G != g1 {
-		t.Fatal("first intern must bind the building graph")
-	}
-	again, err := Intern(g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != s1 {
-		t.Fatal("re-interning the same graph must return the identical snapshot")
-	}
-	// A structural twin (same seed, different name) shares artifacts but is
-	// rebound to its own graph.
-	g2 := ddg.RandomGraph(rand.New(rand.NewSource(5)), ddg.DefaultRandomParams(10))
-	g2.Name = "twin"
-	s2, err := Intern(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.G != g2 {
-		t.Fatalf("twin snapshot bound to %q, want %q", s2.G.Name, g2.Name)
-	}
-	if &s2.AP.D[0][0] != &s1.AP.D[0][0] {
-		t.Fatal("twin snapshot must share the all-pairs matrix storage")
-	}
-	if s2.Fingerprint != s1.Fingerprint {
-		t.Fatal("structural twins must share the fingerprint")
-	}
-	// Lazy artifacts are computed once and shared through the rebind.
-	r1, err := s1.RedundantEdges()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := s2.RedundantEdges()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1) != len(r2) {
-		t.Fatal("rebound snapshot recomputed the lazy reduction differently")
-	}
-}
-
-// TestInternConcurrent interns the same structure from many goroutines; all
-// must converge on one artifact without races.
-func TestInternConcurrent(t *testing.T) {
-	g := ddg.RandomGraph(rand.New(rand.NewSource(9)), ddg.DefaultRandomParams(12))
-	const workers = 16
-	snaps := make([]*Snapshot, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s, err := Intern(g)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			snaps[w] = s
-		}(w)
-	}
-	wg.Wait()
-	for _, s := range snaps {
-		if s == nil {
-			t.Fatal("intern failed")
-		}
-		// All goroutines must read the same underlying matrix (pointer-equal
-		// rows prove a single build won the race or lost it gracefully).
-		if &s.AP.D[0] == nil {
-			t.Fatal("unreachable")
-		}
-	}
-}
-
 // TestBuildRejectsUnfinalized pins the error contract.
 func TestBuildRejectsUnfinalized(t *testing.T) {
 	g := ddg.New("raw", ddg.Superscalar)
@@ -276,8 +193,8 @@ func TestBuildRejectsUnfinalized(t *testing.T) {
 	}
 }
 
-// TestFingerprintIgnoresNames pins the sharing contract the interner and the
-// batch memo rely on.
+// TestFingerprintIgnoresNames pins the sharing contract the batch memo relies
+// on.
 func TestFingerprintIgnoresNames(t *testing.T) {
 	a := ddg.RandomGraph(rand.New(rand.NewSource(3)), ddg.DefaultRandomParams(9))
 	b := ddg.RandomGraph(rand.New(rand.NewSource(3)), ddg.DefaultRandomParams(9))
@@ -321,75 +238,5 @@ func BenchmarkIRReach(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkClosure = snap.Reaches(i%snap.N, (i*7)%snap.N)
-	}
-}
-
-// TestSetInternCapacity checks the resize knob evicts down to the new cap
-// and keeps serving correct snapshots afterwards.
-func TestSetInternCapacity(t *testing.T) {
-	defer SetInternCapacity(DefaultInternCapacity)
-	rng := rand.New(rand.NewSource(77))
-	var gs []*ddg.Graph
-	for i := 0; i < 8; i++ {
-		gs = append(gs, ddg.RandomGraph(rng, ddg.DefaultRandomParams(6+i)))
-	}
-	for _, g := range gs {
-		if _, err := Intern(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	SetInternCapacity(2)
-	if n := Stats().Entries; n > 2 {
-		t.Fatalf("cache holds %d entries after shrinking to 2", n)
-	}
-	// Evicted structures rebuild correctly.
-	s, err := Intern(gs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != gs[0].NumNodes() {
-		t.Fatal("rebuilt snapshot inconsistent")
-	}
-}
-
-func TestInternerStatsEvictionsAndBytes(t *testing.T) {
-	defer SetInternCapacity(DefaultInternCapacity)
-	SetInternCapacity(2)
-	before := Stats()
-
-	rng := rand.New(rand.NewSource(77))
-	var gs []*ddg.Graph
-	for i := 0; i < 5; i++ {
-		gs = append(gs, ddg.RandomGraph(rng, ddg.DefaultRandomParams(6+i)))
-	}
-	for _, g := range gs {
-		if _, err := Intern(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := Stats()
-	// Five distinct structures through a 2-entry cache must evict at least
-	// three snapshots.
-	if d := after.Evictions - before.Evictions; d < 3 {
-		t.Fatalf("evictions moved by %d, want >= 3", d)
-	}
-	if after.Entries > 2 {
-		t.Fatalf("population %d exceeds capacity 2", after.Entries)
-	}
-	if after.ResidentBytes <= 0 {
-		t.Fatalf("resident bytes %d, want positive", after.ResidentBytes)
-	}
-	// The byte gauge must match the resident snapshots exactly (insertions
-	// minus evictions), so it cannot drift over a long-running service.
-	var want int64
-	for _, g := range gs[len(gs)-after.Entries:] {
-		s, err := Intern(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want += s.MemBytes()
-	}
-	if got := Stats().ResidentBytes; got != want {
-		t.Fatalf("resident bytes %d, want %d (sum over population)", got, want)
 	}
 }

@@ -101,19 +101,15 @@ func Serializable(g *ddg.Graph, t ddg.RegType, s *schedule.Schedule, u, v int) b
 }
 
 // SerializationArcs performs the constructive step of the Theorem 4.2 proof:
-// given a schedule σ of G, emit serialization arcs that force, for every
-// serializable value pair ordered under σ, the same lifetime order in every
-// schedule of the extended graph. Arcs already implied by longest paths are
-// skipped (they would be redundant scheduling constraints). The driving
-// schedule σ always remains valid in the extension.
-func SerializationArcs(g *ddg.Graph, t ddg.RegType, s *schedule.Schedule) ([]ddg.SerialArc, error) {
-	// The interned snapshot supplies the longest paths (and, when the graph
-	// was already analyzed — always, in the reduction searches — the values
-	// and consumer sets) without recomputation.
-	snap, err := ir.Intern(g)
-	if err != nil {
-		return nil, err
-	}
+// given a schedule σ of G (the snapshot's graph), emit serialization arcs
+// that force, for every serializable value pair ordered under σ, the same
+// lifetime order in every schedule of the extended graph. Arcs already
+// implied by longest paths are skipped (they would be redundant scheduling
+// constraints). The driving schedule σ always remains valid in the
+// extension. The snapshot supplies the values and longest paths, so a
+// search calling this at every leaf builds it once.
+func SerializationArcs(snap *ir.Snapshot, t ddg.RegType, s *schedule.Schedule) []ddg.SerialArc {
+	g := snap.G
 	var values []int
 	if tbl := snap.Table(t); tbl != nil {
 		values = tbl.Values
@@ -154,7 +150,7 @@ func SerializationArcs(g *ddg.Graph, t ddg.RegType, s *schedule.Schedule) ([]ddg
 		}
 		return arcs[i].To < arcs[j].To
 	})
-	return arcs, nil
+	return arcs
 }
 
 // ApplyArcs extends g with the arcs and validates the result is still a DAG

@@ -2,7 +2,7 @@ package reduce
 
 import (
 	"context"
-	"fmt"
+	"slices"
 
 	"regsat/internal/ddg"
 	"regsat/internal/rs"
@@ -22,6 +22,34 @@ func Heuristic(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int) 
 // CFG analysis uses this to protect entry values, whose birth is pinned to
 // the block entry and must not be delayed by added arcs.
 func HeuristicFiltered(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int, allow func(u, v int) bool) (*Result, error) {
+	sat, err := rs.Compute(ctx, g, t, greedyOptions)
+	if err != nil {
+		return nil, err
+	}
+	return heuristic(ctx, g, sat, t, available, allow)
+}
+
+// HeuristicFrom is Heuristic for a caller that already holds sat, the
+// Greedy-k result of g (spill insertion picks its candidate from it).
+func HeuristicFrom(ctx context.Context, g *ddg.Graph, sat *rs.Result, t ddg.RegType, available int) (*Result, error) {
+	return heuristic(ctx, g, sat, t, available, nil)
+}
+
+// heuristicOf is Heuristic over an analysis of g the caller already holds.
+func heuristicOf(ctx context.Context, an *rs.Analysis, available int) (*Result, error) {
+	sat, err := rs.ComputeWithAnalysis(ctx, an, greedyOptions)
+	if err != nil {
+		return nil, err
+	}
+	return heuristic(ctx, an.G, sat, an.Type, available, nil)
+}
+
+var greedyOptions = rs.Options{Method: rs.MethodGreedy, SkipWitness: true}
+
+// heuristic runs the serialization rounds from g and its Greedy-k result
+// res. Each round's chosen candidate becomes the next round's graph, with
+// the Greedy-k result computed while ranking it.
+func heuristic(ctx context.Context, g *ddg.Graph, res *rs.Result, t ddg.RegType, available int, allow func(u, v int) bool) (*Result, error) {
 	cur := g
 	cpBefore := g.CriticalPath()
 	var allArcs []ddg.SerialArc
@@ -29,10 +57,6 @@ func HeuristicFiltered(ctx context.Context, g *ddg.Graph, t ddg.RegType, availab
 	maxIter := len(g.Values(t))*len(g.Values(t)) + 8
 
 	for {
-		res, err := rs.Compute(ctx, cur, t, rs.Options{Method: rs.MethodGreedy, SkipWitness: true})
-		if err != nil {
-			return nil, err
-		}
 		if res.RS <= available {
 			return &Result{
 				Graph:      cur,
@@ -52,12 +76,16 @@ func HeuristicFiltered(ctx context.Context, g *ddg.Graph, t ddg.RegType, availab
 
 		// Candidate serializations among the saturating values.
 		type cand struct {
-			u, v    int
-			arcs    []ddg.SerialArc
-			cp      int64
-			rsAfter int
+			u, v int
+			arcs []ddg.SerialArc
+			ext  *ddg.Graph
+			cp   int64
+			sat  *rs.Result
 		}
 		var best *cand
+		// Values read by the same consumers yield the same arcs toward v;
+		// such candidates share one extension and its Greedy-k result.
+		var built []*cand
 		for _, u := range res.Antichain {
 			for _, v := range res.Antichain {
 				if u == v {
@@ -70,19 +98,25 @@ func HeuristicFiltered(ctx context.Context, g *ddg.Graph, t ddg.RegType, availab
 				if len(arcs) == 0 {
 					continue
 				}
-				ext, err := ApplyArcs(cur, arcs)
-				if err != nil {
-					continue // would create a circuit
+				c := &cand{u: u, v: v, arcs: arcs}
+				if i := slices.IndexFunc(built, func(b *cand) bool { return slices.Equal(b.arcs, arcs) }); i >= 0 {
+					c.ext, c.cp, c.sat = built[i].ext, built[i].cp, built[i].sat
+				} else {
+					ext, err := ApplyArcs(cur, arcs)
+					if err != nil {
+						continue // would create a circuit
+					}
+					extRS, err := rs.Compute(ctx, ext, t, greedyOptions)
+					if err != nil {
+						continue
+					}
+					c.ext, c.cp, c.sat = ext, ext.CriticalPath(), extRS
+					built = append(built, c)
 				}
-				extRS, err := rs.Compute(ctx, ext, t, rs.Options{Method: rs.MethodGreedy, SkipWitness: true})
-				if err != nil {
-					continue
-				}
-				c := &cand{u: u, v: v, arcs: arcs, cp: ext.CriticalPath(), rsAfter: extRS.RS}
 				if best == nil ||
 					c.cp < best.cp ||
-					(c.cp == best.cp && c.rsAfter < best.rsAfter) ||
-					(c.cp == best.cp && c.rsAfter == best.rsAfter && (c.u < best.u || (c.u == best.u && c.v < best.v))) {
+					(c.cp == best.cp && c.sat.RS < best.sat.RS) ||
+					(c.cp == best.cp && c.sat.RS == best.sat.RS && (c.u < best.u || (c.u == best.u && c.v < best.v))) {
 					best = c
 				}
 			}
@@ -93,11 +127,7 @@ func HeuristicFiltered(ctx context.Context, g *ddg.Graph, t ddg.RegType, availab
 				CPBefore: cpBefore, CPAfter: cur.CriticalPath(),
 				Spill: true, Iterations: iterations}, nil
 		}
-		ext, err := ApplyArcs(cur, best.arcs)
-		if err != nil {
-			return nil, fmt.Errorf("reduce: chosen serialization became invalid: %w", err)
-		}
 		allArcs = append(allArcs, best.arcs...)
-		cur = ext
+		cur, res = best.ext, best.sat
 	}
 }

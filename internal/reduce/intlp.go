@@ -52,7 +52,7 @@ func ExactILP(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int, o
 	if err != nil {
 		return nil, err
 	}
-	exactRS, err := quickExactRS(ctx, g, t)
+	exactRS, err := quickExactRS(ctx, an)
 	if err != nil {
 		return nil, err
 	}
@@ -137,15 +137,16 @@ func ExactILP(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int, o
 	if rn := sched.RegisterNeed(t); rn > available {
 		return nil, fmt.Errorf("reduce: intLP schedule needs %d > %d registers", rn, available)
 	}
-	arcs, err := SerializationArcs(g, t, sched)
-	if err != nil {
-		return nil, err
-	}
+	arcs := SerializationArcs(an.IR, t, sched)
 	ext, err := ApplyArcs(g, arcs)
 	if err != nil {
 		return nil, err
 	}
-	extRS, err := quickExactRS(ctx, ext, t)
+	extAn, err := rs.NewAnalysis(ext, t)
+	if err != nil {
+		return nil, err
+	}
+	extRS, err := quickExactRS(ctx, extAn)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +314,7 @@ func coloringCliques(an *rs.Analysis, core *rs.CoreVars, colors [][]lp.Var, slac
 // returns that schedule (over the original graph) and its makespan as an
 // achievable objective value.
 func heuristicMakespanBound(ctx context.Context, g *ddg.Graph, t ddg.RegType, an *rs.Analysis, R int, slack int64) (*schedule.Schedule, float64, bool) {
-	red, err := Heuristic(ctx, g, t, R)
+	red, err := heuristicOf(ctx, an, R)
 	if err != nil || red.Spill {
 		return nil, 0, false
 	}
@@ -373,8 +374,8 @@ func heuristicMakespanBound(ctx context.Context, g *ddg.Graph, t ddg.RegType, an
 	return schedule.New(g, s.Times), float64(s.Times[g.Bottom()]), true
 }
 
-func quickExactRS(ctx context.Context, g *ddg.Graph, t ddg.RegType) (int, error) {
-	res, err := rs.Compute(ctx, g, t, rs.Options{Method: rs.MethodExactBB, SkipWitness: true})
+func quickExactRS(ctx context.Context, an *rs.Analysis) (int, error) {
+	res, err := rs.ComputeWithAnalysis(ctx, an, rs.Options{Method: rs.MethodExactBB, SkipWitness: true})
 	if err != nil {
 		return 0, err
 	}

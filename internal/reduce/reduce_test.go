@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"regsat/internal/ddg"
+	"regsat/internal/ir"
 	"regsat/internal/kernels"
 	"regsat/internal/rs"
 	"regsat/internal/schedule"
@@ -192,10 +193,11 @@ func TestTheorem42Construction(t *testing.T) {
 			}
 		}
 		rnStrict := schedule.MaxLive(ivs)
-		arcs, err := SerializationArcs(g, ddg.Float, s)
+		snap, err := ir.Build(g)
 		if err != nil {
 			t.Fatal(err)
 		}
+		arcs := SerializationArcs(snap, ddg.Float, s)
 		ext, err := ApplyArcs(g, arcs)
 		if err != nil {
 			t.Fatalf("trial %d: superscalar extension must stay acyclic: %v", trial, err)

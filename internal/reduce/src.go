@@ -27,12 +27,18 @@ type ExactOptions struct {
 // search the NP-hardness proof reduces from), then returns that extension.
 // The returned critical path CPAfter is the minimum achievable by any
 // serialization-arc reduction, so the heuristic's ILP loss can be compared
-// against it.
+// against it. One snapshot of g serves the saturation check and every
+// decision phase of the search.
 func ExactCombinatorial(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int, opt ExactOptions) (*Result, error) {
 	if opt.MaxNodes == 0 {
 		opt.MaxNodes = 2_000_000
 	}
-	exactRS, err := exactSaturation(ctx, g, t)
+	an, err := rs.NewAnalysis(g, t)
+	if err != nil {
+		return nil, err
+	}
+	snap := an.IR
+	exactRS, err := exactSaturationOf(ctx, an)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +54,7 @@ func ExactCombinatorial(ctx context.Context, g *ddg.Graph, t ddg.RegType, availa
 	// Feasible upper bound for P from the heuristic's extension (verified
 	// with the exact saturation of the extended graph).
 	pub := g.Horizon()
-	heur, herr := Heuristic(ctx, g, t, available)
+	heur, herr := heuristicOf(ctx, an, available)
 	if herr == nil && !heur.Spill {
 		if hRS, err := exactSaturation(ctx, heur.Graph, t); err == nil && hRS <= available {
 			pub = heur.Graph.CriticalPath()
@@ -59,7 +65,7 @@ func ExactCombinatorial(ctx context.Context, g *ddg.Graph, t ddg.RegType, availa
 	budget := opt.MaxNodes
 	var found *leaf
 	for P := cp; P <= pub; P++ {
-		l, used, err := srcDecision(ctx, g, t, available, P, budget)
+		l, used, err := srcDecision(ctx, snap, t, available, P, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +95,7 @@ func ExactCombinatorial(ctx context.Context, g *ddg.Graph, t ddg.RegType, availa
 	// Secondary objective: among minimal-makespan reductions, keep the
 	// register need as high as possible (fewest superfluous constraints).
 	if !opt.SkipMaxRN {
-		if l2, _, err := srcMaxRN(ctx, g, t, available, found.sched.Makespan(), opt.MaxNodes); err == nil && l2 != nil {
+		if l2, _, err := srcMaxRN(ctx, snap, t, available, found.sched.Makespan(), opt.MaxNodes); err == nil && l2 != nil {
 			if l2.extRS > found.extRS {
 				found = l2
 			}
@@ -119,12 +125,20 @@ func ExactCombinatorial(ctx context.Context, g *ddg.Graph, t ddg.RegType, availa
 }
 
 func exactSaturation(ctx context.Context, g *ddg.Graph, t ddg.RegType) (int, error) {
-	res, err := rs.Compute(ctx, g, t, rs.Options{Method: rs.MethodExactBB, SkipWitness: true})
+	an, err := rs.NewAnalysis(g, t)
+	if err != nil {
+		return 0, err
+	}
+	return exactSaturationOf(ctx, an)
+}
+
+func exactSaturationOf(ctx context.Context, an *rs.Analysis) (int, error) {
+	res, err := rs.ComputeWithAnalysis(ctx, an, rs.Options{Method: rs.MethodExactBB, SkipWitness: true})
 	if err != nil {
 		return 0, err
 	}
 	if !res.Exact {
-		return 0, fmt.Errorf("reduce: exact saturation capped on %s", g.Name)
+		return 0, fmt.Errorf("reduce: exact saturation capped on %s", an.G.Name)
 	}
 	return res.RS, nil
 }
@@ -139,8 +153,8 @@ type leaf struct {
 
 // srcDecision answers: does a valid schedule with makespan ≤ P exist whose
 // Theorem 4.2 extension has RS ≤ R? Returns the first accepted leaf.
-func srcDecision(ctx context.Context, g *ddg.Graph, t ddg.RegType, R int, P int64, budget int64) (*leaf, int64, error) {
-	search, err := newSrcSearch(ctx, g, t, R, P, budget)
+func srcDecision(ctx context.Context, snap *ir.Snapshot, t ddg.RegType, R int, P int64, budget int64) (*leaf, int64, error) {
+	search, err := newSrcSearch(ctx, snap, t, R, P, budget)
 	if err != nil {
 		return nil, 0, nil // horizon below critical path: infeasible at this P
 	}
@@ -150,8 +164,8 @@ func srcDecision(ctx context.Context, g *ddg.Graph, t ddg.RegType, R int, P int6
 
 // srcMaxRN searches, at fixed makespan bound P, for the accepted leaf whose
 // extension keeps the highest saturation still ≤ R.
-func srcMaxRN(ctx context.Context, g *ddg.Graph, t ddg.RegType, R int, P int64, budget int64) (*leaf, int64, error) {
-	search, err := newSrcSearch(ctx, g, t, R, P, budget)
+func srcMaxRN(ctx context.Context, snap *ir.Snapshot, t ddg.RegType, R int, P int64, budget int64) (*leaf, int64, error) {
+	search, err := newSrcSearch(ctx, snap, t, R, P, budget)
 	if err != nil {
 		return nil, 0, nil
 	}
@@ -167,6 +181,7 @@ func srcMaxRN(ctx context.Context, g *ddg.Graph, t ddg.RegType, R int, P int64, 
 
 type srcSearch struct {
 	ctx    context.Context
+	snap   *ir.Snapshot
 	g      *ddg.Graph
 	t      ddg.RegType
 	R      int
@@ -188,22 +203,16 @@ type predEdge struct {
 	lat  int64
 }
 
-func newSrcSearch(ctx context.Context, g *ddg.Graph, t ddg.RegType, R int, P int64, budget int64) (*srcSearch, error) {
-	// One snapshot serves every decision phase of the search: the per-P
-	// restarts of ExactCombinatorial all intern to the same artifact, so the
-	// topological order, value/consumer tables, and window substrate are
-	// computed once per graph, not once per phase.
-	snap, err := ir.Intern(g)
-	if err != nil {
-		return nil, err
-	}
+func newSrcSearch(ctx context.Context, snap *ir.Snapshot, t ddg.RegType, R int, P int64, budget int64) (*srcSearch, error) {
 	lo, hi, err := schedule.WindowsIR(snap, P)
 	if err != nil {
 		return nil, err
 	}
+	g := snap.G
 	s := &srcSearch{
-		ctx: ctx,
-		g:   g, t: t, R: R,
+		ctx:  ctx,
+		snap: snap,
+		g:    g, t: t, R: R,
 		topo: snap.Topo, lo: lo, hi: hi,
 		times:  make([]int64, g.NumNodes()),
 		placed: make([]bool, g.NumNodes()),
@@ -234,10 +243,7 @@ func (s *srcSearch) acceptLeaf(times []int64) *leaf {
 	if rn > s.R {
 		return nil
 	}
-	arcs, err := SerializationArcs(s.g, s.t, sched)
-	if err != nil {
-		return nil
-	}
+	arcs := SerializationArcs(s.snap, s.t, sched)
 	ext, err := ApplyArcs(s.g, arcs)
 	if err != nil {
 		return nil // non-positive circuit (VLIW/EPIC): excluded by the paper

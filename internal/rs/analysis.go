@@ -19,9 +19,9 @@
 //
 // All methods work from one immutable ir.Snapshot (CSR adjacency, topological
 // order, transitive closure, the all-pairs longest-path matrix, and per-type
-// value/consumer/pkill tables), built once per graph structure and interned
-// process-wide, so repeated analyses — several register types, the reduction
-// searches, batch runs — never recompute the substrate.
+// value/consumer/pkill tables). Callers that analyze one graph several times
+// — every register type, the reduction searches, the batch memo — build the
+// snapshot once and share it through NewAnalysisIR.
 package rs
 
 import (
@@ -39,7 +39,7 @@ type Analysis struct {
 	G    *ddg.Graph
 	Type ddg.RegType
 
-	// IR is the interned immutable snapshot every artifact below aliases.
+	// IR is the immutable snapshot every artifact below aliases.
 	IR *ir.Snapshot
 
 	// Values lists V_{R,t} (defining node IDs, increasing).
@@ -54,11 +54,11 @@ type Analysis struct {
 	AP *graph.AllPairsLongest
 }
 
-// NewAnalysis builds the per-type analysis over the interned snapshot of g.
+// NewAnalysis builds the snapshot of g and the per-type analysis over it.
 // The graph must be finalized so every value has at least one consumer
 // (possibly ⊥).
 func NewAnalysis(g *ddg.Graph, t ddg.RegType) (*Analysis, error) {
-	snap, err := ir.Intern(g)
+	snap, err := ir.Build(g)
 	if err != nil {
 		return nil, fmt.Errorf("rs: %w", err)
 	}

@@ -101,15 +101,10 @@ func BuildCore(an *Analysis, reduceModel bool, strictSlack int64, m *lp.Model) (
 		vars.Sigma[u] = m.NewVar(float64(lo[u]), float64(hi[u]), true, "sigma("+g.Node(u).Name+")")
 	}
 
-	// Precedence constraints, optionally dropping redundant arcs (the
-	// reduction is memoized on the interned snapshot, so repeated model
-	// builds over one structure pay for it once).
+	// Precedence constraints, optionally dropping redundant arcs.
 	var skip []bool
 	if reduceModel {
-		red, err := an.IR.RedundantEdges()
-		if err != nil {
-			return nil, nil, err
-		}
+		red := an.IR.RedundantEdges()
 		skip = make([]bool, g.NumEdges())
 		for _, ei := range red {
 			skip[ei] = true

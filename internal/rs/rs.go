@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"regsat/internal/ddg"
+	"regsat/internal/ir"
 	"regsat/internal/schedule"
 	"regsat/internal/solver"
 )
@@ -159,11 +160,20 @@ func finishCombinatorial(an *Analysis, res *RSResult, exact bool, opts Options) 
 	return out, nil
 }
 
-// ComputeAll computes the saturation of every register type of the graph.
+// ComputeAll computes the saturation of every register type of the graph,
+// all over one snapshot.
 func ComputeAll(ctx context.Context, g *ddg.Graph, opts Options) (map[ddg.RegType]*Result, error) {
+	snap, err := ir.Build(g)
+	if err != nil {
+		return nil, fmt.Errorf("rs: %w", err)
+	}
 	out := map[ddg.RegType]*Result{}
-	for _, t := range g.Types() {
-		r, err := Compute(ctx, g, t, opts)
+	for _, t := range snap.Types {
+		an, err := NewAnalysisIR(snap, t)
+		if err != nil {
+			return nil, err
+		}
+		r, err := ComputeWithAnalysis(ctx, an, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -56,7 +56,7 @@ func List(g *ddg.Graph, res Resources) (*Schedule, error) {
 	if classOf == nil {
 		classOf = DefaultClassOf
 	}
-	snap, err := ir.Intern(g)
+	snap, err := ir.Build(g)
 	if err != nil {
 		return nil, err
 	}

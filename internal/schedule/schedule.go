@@ -60,7 +60,7 @@ func (s *Schedule) Makespan() int64 {
 
 // ASAP returns the as-soon-as-possible schedule (longest path from sources).
 func ASAP(g *ddg.Graph) (*Schedule, error) {
-	snap, err := ir.Intern(g)
+	snap, err := ir.Build(g)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func ASAPIR(snap *ir.Snapshot) *Schedule {
 // ALAP returns the as-late-as-possible schedule under total time T:
 // σ̄_u = T − LongestPathFrom(u). It errors if T is below the critical path.
 func ALAP(g *ddg.Graph, T int64) (*Schedule, error) {
-	snap, err := ir.Intern(g)
+	snap, err := ir.Build(g)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +219,7 @@ func sortLiveEvents(events []liveEvent) {
 // Windows computes the per-node issue windows [ASAP_u, T − tail_u] used to
 // bound intLP variables and schedule enumeration.
 func Windows(g *ddg.Graph, T int64) (lo, hi []int64, err error) {
-	snap, err := ir.Intern(g)
+	snap, err := ir.Build(g)
 	if err != nil {
 		return nil, nil, err
 	}

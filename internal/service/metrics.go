@@ -3,14 +3,12 @@ package service
 import (
 	"fmt"
 	"net/http"
-
-	"regsat/internal/ir"
 )
 
 // handleMetrics renders the Prometheus text exposition: the admission
 // queue, request/item counters, the shared engine's L1/L2 cache movement,
-// the persistent store's counters, the process-wide ir interner, and the
-// aggregate MILP solver accounting.
+// the persistent store's counters, and the aggregate MILP solver
+// accounting.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
@@ -82,19 +80,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p("regsat_trace_evicted_total %d\n", ts.EvictedTraces)
 	p("# TYPE regsat_trace_dropped_spans_total counter\n")
 	p("regsat_trace_dropped_spans_total %d\n", ts.DroppedSpans)
-
-	// Process-wide analysis-snapshot interner.
-	cs := ir.Stats()
-	p("# TYPE regsat_interner_hits_total counter\n")
-	p("regsat_interner_hits_total %d\n", cs.Hits)
-	p("# TYPE regsat_interner_misses_total counter\n")
-	p("regsat_interner_misses_total %d\n", cs.Misses)
-	p("# TYPE regsat_interner_evictions_total counter\n")
-	p("regsat_interner_evictions_total %d\n", cs.Evictions)
-	p("# TYPE regsat_interner_entries gauge\n")
-	p("regsat_interner_entries %d\n", cs.Entries)
-	p("# TYPE regsat_interner_resident_bytes gauge\n")
-	p("regsat_interner_resident_bytes %d\n", cs.ResidentBytes)
 
 	// Aggregate MILP solver accounting across every solve the daemon ran.
 	s.solverMu.Lock()

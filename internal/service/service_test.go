@@ -388,7 +388,6 @@ func TestServiceHealthDrainAndMetrics(t *testing.T) {
 		"regsat_requests_total",
 		"regsat_rs_computed_total",
 		"regsat_store_puts_total",
-		"regsat_interner_resident_bytes",
 		"regsat_solver_solves_total",
 	} {
 		if !strings.Contains(metrics, key) {

@@ -60,8 +60,17 @@ func UntilFits(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int, 
 	}
 	res := &Result{Graph: g}
 	spilled := map[string]bool{}
-	for len(res.Sites) <= maxSpills {
-		red, err := reduce.Heuristic(ctx, res.Graph, t, available)
+	var sat *rs.Result
+	for {
+		// One Greedy-k result of the current graph seeds the reduction and,
+		// when that fails, picks the spill candidate among its saturating
+		// values.
+		var err error
+		sat, err = rs.Compute(ctx, res.Graph, t, rs.Options{Method: rs.MethodGreedy, SkipWitness: true})
+		if err != nil {
+			return nil, err
+		}
+		red, err := reduce.HeuristicFrom(ctx, res.Graph, sat, t, available)
 		if err != nil {
 			return nil, err
 		}
@@ -73,13 +82,6 @@ func UntilFits(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int, 
 		}
 		if len(res.Sites) == maxSpills {
 			break
-		}
-		// Pick a spill candidate among the currently saturating values (the
-		// analysis rides on the snapshot the heuristic reduction above
-		// already interned for the same graph).
-		sat, err := rs.Compute(ctx, res.Graph, t, rs.Options{Method: rs.MethodGreedy, SkipWitness: true})
-		if err != nil {
-			return nil, err
 		}
 		cand := chooseCandidate(res.Graph, t, sat.Antichain, spilled)
 		if cand < 0 {
@@ -96,10 +98,6 @@ func UntilFits(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int, 
 		res.Sites = append(res.Sites, site)
 	}
 	// Out of spill budget: report the best we know.
-	sat, err := rs.Compute(ctx, res.Graph, t, rs.Options{Method: rs.MethodGreedy, SkipWitness: true})
-	if err != nil {
-		return nil, err
-	}
 	res.RS = sat.RS
 	res.Failed = true
 	return res, nil

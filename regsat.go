@@ -34,7 +34,6 @@ import (
 	"regsat/internal/cfg"
 	"regsat/internal/cyclic"
 	"regsat/internal/ddg"
-	"regsat/internal/ir"
 	"regsat/internal/reduce"
 	"regsat/internal/regalloc"
 	"regsat/internal/rs"
@@ -122,7 +121,7 @@ type RSResult = rs.Result
 // sparse dual-simplex branch-and-bound engine.
 type (
 	// SolverOptions bounds a MILP solve (RSOptions.Solver,
-	// ReduceOptions.ILP.Solver, BatchOptions.Solver).
+	// ReduceOptions.ILP.Solver, BatchOptions.RS.Solver).
 	SolverOptions = solver.Options
 	// SolverStats is a solve's work accounting (nodes, simplex iterations,
 	// warm-start rate, incumbents, recoveries, wall clock).
@@ -202,8 +201,9 @@ func ReduceRSContext(ctx context.Context, g *Graph, t RegType, available int, op
 // the shared artifacts (all-pairs longest paths, rs.Analysis,
 // potential-killer sets) keyed by structural fingerprint.
 type (
-	// BatchOptions configures AnalyzeAll (worker count, RS options, MILP
-	// solver limits, type restriction, optional reduction pass, memo size).
+	// BatchOptions configures AnalyzeAll (worker count, RS options and
+	// their MILP solver limits, type restriction, optional reduction pass,
+	// memo size).
 	BatchOptions = batch.Options
 	// BatchResult is the per-item outcome, delivered in input order.
 	BatchResult = batch.Result
@@ -253,8 +253,8 @@ func SourceLoops(ls ...*Loop) GraphSource { return batch.Loops(ls...) }
 // SourceConcat chains sources into one stream.
 func SourceConcat(sources ...GraphSource) GraphSource { return batch.Concat(sources...) }
 
-// Persistent result caching and interner introspection (the substrate of
-// the analysis daemon, cmd/rsd — see docs/SERVER.md).
+// Persistent result caching (the substrate of the analysis daemon, cmd/rsd
+// — see docs/SERVER.md).
 type (
 	// BatchResultCache is the batch engine's optional second-level result
 	// cache (BatchOptions.L2): results the in-memory memo has to compute
@@ -269,26 +269,12 @@ type (
 	// content-addressed, atomically written, corruption-tolerant, safe to
 	// share across processes.
 	ResultStore = store.Store
-	// InternerCacheStats reports the process-wide analysis-snapshot
-	// interner: hits, misses, evictions, population, and estimated
-	// resident bytes.
-	InternerCacheStats = ir.CacheStats
 )
 
 // OpenResultStore opens (creating if necessary) a persistent result store
 // rooted at dir. Plug it into BatchOptions.L2 so batch analyses survive
 // process restarts.
 func OpenResultStore(dir string) (*ResultStore, error) { return store.Open(dir) }
-
-// InternerStats returns the process-wide analysis-snapshot interner
-// statistics (the counters behind the CLIs' -ir-stats flags and rsd's
-// /metrics).
-func InternerStats() InternerCacheStats { return ir.Stats() }
-
-// SetInternerCapacity resizes the process-wide snapshot interner (minimum
-// 1), evicting least-recently-used snapshots if the new capacity is
-// smaller. Long-running services tune this against their graph mix.
-func SetInternerCapacity(n int) { ir.SetInternCapacity(n) }
 
 // SourceRandom streams n random DDGs from consecutive seeds — a synthetic
 // workload generator for stress and scale runs.

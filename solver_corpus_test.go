@@ -126,18 +126,18 @@ func TestSolverAgreesOnCorpus(t *testing.T) {
 	}
 }
 
-// TestBatchSolverBackendSelection: BatchOptions.Solver reaches every intLP
-// solve of a batch. A one-node cap must bound every solve's node count and
-// leave the solves that need branching capped.
+// TestBatchSolverBackendSelection: BatchOptions.RS.Solver reaches every
+// intLP solve of a batch. A one-node cap must bound every solve's node count
+// and leave the solves that need branching capped.
 func TestBatchSolverBackendSelection(t *testing.T) {
 	src, err := SourceDir("testdata")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ch, err := AnalyzeAll(context.Background(), []GraphSource{src}, BatchOptions{
-		RS:     RSOptions{Method: ExactILP, ApplyReductions: true, SkipWitness: true},
-		Types:  []RegType{Float},
-		Solver: SolverOptions{MaxNodes: 1, TimeLimit: 5 * time.Second},
+		RS: RSOptions{Method: ExactILP, ApplyReductions: true, SkipWitness: true,
+			Solver: SolverOptions{MaxNodes: 1, TimeLimit: 5 * time.Second}},
+		Types: []RegType{Float},
 	})
 	if err != nil {
 		t.Fatal(err)
