@@ -75,10 +75,11 @@ func ExactILP(ctx context.Context, g *ddg.Graph, t ddg.RegType, available int, o
 		// Thread the always-interfering clique structure down to the
 		// solver's cut layer: values forced to overlap in every schedule
 		// must take pairwise distinct registers, so each clique admits at
-		// most one member per color.
-		if cl := coloringCliques(an, core, colors, StrictSlack(g)); len(cl) > 0 {
-			sopt.Hints = &solver.Hints{Cliques: cl}
-		}
+		// most one member per color. The solver derives it only when the
+		// root LP leaves the solve open.
+		sopt.Hints = &solver.Hints{Cliques: func() []solver.Clique {
+			return coloringCliques(an, core, colors, StrictSlack(g))
+		}}
 	}
 	var heurSched *schedule.Schedule
 	if sopt.Cutoff == nil {

@@ -34,7 +34,8 @@ type ExactStats struct {
 // and popped along the dive with delta longest-path updates, the DV_k order
 // is maintained as bitset rows, and the antichain bound comes from an
 // incrementally augmented matching — no per-node digraph, all-pairs, or
-// matching rebuild.
+// matching rebuild. The evaluator comes from the pool and goes back to it
+// on return; the result holds only copies.
 func ExactBB(an *Analysis, maxLeaves int64) (*RSResult, *ExactStats, error) {
 	if maxLeaves <= 0 {
 		maxLeaves = 1_000_000
@@ -43,6 +44,7 @@ func ExactBB(an *Analysis, maxLeaves int64) (*RSResult, *ExactStats, error) {
 	stats := &ExactStats{UpperBound: nv}
 
 	ik := NewIncremental(an)
+	defer ik.release()
 	// Branch only on multi-choice values, most-constrained (fewest killers)
 	// first; single-choice killers are fixed up front (they push no arcs, so
 	// they can never fail, but their order pairs participate in every bound).

@@ -32,7 +32,8 @@ func Greedy(an *Analysis) (*RSResult, error) {
 // GreedyWithScoring is Greedy with an explicit candidate-scoring metric.
 // Candidates are evaluated on the Incremental engine: each probe is a
 // Push/Pop pair with delta longest-path updates instead of a from-scratch
-// extended-graph rebuild.
+// extended-graph rebuild. The evaluator comes from the pool and goes back
+// to it on return; the result holds only copies.
 func GreedyWithScoring(an *Analysis, scoring GreedyScoring) (*RSResult, error) {
 	nv := len(an.Values)
 
@@ -55,6 +56,7 @@ func GreedyWithScoring(an *Analysis, scoring GreedyScoring) (*RSResult, error) {
 	// enforcement arcs, but their induced order pairs participate in the
 	// scoring of every later decision).
 	ik := NewIncremental(an)
+	defer ik.release()
 	for i := 0; i < nv; i++ {
 		if len(an.PKill[i]) == 1 {
 			ik.Push(i, an.PKill[i][0])

@@ -2,6 +2,7 @@ package rs
 
 import (
 	"math/bits"
+	"sync"
 
 	"regsat/internal/graph"
 )
@@ -38,7 +39,8 @@ type Incremental struct {
 	byKiller [][]int // node → stack of decided value indices using it as killer
 	depth    int     // decided count
 
-	less []graph.BitSet // DV_k rows over value indices
+	less      []graph.BitSet // DV_k rows over value indices
+	lessWords []uint64       // backing storage of the less rows
 
 	// Incrementally maintained maximum matching of the order's comparability
 	// bipartite graph (left copy a → right copy b per pair a < b). Dilworth:
@@ -87,41 +89,93 @@ type frame struct {
 	oldMatchSize  int
 }
 
-// NewIncremental creates an evaluator positioned at the empty decision (no
-// killer chosen, the extension equals the base graph).
+// incPool recycles evaluators with all of their storage: the two n×n
+// tables are most of what a cold Greedy-k run allocates. Everything in it
+// was released by release and is owned by nobody.
+var incPool = sync.Pool{New: func() any { return new(Incremental) }}
+
+// maxPooledCells caps the n×n tables of a pooled evaluator (256 nodes,
+// 512 KiB per table): a larger evaluator is left to the garbage collector,
+// so one huge graph cannot pin its tables in the pool.
+const maxPooledCells = 256 * 256
+
+// testHookReleaseIncremental, when set, sees every evaluator release
+// pools. Tests use it to poison released storage; it is nil in production.
+var testHookReleaseIncremental func(ik *Incremental)
+
+// NewIncremental returns an evaluator positioned at the empty decision (no
+// killer chosen, the extension equals the base graph). Its storage may
+// come from evaluators released earlier; an evaluator that is never
+// released is simply collected.
 func NewIncremental(an *Analysis) *Incremental {
 	n := an.G.NumNodes()
 	nv := len(an.Values)
-	ik := &Incremental{
-		an:       an,
-		n:        n,
-		nv:       nv,
-		d:        make([]int64, n*n),
-		decided:  make([]int, nv),
-		byKiller: make([][]int, n),
-		less:     make([]graph.BitSet, nv),
-		valIndex: make([]int, n),
-		delayR:   make([]int64, n),
-		delayW:   make([]int64, nv),
-		touched:  make([]int64, n*n),
+	words := (nv + 63) / 64
+	ik := incPool.Get().(*Incremental)
+	*ik = Incremental{
+		an:         an,
+		n:          n,
+		nv:         nv,
+		d:          resize(ik.d, n*n),
+		decided:    resize(ik.decided, nv),
+		byKiller:   resize(ik.byKiller, n),
+		less:       resize(ik.less, nv),
+		lessWords:  resize(ik.lessWords, nv*words),
+		matchL:     resize(ik.matchL, nv),
+		matchR:     resize(ik.matchR, nv),
+		rightSeen:  resize(ik.rightSeen, nv),
+		valIndex:   resize(ik.valIndex, n),
+		delayR:     resize(ik.delayR, n),
+		delayW:     resize(ik.delayW, nv),
+		trail:      ik.trail[:0],
+		cellArena:  ik.cellArena[:0],
+		bitArena:   ik.bitArena[:0],
+		matchArena: ik.matchArena[:0],
+		touched:    resize(ik.touched, n*n),
+		srcs:       ik.srcs[:0],
+		dsts:       ik.dsts[:0],
 	}
+	clear(ik.lessWords)
+	clear(ik.rightSeen)
+	clear(ik.touched)
 	for u := 0; u < n; u++ {
 		copy(ik.d[u*n:(u+1)*n], an.AP.D[u])
+		ik.byKiller[u] = ik.byKiller[u][:0]
 		ik.valIndex[u] = -1
 		ik.delayR[u] = an.G.Node(u).DelayR
 	}
-	ik.matchL = make([]int, nv)
-	ik.matchR = make([]int, nv)
-	ik.rightSeen = make([]int64, nv)
 	for i := range ik.decided {
 		ik.decided[i] = -1
-		ik.less[i] = graph.NewBitSet(nv)
+		ik.less[i] = ik.lessWords[i*words : (i+1)*words : (i+1)*words]
 		ik.valIndex[an.Values[i]] = i
 		ik.delayW[i] = an.DelayW(i)
 		ik.matchL[i] = -1
 		ik.matchR[i] = -1
 	}
 	return ik
+}
+
+// release returns ik to the pool, unless its tables (d and touched, sized
+// together) exceed maxPooledCells. Nothing may touch ik afterwards; results
+// taken from it (Killers, AntichainMembers) are copies and stay valid.
+func (ik *Incremental) release() {
+	if cap(ik.d) > maxPooledCells {
+		return
+	}
+	ik.an = nil
+	if testHookReleaseIncremental != nil {
+		testHookReleaseIncremental(ik)
+	}
+	incPool.Put(ik)
+}
+
+// resize returns b resliced to length n, or a new slice when b is too small.
+// The contents are stale.
+func resize[T any](b []T, n int) []T {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	return make([]T, n)
 }
 
 // Depth returns the number of decided values.

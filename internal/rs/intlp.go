@@ -360,10 +360,9 @@ func exactILP(ctx context.Context, an *Analysis, reduceModel bool, opt solver.Op
 	}
 	if opt.Hints == nil && !opt.DisableCuts {
 		// Thread the never-alive clique structure down to the solver's cut
-		// layer, so it never re-derives graph facts from the matrix.
-		if cl := SaturationCliques(an, vars); len(cl) > 0 {
-			opt.Hints = &solver.Hints{Cliques: cl}
-		}
+		// layer, so it never re-derives graph facts from the matrix. The
+		// solver derives it only when the root LP leaves the solve open.
+		opt.Hints = &solver.Hints{Cliques: func() []solver.Clique { return SaturationCliques(an, vars) }}
 	}
 	var seed *RSResult
 	if opt.Cutoff == nil {

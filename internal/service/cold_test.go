@@ -85,3 +85,49 @@ func BenchmarkAnalyzeCold(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1024/items, "KiB/item")
 	b.ReportMetric(float64(elapsed.Microseconds())/items, "µs/item")
 }
+
+// maxColdRequestAllocs bounds the allocations per item of a one-graph ilp
+// request through the handler on the cold path, over the cold-ilp mix:
+// JSON decode, intake, the snapshot build, the greedy seed, the Section 3
+// model, its solve, wire conversion and JSON encode. It measures 400
+// (go1.24, linux/amd64), where deriving the clique hints before the root
+// LP, solving every root to optimality and a fresh Greedy-k evaluator per
+// solve made it 540; the bound leaves 30% headroom.
+const maxColdRequestAllocs = 520
+
+// TestColdRequestAllocs guards the daemon's allocations per cold item at
+// the handler layer: a fresh server answers requests over distinct graphs,
+// so every one is solved.
+func TestColdRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a random quarter of what is put into it")
+	}
+	const items = 400
+	bodies := coldRequests(t, items+1)
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	next := 0
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(bodies[next])))
+		next++
+		if rec.Code != http.StatusOK || bytes.Contains(rec.Body.Bytes(), []byte(`"error"`)) {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // warm the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for next <= items {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.Mallocs-before.Mallocs) / items
+	t.Logf("%.1f allocations per item", got)
+	if got > maxColdRequestAllocs {
+		t.Fatalf("a cold request allocates %.1f times per item, bound %d", got, maxColdRequestAllocs)
+	}
+}

@@ -30,7 +30,11 @@ type Clique struct {
 
 // Hints carries builder-derived model structure into the solver.
 type Hints struct {
-	Cliques []Clique
+	// Cliques derives the hinted cliques. The solver calls it at most once,
+	// and only when the root LP did not already prove the prune target, so
+	// a solve that ends at its root never pays for the derivation. Nil
+	// means no cliques.
+	Cliques func() []Clique
 }
 
 const (
@@ -55,12 +59,9 @@ type cutClique struct {
 // more ones than the clique admits — presolve found a contradiction).
 // The result is sorted by column list (ties in hint order), with later
 // duplicates — same columns and same right-hand side — dropped.
-func remapCliques(h *Hints, ps *presolved) (cliques []*cutClique, infeasible bool) {
-	if h == nil {
-		return nil, false
-	}
+func remapCliques(hinted []Clique, ps *presolved) (cliques []*cutClique, infeasible bool) {
 	p := ps.p
-	for _, c := range h.Cliques {
+	for _, c := range hinted {
 		rhs := float64(c.RHS)
 		cols := make([]int, 0, len(c.Vars))
 		ok := true
@@ -111,61 +112,111 @@ func remapCliques(h *Hints, ps *presolved) (cliques []*cutClique, infeasible boo
 	return out, false
 }
 
-// separation is the outcome of root cut separation.
-type separation struct {
-	added  int64 // cuts appended to the problem
-	rounds int64 // separation LPs solved
+// rootSolve is the outcome of solveRoot.
+type rootSolve struct {
+	// st is the status of the last root LP solve: spxOptimal when root is
+	// set; spxCutoff or spxInfeasible when the root LP settled the solve
+	// (the search is skipped); spxIterLimit or spxCanceled when it stopped
+	// short, and the search then handles the root like any node.
+	st spxStatus
 	// p is the problem the search runs on: the one passed in, grown by the
 	// appended cut rows.
 	p *prob
-	// root is the solved root LP of p when separation converged (its last
-	// round added no cut): the search adopts it for the root node instead
-	// of solving the same LP again from a cold start. Nil when no round ran
-	// to optimality or the last round added cuts; the tableau has then been
-	// released.
+	// root is the solved root LP of p, which the search adopts for the
+	// root node; nil unless st is spxOptimal.
 	root *spx
-	// iters and blandIters total the simplex iterations of every round's
+	// cliques are the hinted cliques in reduced column space, derived once
+	// the first root LP is solved without proving the prune target; nil
+	// when the hints were never asked for.
+	cliques []*cutClique
+	added   int64 // cuts appended to the problem
+	rounds  int64 // root LPs solved
+	// rebuilt reports that separation stopped at a cap with cuts the LP had
+	// not seen, and the grown root was solved again from a cold start.
+	rebuilt bool
+	// iters and blandIters total the simplex iterations of every root LP
 	// solve; root's own counters are zeroed, so nothing is counted twice.
 	iters, blandIters int64
 }
 
-// separateRoot solves the root LP relaxation of p, appends the hinted
-// cliques the fractional point violates as rows of a grown copy of p, and
-// reoptimizes, until no violation remains or a round/cut cap is hit. Every
-// round after the first extends the previous round's optimal tableau with
-// the new cut rows (spx.addRows) and resumes the dual simplex from that
-// basis, so the root LP is solved cold only once.
-func separateRoot(p *prob, cliques []*cutClique, cancelled func() bool) (sep separation) {
-	sep.p = p
-	if len(cliques) == 0 || (cancelled != nil && cancelled()) {
-		return sep
+// solveRoot solves the root LP relaxation of p, checking the dual
+// objective against prune (internal sense; +inf disables it) on every
+// iteration, so a root that cannot beat the incumbent or cutoff stops as
+// soon as its bound proves it. When the LP is solved, the hinted cliques
+// are derived (hints.Cliques, once) and remapped through ps, those the
+// point violates are appended as rows of a grown copy of p, and the LP is
+// reoptimized, until no violation remains or a round/cut cap is hit.
+// Every round after the first extends the previous round's optimal
+// tableau with the new cut rows (spx.addRows) and resumes the dual simplex
+// from that basis; when a cap stops separation with cuts the LP has not
+// seen, the grown root is solved once more from a cold start. x is scratch
+// for the LP point, one entry per column of p.
+func solveRoot(p *prob, hints *Hints, ps *presolved, x []float64, prune float64, cancelled func() bool) (r rootSolve) {
+	r.p, r.st = p, spxCanceled
+	if cancelled != nil && cancelled() {
+		return r
 	}
-	w := newSpx(p)
-	w.cancel = cancelled
-	w.reset(p.rootLo, p.rootHi)
+	cold := func(p *prob) *spx {
+		w := newSpx(p)
+		w.cancel = cancelled
+		w.reset(p.rootLo, p.rootHi)
+		return w
+	}
+	w := cold(p)
+	if testHookNodeSolve != nil {
+		testHookNodeSolve(w, &qnode{vr: -1, bound: math.Inf(-1)}, false)
+	}
+	derive := hints != nil && hints.Cliques != nil
 	for round := 1; ; round++ {
-		st := w.dual(math.Inf(1))
-		sep.rounds++
-		sep.iters += w.iters
-		sep.blandIters += w.blandIters
-		w.iters, w.blandIters = 0, 0
-		if st != spxOptimal {
+		if r.st = r.solve(w, prune); r.st != spxOptimal {
 			break
 		}
-		p2, k := appendViolated(sep.p, cliques, w.solution(), cutMaxAdded-sep.added)
-		if k == 0 {
-			sep.root = w
-			return sep
+		if derive {
+			derive = false
+			var bad bool
+			if r.cliques, bad = remapCliques(hints.Cliques(), ps); bad {
+				r.st = spxInfeasible
+				break
+			}
 		}
-		sep.p = p2
-		sep.added += k
-		if sep.added >= cutMaxAdded || round == cutMaxRounds || (cancelled != nil && cancelled()) {
+		w.extract(x)
+		p2, k := appendViolated(r.p, r.cliques, x, cutMaxAdded-r.added)
+		if k == 0 {
+			r.root = w
+			return r
+		}
+		r.p = p2
+		r.added += k
+		if cancelled != nil && cancelled() {
+			r.st = spxCanceled
+			break
+		}
+		if r.added >= cutMaxAdded || round == cutMaxRounds {
+			releaseSpx(w)
+			w = cold(p2)
+			r.rebuilt = true
+			if r.st = r.solve(w, prune); r.st == spxOptimal {
+				r.root = w
+				return r
+			}
 			break
 		}
 		w.addRows(p2)
 	}
 	releaseSpx(w)
-	return sep
+	return r
+}
+
+// solve runs one root LP solve on w and moves its iterations into r.
+func (r *rootSolve) solve(w *spx, prune float64) spxStatus {
+	w.pruneEvery = true
+	st := w.dual(prune)
+	w.pruneEvery = false
+	r.rounds++
+	r.iters += w.iters
+	r.blandIters += w.blandIters
+	w.iters, w.blandIters = 0, 0
+	return st
 }
 
 // appendViolated returns p grown by one row per clique not yet added that x

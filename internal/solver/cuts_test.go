@@ -45,7 +45,7 @@ func TestCliqueCutsSeparatedAtRoot(t *testing.T) {
 		}
 	}
 	m := conflictModel(obj, edges)
-	hints := &Hints{Cliques: []Clique{{Vars: cliqueVars, RHS: 1}}}
+	hints := cliqueHints([]Clique{{Vars: cliqueVars, RHS: 1}})
 	sol := solveWith(t, m, Options{Hints: hints})
 	checkOracle(t, "with cuts", conflictModel(obj, edges), sol)
 	if sol.Stats.CutsAdded == 0 {
@@ -95,7 +95,7 @@ func TestCliqueHintsAgreeRandom(t *testing.T) {
 				}
 			}
 		}
-		hints := &Hints{Cliques: cliques}
+		hints := cliqueHints(cliques)
 		sol := solveWith(t, conflictModel(obj, edges), Options{Hints: hints})
 		checkOracle(t, fmt.Sprintf("trial %d with %d hinted triangles", trial, len(cliques)),
 			conflictModel(obj, edges), sol)
@@ -131,8 +131,8 @@ func TestRemapCliquesFolding(t *testing.T) {
 		}
 		return mustPresolve(t, m, true)
 	}
-	clique := func(rhs int, vars ...lp.Var) *Hints {
-		return &Hints{Cliques: []Clique{{Vars: vars, RHS: rhs}}}
+	clique := func(rhs int, vars ...lp.Var) []Clique {
+		return []Clique{{Vars: vars, RHS: rhs}}
 	}
 
 	// a fixed at 1: the clique loses a column and one unit of rhs.
@@ -166,11 +166,11 @@ func TestRemapCliquesFolding(t *testing.T) {
 
 	// Duplicates collapse; output order is deterministic.
 	ps = build(0, 1, 0, 1)
-	h := &Hints{Cliques: []Clique{
+	h := []Clique{
 		{Vars: []lp.Var{2, 3, 0}, RHS: 1},
 		{Vars: []lp.Var{0, 2, 3}, RHS: 1},
 		{Vars: []lp.Var{1, 2, 3}, RHS: 1},
-	}}
+	}
 	got, infeasible = remapCliques(h, ps)
 	if infeasible || len(got) != 2 {
 		t.Fatalf("dedup: got %d cliques, want 2", len(got))
@@ -188,7 +188,7 @@ func TestRemapCliquesNonBinary(t *testing.T) {
 	m.NewBinary("x")
 	m.NewBinary("y")
 	ps := mustPresolve(t, m, true)
-	h := &Hints{Cliques: []Clique{{Vars: []lp.Var{0, 1, 2}, RHS: 1}}}
+	h := []Clique{{Vars: []lp.Var{0, 1, 2}, RHS: 1}}
 	got, infeasible := remapCliques(h, ps)
 	if infeasible || len(got) != 0 {
 		t.Fatalf("clique over a [0,3] integer survived remap: %+v", got)
@@ -208,7 +208,7 @@ func TestCutsDisabled(t *testing.T) {
 			edges = append(edges, [2]int{i, j})
 		}
 	}
-	hints := &Hints{Cliques: []Clique{{Vars: vars, RHS: 1}}}
+	hints := cliqueHints([]Clique{{Vars: vars, RHS: 1}})
 	sol := solveWith(t, conflictModel(obj, edges), Options{Hints: hints, DisableCuts: true})
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-1) > 1e-6 {
 		t.Fatalf("optimum %v/%g, want optimal 1", sol.Status, sol.Obj)
@@ -242,17 +242,17 @@ func hintedConflictN(rng *rand.Rand, nv int) (*lp.Model, *Hints) {
 			}
 		}
 	}
-	h := &Hints{}
+	var cl []Clique
 	for i := 0; i < nv; i++ {
 		for j := i + 1; j < nv; j++ {
 			for k := j + 1; k < nv; k++ {
 				if adj[i*nv+j] && adj[i*nv+k] && adj[j*nv+k] {
-					h.Cliques = append(h.Cliques, Clique{Vars: []lp.Var{lp.Var(i), lp.Var(j), lp.Var(k)}, RHS: 1})
+					cl = append(cl, Clique{Vars: []lp.Var{lp.Var(i), lp.Var(j), lp.Var(k)}, RHS: 1})
 				}
 			}
 		}
 	}
-	return conflictModel(obj, edges), h
+	return conflictModel(obj, edges), cliqueHints(cl)
 }
 
 // completeConflict is the conflict model over the complete graph K_k with
@@ -266,11 +266,11 @@ func completeConflict(obj []float64, sizes ...int) (*lp.Model, *Hints) {
 			edges = append(edges, [2]int{i, j})
 		}
 	}
-	h := &Hints{}
+	var cl []Clique
 	var pick func(from int, vars []lp.Var, size int)
 	pick = func(from int, vars []lp.Var, size int) {
 		if len(vars) == size {
-			h.Cliques = append(h.Cliques, Clique{Vars: slices.Clone(vars), RHS: 1})
+			cl = append(cl, Clique{Vars: slices.Clone(vars), RHS: 1})
 			return
 		}
 		for v := from; v < k; v++ {
@@ -280,22 +280,35 @@ func completeConflict(obj []float64, sizes ...int) (*lp.Model, *Hints) {
 	for _, size := range sizes {
 		pick(0, nil, size)
 	}
-	return conflictModel(obj, edges), h
+	return conflictModel(obj, edges), cliqueHints(cl)
+}
+
+// cliqueHints hints the fixed clique list cl.
+func cliqueHints(cl []Clique) *Hints {
+	return &Hints{Cliques: func() []Clique { return cl }}
+}
+
+// pointOf returns the structural point w holds.
+func pointOf(w *spx) []float64 {
+	x := make([]float64, w.p.n)
+	w.extract(x)
+	return x
 }
 
 // separateAsSolve replays the sparse backend's steps up to and including
-// root separation on a private presolved copy of m.
-func separateAsSolve(t *testing.T, m *lp.Model, h *Hints) separation {
+// the root solve and its separation on a private presolved copy of m,
+// without a prune target.
+func separateAsSolve(t *testing.T, m *lp.Model, h *Hints) rootSolve {
 	t.Helper()
 	ps := mustPresolve(t, m, true)
 	if ps.infeasible {
 		t.Fatal("presolve proved the model infeasible")
 	}
-	cliques, bad := remapCliques(h, ps)
-	if bad {
+	r := solveRoot(ps.p, h, ps, make([]float64, ps.p.n), math.Inf(1), nil)
+	if r.st == spxInfeasible && r.cliques == nil {
 		t.Fatal("hinted cliques proved the model infeasible")
 	}
-	return separateRoot(ps.p, cliques, nil)
+	return r
 }
 
 // checkOptimalBasis requires w to hold an optimal basis: every basic value
@@ -352,7 +365,7 @@ func TestSeparateRootHandsOffSolvedRoot(t *testing.T) {
 		if root.iters != 0 || root.blandIters != 0 {
 			t.Fatalf("%s: handed-off root still holds %d iterations: they would be counted twice", tag, root.iters)
 		}
-		if !root.verify(root.solution()) {
+		if !root.verify(pointOf(root)) {
 			t.Fatalf("%s: handed-off root's point violates the exact rows", tag)
 		}
 		checkOptimalBasis(t, tag, root)
@@ -382,35 +395,46 @@ func k12() (*lp.Model, *Hints) {
 	return completeConflict(obj, 3, 4)
 }
 
-// TestSeparateRootNoHandoff: separation hands off nothing when it did not
-// end on a converged round — the cut cap fired with violations left, the
-// solve was cancelled, or there was nothing to separate.
-func TestSeparateRootNoHandoff(t *testing.T) {
+// TestSolveRootCapsAndCancel: when a cap stops separation with cuts the
+// LP has not seen, solveRoot solves the grown root from a cold start and
+// hands that off; a cancelled root hands off nothing; a solve without hints
+// hands off the one root LP it solved.
+func TestSolveRootCapsAndCancel(t *testing.T) {
 	// On the complete conflict graph K12 the LP relaxation is x = 1/2
 	// everywhere, which violates every hinted 3- and 4-member clique: more
 	// than the cut cap in the first round.
 	m12, h := k12()
-	if len(h.Cliques) <= cutMaxAdded {
-		t.Fatalf("%d cliques cannot reach the cut cap %d", len(h.Cliques), cutMaxAdded)
+	if n := len(h.Cliques()); n <= cutMaxAdded {
+		t.Fatalf("%d cliques cannot reach the cut cap %d", n, cutMaxAdded)
 	}
 	sep := separateAsSolve(t, m12, h)
-	if sep.added != cutMaxAdded || sep.root != nil {
-		t.Fatalf("cut cap: added %d, root handed off %v; want %d added and no root", sep.added, sep.root != nil, cutMaxAdded)
+	if sep.added != cutMaxAdded || !sep.rebuilt || sep.root == nil || sep.root.p != sep.p {
+		t.Fatalf("cut cap: added %d, rebuilt %v, root handed off %v; want %d added and the rebuilt root of the grown problem",
+			sep.added, sep.rebuilt, sep.root != nil, cutMaxAdded)
 	}
-	if sep.iters == 0 {
-		t.Fatal("cut cap: the separation LP's iterations were not reported")
+	if sep.rounds != 2 || sep.iters == 0 {
+		t.Fatalf("cut cap: %d root LPs in %d iterations, want the first and the rebuilt one", sep.rounds, sep.iters)
 	}
+	p := sep.p
+	cold := newSpx(p)
+	cold.reset(p.rootLo, p.rootHi)
+	if st := cold.dual(math.Inf(1)); st != spxOptimal || !slices.Equal(pointOf(cold), pointOf(sep.root)) {
+		t.Fatalf("cut cap: the handed-off root is not the cold solve of the grown problem (%v)", st)
+	}
+	releaseSpx(cold)
+	releaseSpx(sep.root)
 
 	m, hc := hintedConflict(rand.New(rand.NewSource(7)))
 	ps := mustPresolve(t, m, true)
-	cliques, _ := remapCliques(hc, ps)
-	p := ps.p
-	if sep := separateRoot(p, cliques, func() bool { return true }); sep.root != nil || sep.added != 0 {
-		t.Fatalf("cancelled: added %d, root handed off %v", sep.added, sep.root != nil)
+	x := make([]float64, ps.p.n)
+	if sep := solveRoot(ps.p, hc, ps, x, math.Inf(1), func() bool { return true }); sep.root != nil || sep.st != spxCanceled || sep.iters != 0 {
+		t.Fatalf("cancelled: %v after %d iterations, root handed off %v", sep.st, sep.iters, sep.root != nil)
 	}
-	if sep := separateRoot(p, nil, nil); sep.root != nil || sep.iters != 0 {
-		t.Fatalf("no cliques: root handed off %v after %d iterations", sep.root != nil, sep.iters)
+	sep = solveRoot(ps.p, nil, ps, x, math.Inf(1), nil)
+	if sep.root == nil || sep.rounds != 1 || sep.added != 0 || sep.cliques != nil || sep.p != ps.p {
+		t.Fatalf("no hints: root handed off %v after %d rounds, %d cuts", sep.root != nil, sep.rounds, sep.added)
 	}
+	releaseSpx(sep.root)
 }
 
 // TestRootHandoffSameSearch pins hinted solves: the status and objective
@@ -484,7 +508,7 @@ func TestSeparationItersCounted(t *testing.T) {
 			edges = append(edges, [2]int{i, j})
 		}
 	}
-	h := &Hints{Cliques: []Clique{{Vars: all, RHS: 1}}}
+	h := cliqueHints([]Clique{{Vars: all, RHS: 1}})
 	sep := separateAsSolve(t, conflictModel(obj, edges), h)
 	if sep.added == 0 || sep.root == nil || sep.iters == 0 {
 		t.Fatalf("separation: added %d, converged %v, %d iterations", sep.added, sep.root != nil, sep.iters)
@@ -525,7 +549,7 @@ func TestCutsSeparatedEventReportsCost(t *testing.T) {
 		}
 	}
 	want := map[string]string{
-		"cliques": fmt.Sprint(len(h.Cliques)),
+		"cliques": fmt.Sprint(len(h.Cliques())),
 		"added":   fmt.Sprint(sep.added),
 		"rounds":  fmt.Sprint(sep.rounds),
 		"iters":   fmt.Sprint(sep.iters),

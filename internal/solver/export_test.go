@@ -121,3 +121,11 @@ func PoisonPools() (restore func()) { return poisonPools() }
 
 // DrainPools empties the tableau and workspace pools.
 func DrainPools() { drainSpxPool() }
+
+// SolveRootsToOptimality makes every root LP run to optimality with the
+// prune check off, as the engine did before the root stopped at the prune
+// target; restore undoes it.
+func SolveRootsToOptimality() (restore func()) {
+	testHookRootToOptimality = true
+	return func() { testHookRootToOptimality = false }
+}

@@ -50,7 +50,7 @@ func section3Models(tb testing.TB) (tags []string, models []*lp.Model, hints []*
 				}
 				var h *solver.Hints
 				if cl := rs.SaturationCliques(an, vars); len(cl) > 0 {
-					h = &solver.Hints{Cliques: cl}
+					h = &solver.Hints{Cliques: func() []solver.Clique { return cl }}
 				}
 				tags = append(tags, filepath.Base(file)+"/"+string(typ))
 				models, hints = append(models, m), append(hints, h)

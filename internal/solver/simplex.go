@@ -149,6 +149,9 @@ type spx struct {
 	blandIters int64 // iterations under the anti-cycling Bland override
 	pivots     int   // pivots since the last rebuild (refactorization trigger)
 	iterLimit  int   // per-call iteration cap when > 0 (probe solves); else spxIterCap
+	// pruneEvery checks the objective against the prune target on every
+	// iteration instead of every 64th (root solves, see solveRoot).
+	pruneEvery bool
 	cancel     func() bool
 }
 
@@ -228,13 +231,6 @@ func (s *spx) copyFrom(src *spx) {
 	copy(s.d, src.d)
 	copy(s.dweight, src.dweight)
 	s.pivots = src.pivots
-}
-
-// solution extracts the structural solution into a fresh slice.
-func (s *spx) solution() []float64 {
-	x := make([]float64, s.p.n)
-	s.extract(x)
-	return x
 }
 
 func (s *spx) row(i int) []float64 { return s.tab[i*s.p.n : (i+1)*s.p.n] }
@@ -362,7 +358,7 @@ func (s *spx) addRows(p2 *prob) {
 		t.dweight[i] = 1
 	}
 	t.iters, t.blandIters, t.pivots = s.iters, s.blandIters, s.pivots
-	t.iterLimit, t.cancel = s.iterLimit, s.cancel
+	t.iterLimit, t.pruneEvery, t.cancel = s.iterLimit, s.pruneEvery, s.cancel
 	*s, *t = *t, *s
 	releaseSpx(t)
 }
@@ -422,7 +418,8 @@ func (s *spx) extract(x []float64) {
 // dual reoptimizes the current (dual-feasible) basis with the bounded-
 // variable dual simplex. It stops early with spxCutoff as soon as the
 // objective proves the node cannot beat pruneTarget (internal minimize
-// sense; +inf disables the check).
+// sense; +inf disables the check), checked every 64 iterations or, with
+// pruneEvery, on every iteration, the optimal one included.
 func (s *spx) dual(pruneTarget float64) spxStatus {
 	p := s.p
 	n := p.n
@@ -443,13 +440,11 @@ func (s *spx) dual(pruneTarget float64) spxStatus {
 		if iter > iterCap {
 			return spxIterLimit
 		}
-		if iter%64 == 0 {
-			if s.cancel != nil && s.cancel() {
-				return spxCanceled
-			}
-			if !math.IsInf(pruneTarget, 1) && s.obj() > pruneTarget {
-				return spxCutoff
-			}
+		if iter%64 == 0 && s.cancel != nil && s.cancel() {
+			return spxCanceled
+		}
+		if (s.pruneEvery || iter%64 == 0) && !math.IsInf(pruneTarget, 1) && s.obj() > pruneTarget {
+			return spxCutoff
 		}
 		bland := iter > spxBlandCut
 		if bland {

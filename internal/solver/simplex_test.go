@@ -630,7 +630,7 @@ func TestAddRowsKeepsTableauPoint(t *testing.T) {
 	extended := 0
 	run := func(tag string, m *lp.Model, h *Hints) {
 		ps := mustPresolve(t, m, true)
-		cliques, _ := remapCliques(h, ps)
+		cliques, _ := remapCliques(h.Cliques(), ps)
 		p := ps.p
 		w, f := newSpx(p), newFullSpx(p)
 		defer releaseSpx(w)
@@ -647,7 +647,7 @@ func TestAddRowsKeepsTableauPoint(t *testing.T) {
 			if d := condensedDiff(w, f); d != "" {
 				t.Fatalf("%s: %s differs from the full tableau", tag, d)
 			}
-			p2, k := appendViolated(p, cliques, w.solution(), math.MaxInt64)
+			p2, k := appendViolated(p, cliques, pointOf(w), math.MaxInt64)
 			if k == 0 {
 				return
 			}

@@ -46,9 +46,10 @@ type Options struct {
 	ExclusiveCutoff bool
 	// Hints carries model structure the builder already knows (named clique
 	// sets over binary variables), so the cut generator never re-derives it
-	// from the matrix. Hints are trusted: every hinted inequality must hold
-	// for every integer-feasible point of the model (see Hints). Nil means
-	// no hints.
+	// from the matrix. The cliques are derived on demand, only for a solve
+	// whose root LP did not settle it. Hints are trusted: every hinted
+	// inequality must hold for every integer-feasible point of the model
+	// (see Hints). Nil means no hints.
 	Hints *Hints
 	// DisablePresolve skips the presolve reductions
 	// (the solve semantics are unchanged — presolve+postsolve is invisible
@@ -105,12 +106,13 @@ type Stats struct {
 	// node re-solved after a numerical-trouble recovery counts twice).
 	Nodes int64 `json:"nodes"`
 	// SimplexIters is the total simplex iterations across all nodes and the
-	// root cut-separation LPs.
+	// root LPs (the first root solve and its cut-separation rounds).
 	SimplexIters int64 `json:"simplexIters"`
 	// WarmStarts counts node solves reoptimized in place from the parent
-	// basis (dives); ColdStarts counts nodes rebuilt from scratch (best-bound
-	// queue pops and periodic refactorizations). A root LP already solved by
-	// converged cut separation is adopted, not rebuilt, and not counted.
+	// basis (dives); ColdStarts counts tableaux rebuilt from scratch
+	// (best-bound queue pops, periodic refactorizations, and the root when
+	// cut separation stopped at a cap). The root's first solve is not
+	// counted: the search adopts the solved root LP.
 	WarmStarts int64 `json:"warmStarts"`
 	ColdStarts int64 `json:"coldStarts"`
 	// Fallbacks counts numerical-trouble recoveries: node solves that hit

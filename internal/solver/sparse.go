@@ -18,9 +18,14 @@ import (
 // single-bound deltas, warm-started dives from the parent basis, pseudo-cost
 // branching with reliability initialization, and incumbent/cutoff seeding.
 //
+// The root LP is solved first, on its own (solveRoot): against the prune
+// target on every iteration, so a root that cannot beat the seeded cutoff
+// ends the solve at once, and with the hinted cliques, derived only then,
+// separated as cut rows.
+//
 // Node processing is organized as dives: the search pops the best-bound open
 // node, solves it from a cold (all-slack, dual-feasible) start — or, for the
-// root, adopts the tableau converged cut separation already solved — then keeps
+// root, adopts the tableau solveRoot already solved — then keeps
 // descending into one child per branching — reusing the tableau and basis it
 // already holds, which makes the child solve a handful of dual pivots — while
 // the sibling goes onto the best-bound queue as a {variable, bound}
@@ -39,7 +44,7 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 	// Presolve works on a private copy in a pooled workspace and writes the
 	// reduced problem p in sparse form; it is owned by this solve, so the
 	// cut layer may grow it. The workspace goes back to the pool on every
-	// return path, after the tableaux pointing into p (run and separateRoot
+	// return path, after the tableaux pointing into p (solveRoot and run
 	// release those before returning).
 	ws := wsPool.Get().(*workspace)
 	var p *prob
@@ -61,15 +66,6 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 	}
 	p = ps.p
 
-	var cliques []*cutClique
-	if !opt.DisableCuts {
-		var bad bool
-		cliques, bad = remapCliques(opt.Hints, ps)
-		if bad {
-			return infeasible()
-		}
-	}
-
 	var deadline time.Time
 	if opt.TimeLimit > 0 {
 		deadline = start.Add(opt.TimeLimit)
@@ -78,29 +74,15 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 		return ctx.Err() != nil || (!deadline.IsZero() && time.Now().After(deadline))
 	}
 
-	var sep separation
-	if len(cliques) > 0 {
-		// Separation appends its cut rows to a grown copy of p; when it
-		// converged, sep.root is the solved root LP of exactly that problem.
-		sep = separateRoot(p, cliques, cancelled)
-		p = sep.p
-		span.Event("cuts.separated", obs.Int("added", sep.added), obs.Int("cliques", int64(len(cliques))),
-			obs.Int("rounds", sep.rounds), obs.Int("iters", sep.iters))
-	}
-
 	s := &searcher{
 		p:         p,
 		opt:       opt,
 		ctx:       ctx,
 		span:      span,
 		deadline:  deadline,
-		cliqueIx:  buildCliqueIndex(cliques),
-		root:      sep.root,
 		openBound: math.Inf(1),
 		cutoff:    math.Inf(1),
 		incObj:    math.Inf(1),
-		iters:     sep.iters,
-		bland:     sep.blandIters,
 	}
 	ws.searchScratch(p.n)
 	s.lo, s.hi, s.x = ws.lo, ws.hi, ws.x
@@ -110,21 +92,50 @@ func solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 		s.cutoff = p.internalObj(*opt.Cutoff)
 		s.exclusiveCutoff = opt.ExclusiveCutoff
 	}
-	heap.Push(&s.open, &qnode{vr: -1, bound: math.Inf(-1)})
-	s.run()
+
+	// The root LP runs against the prune target the search would apply to
+	// the root node. Separation appends its cut rows to a grown copy of p;
+	// r.root, when set, is the solved root LP of exactly that problem.
+	var hints *Hints
+	if !opt.DisableCuts {
+		hints = opt.Hints
+	}
+	prune := s.pruneTarget()
+	if testHookRootToOptimality {
+		prune = math.Inf(1)
+	}
+	r := solveRoot(p, hints, ps, s.x, prune, cancelled)
+	p, s.p = r.p, r.p
+	s.root, s.iters, s.bland = r.root, r.iters, r.blandIters
+	s.cliqueIx = buildCliqueIndex(r.cliques)
+	if r.rebuilt {
+		s.cold++
+	}
+	if len(r.cliques) > 0 {
+		span.Event("cuts.separated", obs.Int("added", r.added), obs.Int("cliques", int64(len(r.cliques))),
+			obs.Int("rounds", r.rounds), obs.Int("iters", r.iters))
+	}
+	if r.st == spxCutoff || r.st == spxInfeasible {
+		// The root LP settled the solve: it cannot beat the incumbent or
+		// cutoff, or it has no feasible point. The root is the only node.
+		s.nodes = 1
+	} else {
+		heap.Push(&s.open, &qnode{vr: -1, bound: math.Inf(-1)})
+		s.run()
+	}
 
 	sol := s.finish()
 	sol.Stats.PresolveRows = ps.rows
 	sol.Stats.PresolveCols = ps.cols
 	sol.Stats.PresolveTightenings = ps.tightenings
-	sol.Stats.CutsAdded = sep.added
+	sol.Stats.CutsAdded = r.added
 	if sol.Feasible() && !sol.AtCutoff {
 		xr := sol.X
 		if xr == nil {
 			// Presolve fixed every variable: the reduced assignment is empty.
 			xr = make([]float64, p.n)
 		}
-		sol.Stats.CutsActive = activeCuts(cliques, xr)
+		sol.Stats.CutsActive = activeCuts(r.cliques, xr)
 		sol.X = ps.postsolve(xr)
 	}
 	sol.Stats.Duration = time.Since(start)
@@ -182,8 +193,8 @@ type searcher struct {
 	cutoff          float64 // internal sense; +inf when unseeded
 	exclusiveCutoff bool
 	cliqueIx        *cliqueIndex
-	// root is the root LP already solved by cut separation, or nil. The
-	// search adopts it when it pops the root node.
+	// root is the root LP solveRoot already solved, or nil. The search
+	// adopts it when it pops the root node.
 	root *spx
 
 	open      nodeHeap
@@ -543,9 +554,16 @@ func (s *searcher) dive(w *spx, nd *qnode, warm bool) {
 }
 
 // testHookNodeSolve, when set, runs right before every node solve of the
-// search tableau (retry reports a re-solve after recovery). Tests use it to
-// inject numerical trouble; it is nil in production.
+// search tableau and before the root's first LP solve (retry reports a
+// re-solve after recovery). Tests use it to inject numerical trouble; it
+// is nil in production.
 var testHookNodeSolve func(w *spx, nd *qnode, retry bool)
+
+// testHookRootToOptimality, when set, solves every root LP to optimality
+// with the prune check off, as the engine did before the root stopped at
+// the prune target; differential tests compare the two. It is false in
+// production.
+var testHookRootToOptimality bool
 
 // recoverNode handles numerical trouble at nd. The first time, it rebuilds
 // w from the exact sparse matrix under the node's current bounds (the
